@@ -1,9 +1,9 @@
 // Shared helpers for the per-figure benchmark binaries. Every binary prints
 // the paper's reference values next to the reproduced ones so the comparison
 // is one `diff`-shaped read — and, through bench::Reporter, emits the same
-// numbers as a machine-readable JSON report (`--json=<path>`) that
-// tools/bench_runner merges into BENCH_RESULTS.json and gates against
-// bench/baselines/.
+// numbers as a machine-readable JSON report (`--json=<path>`) whose gated
+// metrics equal the ones tools/bench_runner merges into BENCH_RESULTS.json
+// and gates against bench/baselines/.
 #ifndef MEMSENTRY_BENCH_BENCH_UTIL_H_
 #define MEMSENTRY_BENCH_BENCH_UTIL_H_
 
@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -95,17 +94,9 @@ class Reporter {
         instructions_ = std::strtoull(arg + 15, nullptr, 10);
       } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
         jobs_ = static_cast<int>(std::strtol(arg + 7, nullptr, 10));
-      } else if (std::strncmp(arg, "--checkpoint-dir=", 17) == 0) {
-        checkpoint_dir_ = arg + 17;
-      } else if (std::strncmp(arg, "--checkpoint-interval=", 22) == 0) {
-        checkpoint_interval_ = std::strtoull(arg + 22, nullptr, 10);
       } else if (std::strncmp(arg, "--bundle-root=", 14) == 0) {
         bundle_root = arg + 14;
       }
-    }
-    if (!checkpoint_dir_.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(checkpoint_dir_, ec);
     }
     // Any crash from here on produces a replayable bundle tagged with this
     // binary's run configuration. Retention first: bundles from earlier runs
@@ -137,17 +128,15 @@ class Reporter {
   }
 
   // DefaultOptions() with any --instructions= / --jobs= override applied.
-  // Every binary routes its workload budget through this so bench_runner
-  // --quick can shrink the whole suite uniformly and --jobs can fan the
-  // sweeps out (results are bit-identical for every jobs value).
+  // Every binary routes its workload budget through this so
+  // --instructions= shrinks the whole workload uniformly and --jobs can fan
+  // the sweeps out (results are bit-identical for every jobs value).
   eval::ExperimentOptions Options() const {
     eval::ExperimentOptions options = DefaultOptions();
     if (instructions_ > 0) {
       options.target_instructions = instructions_;
     }
     options.jobs = jobs_;
-    options.checkpoint_dir = checkpoint_dir_;
-    options.checkpoint_interval = checkpoint_interval_;
     return options;
   }
 
@@ -213,8 +202,7 @@ class Reporter {
     doc.Set("instructions", TargetInstructions());
     doc.Set("wall_seconds", wall);
     doc.Set("metrics", builder_.TakeMetrics());
-    // Atomic write: a crash mid-report leaves no torn JSON for the runner's
-    // salvage pass to misread.
+    // Atomic write: a crash mid-report leaves no torn JSON behind.
     if (Status s = json::WriteFileAtomic(json_path_, doc); !s.ok()) {
       std::fprintf(stderr, "%s: %s\n", binary_.c_str(), s.ToString().c_str());
       return 1;
@@ -225,8 +213,6 @@ class Reporter {
  private:
   std::string binary_;
   std::string json_path_;
-  std::string checkpoint_dir_;
-  uint64_t checkpoint_interval_ = 0;
   uint64_t instructions_ = 0;
   int jobs_ = 0;  // 0 = hardware_concurrency (see eval::ExperimentOptions)
   std::chrono::steady_clock::time_point start_;

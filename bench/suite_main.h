@@ -1,10 +1,9 @@
 // The shared main() for every suite bench binary: look up the registered
-// workload (src/suite/workloads.h), run it the way the historical monolithic
-// binary did — cells fanned over --jobs, serial where crash contexts demand
-// it, tables printed, crash bundles staged — and emit the identical metric
-// stream through bench::Reporter. The binaries stay as crash-isolation and
-// ad-hoc entry points; tools/bench_runner --engine=inproc runs the same
-// workloads in one warm process instead.
+// workload (src/suite/workloads.h), run its cells fanned over --jobs (serial
+// where crash contexts demand it), print its tables, stage crash bundles,
+// and emit the metric stream through bench::Reporter. The binaries are
+// ad-hoc entry points; tools/bench_runner runs the same workloads in one
+// warm engine and emits the same gated metrics bit for bit.
 #ifndef MEMSENTRY_BENCH_SUITE_MAIN_H_
 #define MEMSENTRY_BENCH_SUITE_MAIN_H_
 

@@ -88,7 +88,11 @@ struct CampaignEngine::Job {
   size_t done_cells = 0;  // restored + run (guarded by engine mutex)
   bool cancelled = false;
   bool cell_failed = false;
-  std::chrono::steady_clock::time_point start;
+  // Host wall span of the cells that ran (guarded by engine mutex): queueing
+  // behind other jobs' cells before the first start is not this job's time.
+  bool any_cell_ran = false;
+  std::chrono::steady_clock::time_point first_cell_start;
+  std::chrono::steady_clock::time_point last_cell_end;
 };
 
 CampaignEngine::CampaignEngine(const WorkloadRegistry* registry, EngineOptions options)
@@ -128,7 +132,6 @@ uint64_t CampaignEngine::Submit(const std::string& workload_name,
   job->options.experiment.jobs = 1;
   job->options.print = false;
   job->options.crash_contexts = false;
-  job->start = std::chrono::steady_clock::now();
   job->cells = workload->cells(job->options);
   job->payloads.resize(job->cells.size());
   job->report.workload = workload->name;
@@ -236,8 +239,9 @@ void CampaignEngine::RunCell(const Task& task) {
   json::Value payload;
   double seconds = 0;
   bool failed = false;
+  const auto start = std::chrono::steady_clock::now();
+  auto end = start;
   if (!cancelled) {
-    const auto start = std::chrono::steady_clock::now();
     try {
       payload = job.cells[task.cell].run(job.options);
     } catch (const std::exception& e) {
@@ -249,7 +253,8 @@ void CampaignEngine::RunCell(const Task& task) {
                    job.cells[task.cell].name.c_str());
       failed = true;
     }
-    seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    end = std::chrono::steady_clock::now();
+    seconds = std::chrono::duration<double>(end - start).count();
     if (!failed && options_.on_cell_done) {
       options_.on_cell_done(job.workload->name, job.cells[task.cell].name, payload);
     }
@@ -263,6 +268,13 @@ void CampaignEngine::RunCell(const Task& task) {
     ++job.done_cells;
     if (!cancelled) {
       ++stats_.cells_run;
+      if (!job.any_cell_ran || start < job.first_cell_start) {
+        job.first_cell_start = start;
+      }
+      if (!job.any_cell_ran || end > job.last_cell_end) {
+        job.last_cell_end = end;
+      }
+      job.any_cell_ran = true;
     }
     finished = --job.remaining == 0;
   }
@@ -293,7 +305,9 @@ void CampaignEngine::FinishJob(const std::shared_ptr<Job>& job) {
                         : failed   ? JobState::kFailed
                                    : JobState::kDone;
     job->report.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - job->start).count();
+        job->any_cell_ran
+            ? std::chrono::duration<double>(job->last_cell_end - job->first_cell_start).count()
+            : 0.0;
   }
   job_done_.notify_all();
 }

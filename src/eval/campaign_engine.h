@@ -21,9 +21,8 @@
 // Durability: the engine itself is storage-agnostic. EngineOptions::restore
 // lets a caller (tools/bench_runner's suite journal) mark cells as already
 // done with a recorded payload, and on_cell_done streams each completed
-// cell's payload back out, so a kill -9 mid-suite resumes at cell — not
-// binary — granularity. Mid-cell durability composes through the existing
-// checkpoint fields of ExperimentOptions (PR 5 snapshots).
+// cell's payload back out, so a kill -9 mid-suite costs at most the cells
+// that were in flight.
 #ifndef MEMSENTRY_SRC_EVAL_CAMPAIGN_ENGINE_H_
 #define MEMSENTRY_SRC_EVAL_CAMPAIGN_ENGINE_H_
 
@@ -114,7 +113,7 @@ struct JobReport {
   std::string workload;
   JobState state = JobState::kQueued;
   int status = 0;           // assemble()'s return; 1 when a cell threw
-  double wall_seconds = 0;  // submit-to-assembled host wall
+  double wall_seconds = 0;  // first cell start to last cell end; 0 if none ran
   std::vector<std::string> cell_names;
   std::vector<double> cell_seconds;  // per-cell run wall; 0 for restored cells
   std::vector<bool> cell_restored;

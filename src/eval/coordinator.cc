@@ -62,7 +62,10 @@ struct ShardCoordinator::JobRec {
   std::vector<json::Value> payloads;
   bool cell_failed = false;
   size_t remaining = 0;  // cells not yet completed
-  double start = 0;
+  // Host wall span of the completed cells, from the earliest completed
+  // cell's start to the latest one's end; unset (-1) until one completes.
+  double first_cell_start = -1;
+  double last_cell_end = -1;
 };
 
 struct ShardCoordinator::WorkerSlot {
@@ -120,7 +123,6 @@ uint64_t ShardCoordinator::Submit(const std::string& workload_name,
   job->options.experiment.jobs = 1;
   job->options.print = false;
   job->options.crash_contexts = false;
-  job->start = Now();
   job->cells = workload->cells(job->options);
   job->payloads.resize(job->cells.size());
   report->workload = workload->name;
@@ -363,6 +365,11 @@ void ShardCoordinator::CompleteCell(const CellRef& cell, json::Value payload, do
   JobReport& report = *reports_[cell.job];
   job.payloads[cell.cell] = std::move(payload);
   report.cell_seconds[cell.cell] = seconds;
+  const double end = Now();
+  if (job.first_cell_start < 0 || end - seconds < job.first_cell_start) {
+    job.first_cell_start = end - seconds;
+  }
+  job.last_cell_end = std::max(job.last_cell_end, end);
   --job.remaining;
   if (options_.on_cell_done) {
     options_.on_cell_done(job.workload->name, job.cells[cell.cell].name,
@@ -604,7 +611,8 @@ int ShardCoordinator::Run() {
     }
     report.status = job.cell_failed ? 1 : status;
     report.state = job.cell_failed ? JobState::kFailed : JobState::kDone;
-    report.wall_seconds = Now() - job.start;
+    report.wall_seconds =
+        job.first_cell_start < 0 ? 0.0 : job.last_cell_end - job.first_cell_start;
     exit_status = std::max(exit_status, report.status);
   }
   return exit_status;

@@ -1,7 +1,5 @@
 #include "src/eval/figures.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -13,7 +11,6 @@
 #include "src/defenses/shadow_stack.h"
 #include "src/eval/run_memo.h"
 #include "src/sim/executor.h"
-#include "src/sim/snapshot.h"
 #include "src/workloads/synth.h"
 
 namespace memsentry::eval {
@@ -30,65 +27,10 @@ struct Run {
   uint64_t instructions = 0;
 };
 
-// Filesystem-safe checkpoint filename for a cell label.
-std::string CheckpointPath(const std::string& dir, const std::string& label) {
-  std::string name;
-  for (const char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '_' || c == '.';
-    name += ok ? c : '-';
-  }
-  return dir + "/" + name + ".snap";
-}
-
-Run Finish(const sim::RunResult& result) {
-  return Run{result.halted && !result.fault.has_value(), result.cycles, result.instructions};
-}
-
-// One cell execution. With checkpointing enabled the run proceeds in
-// interval-sized slices, persisting a full simulation snapshot after each
-// slice and resuming from the newest one on re-entry. Resume is TOTAL-budget
-// based (Executor::Resume), so the final RunResult is bit-identical to an
-// uninterrupted executor.Run() — same cycle accumulation order, same stats.
-Run Execute(sim::Process& process, const ir::Module& module,
-            const ExperimentOptions& options, const std::string& label) {
+Run Execute(sim::Process& process, const ir::Module& module) {
   sim::Executor executor(&process, &module);
-  sim::RunConfig rc;
-  if (options.checkpoint_interval == 0 || options.checkpoint_dir.empty()) {
-    return Finish(executor.Run(rc));
-  }
-  const uint64_t total_budget = rc.max_instructions;
-  const std::string path = CheckpointPath(options.checkpoint_dir, label);
-  sim::RunResult partial;
-  bool resuming = false;
-  if (auto blob = sim::ReadSnapshotFile(path); blob.ok()) {
-    sim::RunResult loaded;
-    sim::SnapshotInfo info;
-    const Status restored =
-        sim::LoadSnapshot(blob.value(), &process, &loaded, nullptr, nullptr, &info);
-    // A snapshot for a different cell or a corrupt blob is ignored (the
-    // checksum in the header rejects torn files before any state mutates);
-    // the cell simply restarts from its deterministic beginning.
-    if (restored.ok() && info.label == label && loaded.hit_instruction_limit &&
-        loaded.cursor.valid) {
-      partial = std::move(loaded);
-      resuming = true;
-    }
-  }
-  for (;;) {
-    const uint64_t done = resuming ? partial.instructions : 0;
-    rc.max_instructions = std::min(total_budget, done + options.checkpoint_interval);
-    const sim::RunResult result =
-        resuming ? executor.Resume(rc, partial) : executor.Run(rc);
-    if (!result.hit_instruction_limit || rc.max_instructions >= total_budget) {
-      std::remove(path.c_str());
-      return Finish(result);
-    }
-    (void)sim::WriteSnapshotFile(
-        path, sim::SaveSnapshot(process, &result, nullptr, nullptr, label));
-    partial = result;
-    resuming = true;
-  }
+  const sim::RunResult result = executor.Run(sim::RunConfig{});
+  return Run{result.halted && !result.fault.has_value(), result.cycles, result.instructions};
 }
 
 ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synth);
@@ -128,8 +70,7 @@ struct Pipeline {
     SynthOptions synth;
     synth.target_instructions = options.target_instructions;
     synth.seed = options.seed;
-    module = RunMemo::Enabled() ? CachedSynthesize(profile, synth)
-                                : SynthesizeSpecProgram(profile, synth);
+    module = CachedSynthesize(profile, synth);
   }
 
   Status Protect() { return memsentry->Protect(module); }
@@ -187,9 +128,9 @@ RunMemo::Key BaselineRecipeKey(const SpecProfile& profile, core::TechniqueKind k
 // neither the technique nor the isolation flag, so the engine's cells
 // re-derive byte-identical modules dozens of times per profile. Entries are
 // returned by value — every pipeline rewrites its own copy through defense
-// and MemSentry passes. Content-keyed, so entries stay valid across engine
-// runs in one process (serve mode reuses them); only enabled alongside the
-// run memo so fork-mode binaries keep their historical cost profile.
+// and MemSentry passes. The key covers every SpecProfile and SynthOptions
+// field, so a hit is exactly the module synthesis would return; entries
+// stay valid across engine runs in one process (serve mode reuses them).
 ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synth) {
   struct KeyHash {
     size_t operator()(const RunMemo::Key& k) const {
@@ -217,14 +158,10 @@ ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synt
 
 // Consults the run memo before any pipeline work: a hit replays the
 // recorded outcome without synthesizing, preparing, or interpreting
-// anything. Checkpointed runs bypass the memo — their value is the
-// durability side effect, which a replay would skip.
+// anything.
 template <typename MakeRun>
-Run MemoizedBaseline(const ExperimentOptions& options, const RunMemo::Key& key,
-                     MakeRun&& make) {
-  const bool checkpointing =
-      options.checkpoint_interval != 0 && !options.checkpoint_dir.empty();
-  if (!RunMemo::Enabled() || checkpointing) {
+Run MemoizedBaseline(const RunMemo::Key& key, MakeRun&& make) {
+  if (!RunMemo::Enabled()) {
     return make();
   }
   RunMemo& memo = RunMemo::Global();
@@ -253,13 +190,11 @@ const char* DomainScenarioName(DomainScenario scenario) {
 ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
                                                core::TechniqueKind kind, core::ProtectMode mode,
                                                const ExperimentOptions& options) {
-  const std::string label = std::string(profile.name) + "/" + core::TechniqueKindName(kind) +
-                            "/mode" + std::to_string(static_cast<int>(mode));
   // Baseline: plain program on a fresh machine.
-  const Run base = MemoizedBaseline(
-      options, BaselineRecipeKey(profile, kind, /*scenario_tag=*/-1, options, 0), [&] {
+  const Run base =
+      MemoizedBaseline(BaselineRecipeKey(profile, kind, /*scenario_tag=*/-1, options, 0), [&] {
         Pipeline baseline(profile, kind, options, /*with_isolation=*/false);
-        return Execute(*baseline.process, baseline.module, options, label + "/base");
+        return Execute(*baseline.process, baseline.module);
       });
   if (!base.ok) {
     return {};
@@ -271,8 +206,7 @@ ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
   if (!protected_run.Protect().ok()) {
     return {};
   }
-  const Run isolated =
-      Execute(*protected_run.process, protected_run.module, options, label + "/prot");
+  const Run isolated = Execute(*protected_run.process, protected_run.module);
   if (!isolated.ok) {
     return {};
   }
@@ -289,17 +223,14 @@ double RunAddressBasedExperiment(const SpecProfile& profile, core::TechniqueKind
 ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
                                               core::TechniqueKind kind, DomainScenario scenario,
                                               const ExperimentOptions& options) {
-  const std::string label = std::string(profile.name) + "/" + core::TechniqueKindName(kind) +
-                            "/" + DomainScenarioName(scenario);
   // Baseline: program + defense pass, no isolation.
   const Run base = MemoizedBaseline(
-      options,
       BaselineRecipeKey(profile, kind, static_cast<int>(scenario), options, 0), [&] {
         Pipeline baseline(profile, kind, options, /*with_isolation=*/false);
         if (!ApplyDefense(baseline, scenario).ok()) {
           return Run{};
         }
-        return Execute(*baseline.process, baseline.module, options, label + "/base");
+        return Execute(*baseline.process, baseline.module);
       });
   if (!base.ok) {
     return {};
@@ -312,8 +243,7 @@ ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
   if (!protected_run.Protect().ok()) {
     return {};
   }
-  const Run isolated =
-      Execute(*protected_run.process, protected_run.module, options, label + "/prot");
+  const Run isolated = Execute(*protected_run.process, protected_run.module);
   if (!isolated.ok) {
     return {};
   }
@@ -439,12 +369,9 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
   const std::vector<CryptSizePoint> raw =
       ParallelMap(options.jobs, sizes.size(), [&](size_t i) -> CryptSizePoint {
         const uint64_t size = sizes[i];
-        const std::string label =
-            std::string(profile.name) + "/crypt-size-" + std::to_string(size);
         // Baseline: defense only; the region size is irrelevant without crypt
         // but is part of the recorded state, so it keys the memo.
         const Run base = MemoizedBaseline(
-            options,
             BaselineRecipeKey(profile, core::TechniqueKind::kCrypt,
                               static_cast<int>(DomainScenario::kCallRet), options, size),
             [&]() -> Run {
@@ -453,8 +380,7 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
               if (!ApplyDefense(base_pipeline, DomainScenario::kCallRet).ok()) {
                 return {};
               }
-              return Execute(*base_pipeline.process, base_pipeline.module, options,
-                             label + "/base");
+              return Execute(*base_pipeline.process, base_pipeline.module);
             });
         // Protected with the resized region.
         Pipeline prot(profile, core::TechniqueKind::kCrypt, options, true);
@@ -473,7 +399,7 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
         if (!prot.Protect().ok()) {
           return {};
         }
-        const Run isolated = Execute(*prot.process, prot.module, options, label + "/prot");
+        const Run isolated = Execute(*prot.process, prot.module);
         if (!base.ok || !isolated.ok) {
           return {};
         }
@@ -510,8 +436,7 @@ void HashSpecProfile(RunKeyHasher& h, const SpecProfile& profile) {
 }
 
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile, const SynthOptions& synth) {
-  return RunMemo::Enabled() ? CachedSynthesize(profile, synth)
-                            : SynthesizeSpecProgram(profile, synth);
+  return CachedSynthesize(profile, synth);
 }
 
 }  // namespace memsentry::eval

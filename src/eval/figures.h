@@ -29,15 +29,6 @@ struct ExperimentOptions {
   // are bit-identical for every jobs value — enforced by
   // tests/parallel_determinism_test.cc.
   int jobs = 0;
-  // Crash-safe execution: when both are set, every cell execution runs in
-  // `checkpoint_interval`-instruction slices and persists a snapshot
-  // (sim/snapshot) after each slice under `checkpoint_dir`, resuming from the
-  // newest snapshot on the next run of the same cell. Resumed results are
-  // bit-identical to uninterrupted ones — run(N+M) == run(N); save; load;
-  // run(M) — so a killed suite re-run with the same options converges to the
-  // exact same report. 0 / empty (the default) disables checkpointing.
-  std::string checkpoint_dir;
-  uint64_t checkpoint_interval = 0;
 };
 
 // One baseline-vs-protected execution pair. normalized is protected/baseline
@@ -134,10 +125,11 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
 double RunMprotectBaseline(const SpecProfile& profile, const ExperimentOptions& options = {});
 
 // Synthesis is independent of the technique and the isolation flag, so the
-// campaign engine's cells re-derive byte-identical modules dozens of times
-// per profile. When the run memo is enabled this returns a copy of a cached
-// module; otherwise it synthesizes fresh, preserving fork-mode cost
-// profiles. Shared with the suite workloads (e.g. the SafeStack case study).
+// suite's cells re-derive byte-identical modules dozens of times per
+// profile. This returns a copy of a cached module, keyed on every
+// SpecProfile and SynthOptions field, so it always equals what
+// workloads::SynthesizeSpecProgram would build. Shared with the suite
+// workloads (e.g. the SafeStack case study).
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile,
                                        const workloads::SynthOptions& synth);
 

@@ -15,10 +15,10 @@
 // approximation. Key assembly lives at the call sites (figures.cc), which
 // know which recipe fields their pipelines actually observe.
 //
-// The memo is process-global but OFF by default: fork-mode bench binaries
-// keep their historical cost profile (each binary's wall-clock is a gated
-// trajectory), and only the in-process engine turns it on for the duration
-// of a suite run.
+// The memo is process-global but OFF by default: the campaign engine turns
+// it on for its lifetime (EngineOptions::run_memo), so a standalone bench
+// binary or an engine built with run_memo = false runs every baseline from
+// scratch — the reference the memoized reports are checked against.
 #ifndef MEMSENTRY_SRC_EVAL_RUN_MEMO_H_
 #define MEMSENTRY_SRC_EVAL_RUN_MEMO_H_
 

@@ -51,6 +51,12 @@ uint64_t ModuleContentDigest(const ir::Module& module) {
                     static_cast<uint64_t>(static_cast<uint32_t>(instr.target)))) *
              kFnvPrime;
         h1 = (h1 ^ instr.imm) * kFnvPrime;
+        // A multiply carries only toward the high bits, so without this
+        // shift-xor a difference confined to the opcode byte (bits 56-63)
+        // never reaches the low bits: modules differing only in opcodes
+        // would collide with probability ~2^-8.
+        h0 ^= h0 >> 29;
+        h1 ^= h1 >> 29;
       }
     }
   }

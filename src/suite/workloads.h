@@ -2,9 +2,9 @@
 // binary's body lives here as an eval::Workload — quick/full cell
 // enumeration plus an assembly pass that emits the binary's exact metric
 // stream and (in print mode) its exact stdout tables — so one warm process
-// can run the whole suite through eval::CampaignEngine while the thin
-// standalone binaries (bench/*.cc + bench/suite_main.h) stay bit-identical
-// to their historical selves.
+// can run the whole suite through eval::CampaignEngine, and the thin
+// standalone binaries (bench/*.cc + bench/suite_main.h) emit the same
+// metric stream bit for bit.
 #ifndef MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 #define MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 
@@ -24,7 +24,8 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry);
 const eval::WorkloadRegistry& SuiteRegistry();
 
 // nullptr when `name` is not a registered suite workload (bench_substrate
-// stays a real binary: it measures host time through google-benchmark).
+// is not one: it measures host time through google-benchmark and runs as
+// its own binary, outside bench_runner).
 const eval::Workload* FindSuiteWorkload(std::string_view name);
 
 }  // namespace memsentry::suite

@@ -3,9 +3,12 @@
 //    schedule, and identical to the standalone (ParallelMap) execution;
 //  - restored cells (the journal resume path) skip execution but feed
 //    assembly the exact payloads, reproducing the metric stream;
-//  - the runner's --engine=inproc merged report is bit-identical to the
-//    historical --engine=fork report at any --jobs;
-//  - a kill -9 mid-suite plus --resume converges to the clean-run report;
+//  - a job's wall_seconds covers its own cells, not time queued behind
+//    other jobs;
+//  - the runner's merged report is bit-identical at any --jobs, and equal to
+//    the standalone bench binaries' reports;
+//  - a kill -9 mid-suite plus --resume converges to the clean-run report,
+//    and --resume refuses a journal written under another configuration;
 //  - `serve` round-trips submit/status/wait/cancel/shutdown over its socket.
 #include <string>
 #include <vector>
@@ -28,6 +31,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -169,6 +173,31 @@ TEST(CampaignEngine, UnknownIdsAndCancelSemantics) {
   EXPECT_EQ(status.NumberOr("cells_done", -1), status.NumberOr("cells_total", -2));
 }
 
+// A job's wall time runs from its first cell's start to its last cell's
+// end. Under one worker the second job's cells only start once the first
+// job's are done, so a clock started at Submit() would charge it both jobs'
+// cells.
+TEST(CampaignEngine, JobWallSecondsExcludeQueueing) {
+  eval::EngineOptions options;
+  options.jobs = 1;
+  eval::CampaignEngine engine(&suite::SuiteRegistry(), std::move(options));
+  const uint64_t first = engine.Submit("fig5_indirect", QuickOptions());
+  const uint64_t second = engine.Submit("fault_matrix", QuickOptions());
+  ASSERT_NE(first, 0u);
+  ASSERT_NE(second, 0u);
+  const eval::JobReport* reports[] = {engine.Wait(first), engine.Wait(second)};
+  double cell_seconds = 0;
+  for (const eval::JobReport* report : reports) {
+    ASSERT_NE(report, nullptr);
+    ASSERT_EQ(report->state, eval::JobState::kDone) << report->workload;
+    for (const double seconds : report->cell_seconds) {
+      cell_seconds += seconds;
+    }
+  }
+  EXPECT_GT(reports[1]->wall_seconds, 0.0);
+  EXPECT_LT(reports[1]->wall_seconds, cell_seconds);
+}
+
 // `memsentry_cli serve` protocol: a resident engine behind a UNIX socket.
 TEST(CampaignEngine, ServeSocketRoundTrip) {
   const std::string socket_path =
@@ -264,10 +293,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The registered-workload subset the runner tests sweep: one figure sweep
-// (57 cells — enough to exercise stealing and mid-run kills), one fault
-// sweep, one case study with a memoizable baseline.
-constexpr char kSubset[] = "fig5_indirect,fault_matrix,safestack_casestudy";
+// The registered-workload subset the runner tests sweep, in suite order: one
+// figure sweep (57 cells — enough to exercise stealing and mid-run kills),
+// one case study with a memoizable baseline, one fault sweep.
+constexpr char kSubset[] = "fig5_indirect,safestack_casestudy,fault_matrix";
 
 struct RunnerRun {
   int exit_code = 0;
@@ -281,20 +310,21 @@ std::string FreshDir(const char* name) {
   return dir;
 }
 
+// Runs `command`, capturing its output in `log`; returns the exit code.
+int RunLogged(const std::string& command, const std::string& log, std::string* output) {
+  const int raw = std::system((command + " > \"" + log + "\" 2>&1").c_str());
+  std::ifstream in(log);
+  output->assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
 RunnerRun RunSuite(const std::string& dir, const std::string& out_name,
-                   const std::string& extra_flags) {
+                   const std::string& extra_flags, const std::string& only = kSubset) {
   RunnerRun run;
   const std::string out = dir + "/" + out_name;
-  const std::string log = out + ".log";
-  const std::string command = std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --bench-dir=\"" +
-                              MEMSENTRY_BENCH_DIR + "\" --only=" + kSubset + " --quick --out=\"" +
-                              out + "\" --no-gate " + extra_flags + " > \"" + log + "\" 2>&1";
-  const int raw = std::system(command.c_str());
-  run.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
-  {
-    std::ifstream in(log);
-    run.log.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+  run.exit_code = RunLogged(std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --only=" + only +
+                                " --quick --out=\"" + out + "\" --no-gate " + extra_flags,
+                            out + ".log", &run.log);
   auto merged = json::ParseFile(out);
   EXPECT_TRUE(merged.ok()) << "no merged report at " << out << "\n" << run.log;
   if (merged.ok()) {
@@ -322,32 +352,30 @@ std::string GatedMetrics(const json::Value& merged) {
   return out;
 }
 
-// The acceptance property: the inproc engine's merged report is
-// bit-identical to the fork engine's at every --jobs value, and the
-// runner's own --check-determinism agrees.
-TEST(BenchRunnerEngine, InprocMatchesForkAtAnyJobs) {
+// The acceptance property: the merged report is bit-identical at every
+// --jobs value (--jobs=1 is the reference), the runner's own
+// --check-determinism agrees, and each standalone bench binary emits
+// exactly the engine's gated metrics for its workload.
+TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
   const std::string dir = FreshDir("campaign_engine_inproc");
-  const RunnerRun fork_run = RunSuite(dir, "fork.json", "--engine=fork --jobs=2");
-  ASSERT_EQ(fork_run.exit_code, 0) << fork_run.log;
-  const json::Value* fork_engine = fork_run.merged.Find("engine");
-  ASSERT_NE(fork_engine, nullptr);
-  EXPECT_EQ(fork_engine->StringOr("engine", ""), "fork");
-  const std::string fork_metrics = GatedMetrics(fork_run.merged);
-  ASSERT_FALSE(fork_metrics.empty());
+  const RunnerRun reference = RunSuite(dir, "inproc_j1.json", "--engine=inproc --jobs=1");
+  ASSERT_EQ(reference.exit_code, 0) << reference.log;
+  const std::string reference_metrics = GatedMetrics(reference.merged);
+  ASSERT_FALSE(reference_metrics.empty());
 
-  for (const char* jobs : {"1", "4", "0"}) {  // 0 = hardware_concurrency
+  for (const char* jobs : {"4", "0"}) {  // 0 = hardware_concurrency
     const std::string out = std::string("inproc_j") + jobs + ".json";
     const RunnerRun inproc = RunSuite(dir, out,
                                       std::string("--engine=inproc --jobs=") + jobs +
-                                          " --check-determinism=\"" + dir + "/fork.json\"");
+                                          " --check-determinism=\"" + dir + "/inproc_j1.json\"");
     ASSERT_EQ(inproc.exit_code, 0) << inproc.log;
     EXPECT_NE(inproc.log.find("determinism check ok"), std::string::npos) << inproc.log;
     const json::Value* engine = inproc.merged.Find("engine");
     ASSERT_NE(engine, nullptr);
     EXPECT_EQ(engine->StringOr("engine", ""), "inproc");
     EXPECT_GT(engine->NumberOr("cells_run", 0) + engine->NumberOr("cells_restored", 0), 0);
-    EXPECT_EQ(GatedMetrics(inproc.merged), fork_metrics) << "--jobs=" << jobs;
-    // Satellite: per-cell timing info metrics ride along in the merged doc.
+    EXPECT_EQ(GatedMetrics(inproc.merged), reference_metrics) << "--jobs=" << jobs;
+    // Per-cell timing info metrics ride along in the merged doc.
     const json::Value* metrics = inproc.merged.Find("metrics");
     ASSERT_NE(metrics, nullptr);
     bool has_cell_timing = false;
@@ -357,6 +385,58 @@ TEST(BenchRunnerEngine, InprocMatchesForkAtAnyJobs) {
     }
     EXPECT_TRUE(has_cell_timing);
   }
+
+  // The standalone binaries, one process each, at the quick budget.
+  json::Value standalone = json::Value::Object();
+  standalone.Set("metrics", json::Value::Object());
+  const std::string subset = kSubset;
+  for (size_t start = 0; start < subset.size();) {
+    const size_t comma = std::min(subset.find(',', start), subset.size());
+    const std::string name = subset.substr(start, comma - start);
+    start = comma + 1;
+    const std::string report = dir + "/" + name + ".json";
+    std::string log;
+    ASSERT_EQ(RunLogged(std::string("\"") + MEMSENTRY_BENCH_DIR + "/" + name + "\" --json=\"" +
+                            report + "\" --instructions=100000",
+                        report + ".log", &log),
+              0)
+        << log;
+    auto parsed = json::ParseFile(report);
+    ASSERT_TRUE(parsed.ok()) << report;
+    for (const auto& [metric, entry] : parsed->Find("metrics")->members()) {
+      standalone["metrics"].Set(metric, entry);
+    }
+  }
+  EXPECT_EQ(GatedMetrics(standalone), reference_metrics);
+}
+
+// Which workloads run, and in what order, must not change a result. The
+// pair below once did: its VMFUNC and mprotect call/ret modules for
+// 453.povray differ only in vmfunc -> mprotect opcodes, their decode-cache
+// digests collided, and the mprotect cell ran VMFUNC's lowering (-1 and a
+// null geomean). Every gated metric of the pair must equal the full suite's.
+TEST(BenchRunnerEngine, WorkloadSelectionDoesNotChangeResults) {
+  const std::string dir = FreshDir("campaign_engine_selection");
+  const RunnerRun full = RunSuite(dir, "full.json", "--engine=inproc --jobs=2", "");
+  ASSERT_EQ(full.exit_code, 0) << full.log;
+  const RunnerRun pair = RunSuite(dir, "pair.json", "--engine=inproc --jobs=1",
+                                  "fig4_callret,mprotect_baseline");
+  ASSERT_EQ(pair.exit_code, 0) << pair.log;
+  const json::Value* pair_metrics = pair.merged.Find("metrics");
+  ASSERT_NE(pair_metrics, nullptr);
+  const json::Value* povray = pair_metrics->Find("mprotect/norm/453.povray");
+  ASSERT_NE(povray, nullptr);
+  EXPECT_GT(povray->NumberOr("value", -1), 0);
+  json::Value full_subset = json::Value::Object();
+  full_subset.Set("metrics", json::Value::Object());
+  for (const auto& [name, entry] : pair_metrics->members()) {
+    if (const json::Value* in_full = full.merged.Find("metrics")->Find(name)) {
+      full_subset["metrics"].Set(name, *in_full);
+    }
+  }
+  const std::string pair_gated = GatedMetrics(pair.merged);
+  ASSERT_FALSE(pair_gated.empty());
+  EXPECT_EQ(pair_gated, GatedMetrics(full_subset));
 }
 
 // kill -9 mid-suite, then --resume: the journal restores finished cells and
@@ -374,7 +454,6 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   const std::string journal = dir + "/journal.jsonl";
   const std::vector<std::string> arg_strings = {
       MEMSENTRY_BENCH_RUNNER,
-      "--bench-dir=" + std::string(MEMSENTRY_BENCH_DIR),
       "--only=" + std::string(kSubset),
       "--quick",
       "--engine=inproc",
@@ -414,6 +493,20 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   auto header = json::Parse(header_line);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header.value().StringOr("engine", ""), "inproc");
+
+  // Resuming under a different configuration must refuse to merge, loudly,
+  // and leave the report it would have replaced alone.
+  std::string log;
+  EXPECT_EQ(RunLogged(std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --only=" + kSubset +
+                          " --quick --engine=inproc --jobs=2 --instructions=123 --out=\"" + out +
+                          "\" --journal=\"" + journal + "\" --resume --no-gate",
+                      dir + "/mismatched.log", &log),
+            2)
+      << log;
+  EXPECT_NE(log.find("differently configured run"), std::string::npos) << log;
+  auto kept = json::ParseFile(out);
+  ASSERT_TRUE(kept.ok());
+  EXPECT_EQ(GatedMetrics(kept.value()), reference_metrics);
 }
 
 }  // namespace

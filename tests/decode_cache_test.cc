@@ -4,6 +4,7 @@
 // tests run the same population through ParallelMap at jobs in {1, 4,
 // hardware} and demand identical lowering counts and bit-identical
 // execution — scheduling must never change what got built.
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -82,6 +83,82 @@ TEST_F(DecodeCacheTest, ContentDigestSensitivity) {
   bool hit = false;
   (void)cache.Get(c, process_, &hit);
   EXPECT_TRUE(hit);
+}
+
+// Near-miss modules must never share a content digest. The opcode-only
+// family mirrors the 453.povray pair the figure suite produces: the
+// call/ret VMFUNC and mprotect-baseline modules differ only in vmfunc ->
+// mprotect swaps with identical operands, and an opcode difference must
+// reach every bit of the digest, not just the opcode's own byte. The
+// single-field families cover every other packed field and the immediate.
+TEST(ModuleContentDigest, NearMissModulesAllDiffer) {
+  constexpr size_t kInstrs = 96;
+  std::vector<size_t> switch_sites;
+  Module base;
+  base.functions.emplace_back();
+  base.functions[0].blocks.resize(2);
+  for (size_t i = 0; i < kInstrs; ++i) {
+    ir::Instr instr;
+    instr.op = ir::Opcode::kLoad;
+    instr.dst = static_cast<Gpr>(i % 8);
+    instr.src = static_cast<Gpr>((i + 3) % 8);
+    instr.imm = 0x1000 + i;
+    instr.target = static_cast<int32_t>(i % 5);
+    if (i % 4 == 1) {
+      instr.op = ir::Opcode::kVmFunc;
+      instr.imm = i % 8 == 1 ? 1 : 0;
+      instr.flags = ir::kFlagInstrumentation;
+      switch_sites.push_back(i);
+    }
+    base.functions[0].blocks[i % 2].instrs.push_back(instr);
+  }
+  auto at = [](Module& m, size_t i) -> ir::Instr& {
+    return m.functions[0].blocks[i % 2].instrs[i / 2];
+  };
+
+  std::vector<Module> variants = {base};
+  // Every single and every pair of vmfunc -> mprotect swaps.
+  for (size_t a = 0; a < switch_sites.size(); ++a) {
+    for (size_t b = a; b < switch_sites.size(); ++b) {
+      Module m = base;
+      at(m, switch_sites[a]).op = ir::Opcode::kMprotect;
+      at(m, switch_sites[b]).op = ir::Opcode::kMprotect;
+      variants.push_back(std::move(m));
+    }
+  }
+  // One field of one instruction off by one, at every position.
+  for (size_t i = 0; i < kInstrs; ++i) {
+    for (int field = 0; field < 5; ++field) {
+      Module m = base;
+      ir::Instr& instr = at(m, i);
+      switch (field) {
+        case 0:
+          instr.dst = static_cast<Gpr>((static_cast<int>(instr.dst) + 1) % 8);
+          break;
+        case 1:
+          instr.src = static_cast<Gpr>((static_cast<int>(instr.src) + 1) % 8);
+          break;
+        case 2:
+          instr.flags ^= ir::kFlagCritical;
+          break;
+        case 3:
+          instr.target += 1;
+          break;
+        case 4:
+          instr.imm ^= 1;
+          break;
+      }
+      variants.push_back(std::move(m));
+    }
+  }
+  ASSERT_GT(variants.size(), 300u + 5 * kInstrs);
+
+  std::map<uint64_t, size_t> seen;
+  for (size_t v = 0; v < variants.size(); ++v) {
+    const auto [it, inserted] = seen.emplace(ModuleContentDigest(variants[v]), v);
+    EXPECT_TRUE(inserted) << "variants " << it->second << " and " << v
+                          << " share digest " << it->first;
+  }
 }
 
 TEST_F(DecodeCacheTest, CostModelDigestKeysSeparately) {

@@ -4,9 +4,8 @@
 // the documented StatusCode instead of crashing; 256 seeded random mutations
 // never crash the loader (run under ASan in CI); presence matching between a
 // blob's components and the caller's is strict both ways; file IO is atomic;
-// a committed golden v1 blob still loads byte-for-byte, pinning the format
-// across future changes; and eval-level checkpointed experiments are
-// bit-identical to uninterrupted ones.
+// and a committed golden v1 blob still loads byte-for-byte and resumes,
+// pinning the format across future changes.
 //
 // Regenerating the golden after a deliberate format or cost-model change:
 //   MEMSENTRY_WRITE_GOLDEN=1 ./build/tests/snapshot_test
@@ -20,7 +19,6 @@
 #include "src/base/rng.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/shadow_stack.h"
-#include "src/eval/figures.h"
 #include "src/machine/snapshot.h"
 #include "src/sim/executor.h"
 #include "src/sim/fault_injector.h"
@@ -396,37 +394,6 @@ TEST(SnapshotFormat, GoldenV1BlobIsStableAndResumable) {
   EXPECT_EQ(resumed.cycles, reference.cycles);
   EXPECT_EQ(resumed.halted, reference.halted);
   EXPECT_EQ(resumed.fault.has_value(), reference.fault.has_value());
-}
-
-// --- Eval-level checkpointing ------------------------------------------------
-// The figures pipeline sliced into checkpoint_interval chunks (save + reload
-// between slices) must report exactly the numbers of the one-shot run, and
-// completed cells must clean their checkpoints up.
-
-TEST(EvalCheckpoint, CheckpointedExperimentIsBitIdentical) {
-  namespace fs = std::filesystem;
-  const workloads::SpecProfile& profile = workloads::SpecCpu2006()[0];
-  eval::ExperimentOptions plain;
-  plain.target_instructions = 50'000;
-  plain.jobs = 1;
-  const eval::ExperimentResult one_shot = eval::RunAddressBasedExperimentFull(
-      profile, core::TechniqueKind::kMpx, core::ProtectMode::kReadWrite, plain);
-
-  eval::ExperimentOptions sliced = plain;
-  sliced.checkpoint_dir = ::testing::TempDir() + "snapshot_test_ckpt";
-  fs::remove_all(sliced.checkpoint_dir);
-  fs::create_directories(sliced.checkpoint_dir);
-  sliced.checkpoint_interval = 7'000;
-  const eval::ExperimentResult resumed = eval::RunAddressBasedExperimentFull(
-      profile, core::TechniqueKind::kMpx, core::ProtectMode::kReadWrite, sliced);
-
-  EXPECT_EQ(one_shot.normalized, resumed.normalized);
-  EXPECT_EQ(one_shot.base_cycles, resumed.base_cycles);
-  EXPECT_EQ(one_shot.prot_cycles, resumed.prot_cycles);
-  EXPECT_EQ(one_shot.base_instructions, resumed.base_instructions);
-  EXPECT_EQ(one_shot.prot_instructions, resumed.prot_instructions);
-  EXPECT_TRUE(fs::directory_iterator(sliced.checkpoint_dir) == fs::directory_iterator())
-      << "completed cells must delete their checkpoints";
 }
 
 }  // namespace

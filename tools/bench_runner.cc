@@ -1,120 +1,85 @@
-// bench_runner — executes the whole benchmark suite, merges every binary's
-// --json report into one BENCH_RESULTS.json, and gates the result against a
-// committed baseline snapshot (bench/baselines/). Exits nonzero when a bench
-// binary fails or a fidelity metric drifts beyond its tolerance, so CI can
-// consume it directly.
+// bench_runner — runs the whole benchmark suite through one warm engine,
+// merges every workload's metrics into one BENCH_RESULTS.json, and gates the
+// result against a committed baseline snapshot (bench/baselines/). Exits
+// nonzero when a workload fails or a fidelity metric drifts beyond its
+// tolerance, so CI can consume it directly.
+//
+// Every suite workload is registered in src/suite/workloads.h; the runner
+// submits them in suite order to one backend, which schedules their cells:
+//
+//   --engine=inproc (default)         one eval::CampaignEngine in this
+//                                     process: cells on a persistent
+//                                     work-stealing pool of --jobs workers,
+//                                     one shared decode cache, synthesis
+//                                     cache and run memo.
+//   --engine=shard                    an eval::ShardCoordinator dispatching
+//                                     cells to --workers=N `memsentry_cli
+//                                     serve` subprocesses under time-bounded
+//                                     leases (--lease=SECONDS), re-dispatching
+//                                     on worker death/hang/garbage,
+//                                     quarantining repeat offenders, and
+//                                     degrading to in-process execution if
+//                                     the whole fleet dies.
+//                                     --chaos=kill,hang,garble:seed=S arms the
+//                                     workers' deterministic fault harness;
+//                                     coordinator/* info metrics record the
+//                                     failure traffic.
+//
+// Both backends get the same workload options and the same journal hooks,
+// and assemble each workload serially in cell order, so fidelity/perf
+// metrics are bit-identical for every backend, --jobs value, worker count,
+// steal schedule and chaos schedule. The standalone bench binaries
+// (build/bench/<name> --json=PATH) emit the same gated metrics too.
+// google-benchmark's host-time microbenchmarks (build/bench/bench_substrate)
+// run on their own, outside the suite.
 //
 //   bench_runner                      full suite (400k-instruction workloads)
-//   bench_runner --quick              CI mode: 100k instructions, short substrate runs
+//   bench_runner --quick              CI mode: 100k instructions, shrunk sweeps
 //   bench_runner --only=fig3_address,table4_micro
-//   bench_runner --skip=bench_substrate
+//   bench_runner --skip=server_workload
 //   bench_runner --out=BENCH_RESULTS.json
+//   bench_runner --instructions=N     override the mode's instruction budget
+//   bench_runner --jobs=N             inproc engine workers (default:
+//                                     hardware_concurrency)
 //   bench_runner --baseline=PATH      (default: bench/baselines/seed[-quick].json)
+//   bench_runner --baselines-dir=DIR  where perf-gating snapshots are counted
 //   bench_runner --compare=RESULTS    gate an existing merged report, run nothing
 //   bench_runner --write-baseline=P   also snapshot the merged report to P
 //   bench_runner --no-gate            produce BENCH_RESULTS.json, skip comparison
-//   bench_runner --verbose            stream per-binary stdout instead of logging
-//                                     (forces --jobs=1 to keep output readable)
-//   bench_runner --jobs=N             total parallelism budget: up to N bench
-//                                     binaries run concurrently, and a lone
-//                                     binary fans its sweeps out over N workers.
-//                                     Default: hardware_concurrency. Results
-//                                     are bit-identical for every N.
-//   bench_runner --timeout=SECONDS    per-binary wall-clock budget (default
-//                                     600; 0 disables). A binary over budget
-//                                     gets SIGTERM, then SIGKILL after a
-//                                     grace period, and is classified
-//                                     "timed out" — distinct from a crash.
-//                                     Binaries killed by any other signal are
-//                                     retried once after a short backoff; a
-//                                     parseable report left behind by a dead
-//                                     binary is salvaged into the merged
-//                                     document so the gate sees every metric
-//                                     the run actually produced.
 //   bench_runner --check-determinism=OTHER.json
 //                                     require every fidelity/perf metric to be
 //                                     byte-identical to OTHER (info metrics
 //                                     such as wall-clock are exempt)
-//   bench_runner --fastpath=MODE      run every binary with the simulator
-//                                     fast paths forced on|off|check (exported
-//                                     as MEMSENTRY_FASTPATH to the children).
-//                                     Modeled results are bit-identical across
-//                                     modes; "check" additionally validates
-//                                     the fast paths in lockstep and aborts on
-//                                     divergence. Default: the environment's
-//                                     setting (effectively "on").
+//   bench_runner --fastpath=MODE      force the simulator fast paths
+//                                     on|off|check (exported as
+//                                     MEMSENTRY_FASTPATH, so shard workers
+//                                     inherit it). Modeled results are
+//                                     bit-identical across modes; "check"
+//                                     additionally validates the fast paths in
+//                                     lockstep and aborts on divergence.
 //   bench_runner --journal=PATH       suite journal location (default:
-//                                     BENCH_JOURNAL.jsonl next to --out). The
-//                                     runner write-ahead journals every binary
-//                                     start/completion; each append rewrites
-//                                     the journal atomically, so a kill -9 at
-//                                     any point leaves a complete journal.
+//                                     BENCH_JOURNAL.jsonl next to --out): a
+//                                     header describing the run, then one
+//                                     event per workload start/finish and one
+//                                     per finished cell, with its payload.
 //   bench_runner --resume             resume a killed run from its journal:
-//                                     binaries journaled as cleanly done (with
-//                                     a parseable report on disk) are not
-//                                     re-executed; in-flight or failed ones
-//                                     re-run. The merged report and gate
-//                                     verdict are identical to an
-//                                     uninterrupted run's (the suite is
-//                                     deterministic; host wall-clocks are info
-//                                     metrics and never gated).
-//   bench_runner --checkpoint-interval=N
-//                                     forward per-cell checkpointing to the
-//                                     bench binaries: every experiment cell
-//                                     snapshots its simulation state each N
-//                                     instructions (under
-//                                     bench_reports/checkpoints/<binary>), so
-//                                     --resume also resumes mid-cell.
-//   bench_runner --engine=inproc|fork
-//                                     inproc (the default) runs every
-//                                     registered suite workload inside this
-//                                     process through one warm
-//                                     eval::CampaignEngine: cells scheduled
-//                                     onto a persistent work-stealing pool,
-//                                     one shared decode cache, and the suite
-//                                     journal extended with per-cell events so
-//                                     --resume restarts at cell — not binary —
-//                                     granularity. Only bench_substrate still
-//                                     forks (it measures host time and wants
-//                                     an unshared process). fork keeps the
-//                                     historical one-process-per-binary
-//                                     isolation (CI crash-resume, --verbose
-//                                     implies it). Fidelity/perf metrics are
-//                                     bit-identical between the two engines.
-//   bench_runner --engine=shard       fault-tolerant multi-process run: an
-//                                     eval::ShardCoordinator dispatches every
-//                                     registered workload's cells to
-//                                     --workers=N `memsentry_cli serve`
-//                                     subprocesses under time-bounded leases
-//                                     (--lease=SECONDS), re-dispatching on
-//                                     worker death/hang/garbage, quarantining
-//                                     repeat offenders, and degrading to
-//                                     in-process execution if the whole fleet
-//                                     dies. --chaos=kill,hang,garble:seed=S
-//                                     arms the workers' deterministic fault
-//                                     harness. Fidelity/perf metrics stay
-//                                     bit-identical to the other engines at
-//                                     any worker count and chaos schedule;
-//                                     coordinator/* info metrics record the
-//                                     failure traffic.
-#include <algorithm>
+//                                     journaled cells are restored, not re-run,
+//                                     and the merged report and gate verdict
+//                                     equal an uninterrupted run's. A journal
+//                                     written under a different configuration
+//                                     is refused with exit 2.
+//
+// Exit codes: 0 pass, 1 gate or workload failure, 2 usage error.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
-
-#ifndef _WIN32
-#include <csignal>
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "src/base/fastpath.h"
 #include "src/base/json.h"
@@ -141,13 +106,11 @@ constexpr uint64_t kQuickInstructions = 100'000;
 
 struct SuiteEntry {
   const char* name;
-  // Extra argv appended only in --quick mode (e.g. shorter substrate runs).
+  // Extra workload argv applied only in --quick mode.
   const char* quick_extra = "";
 };
 
-// Every benchmark binary in bench/. bench_substrate measures host time via
-// google-benchmark, so quick mode shrinks its minimum measuring time instead
-// of its (unused) instruction budget.
+// Every registered suite workload, in suite order.
 const SuiteEntry kSuite[] = {
     {"table1_defenses"},
     {"table2_applicability"},
@@ -166,29 +129,21 @@ const SuiteEntry kSuite[] = {
     {"ablations"},
     {"server_workload", "--quick"},
     {"microarch_stats"},
-    // No "s" suffix: google-benchmark releases before 1.7 reject the suffixed
-    // spelling and silently fall back to the 0.5s default per benchmark,
-    // which quietly cost the quick suite several seconds of wall-clock.
-    {"bench_substrate", "--benchmark_min_time=0.01"},
 };
 
 struct Options {
   bool quick = false;
-  bool verbose = false;
   bool gate = true;
   bool resume = false;
-  uint64_t instructions = 0;         // 0 = mode default
-  uint64_t checkpoint_interval = 0;  // 0 = no per-cell checkpointing
-  double timeout_seconds = 600;      // per-binary wall-clock budget; 0 = none
-  int jobs = 0;                      // 0 = hardware_concurrency; 1 = fully serial
-  std::string bench_dir;
+  uint64_t instructions = 0;  // 0 = mode default
+  int jobs = 0;               // 0 = hardware_concurrency; 1 = fully serial
   std::string out = "BENCH_RESULTS.json";
   std::string baseline;
   std::string baselines_dir;
   std::string compare_existing;
   std::string write_baseline;
   std::string check_determinism;
-  std::string engine = "inproc";  // inproc | fork | shard
+  std::string engine = "inproc";  // inproc | shard
   std::string fastpath;           // empty = inherit the environment
   std::string journal;            // empty = BENCH_JOURNAL.jsonl next to --out
   int workers = 3;                // --engine=shard: serve subprocess count
@@ -198,137 +153,6 @@ struct Options {
   std::vector<std::string> only;
   std::vector<std::string> skip;
 };
-
-// Child-process outcome, decoded so logs and the merged report say exactly
-// which way a binary died: clean exit code, signal, wall-clock timeout (our
-// SIGTERM/SIGKILL — distinct from a crash), or spawn failure.
-struct CommandStatus {
-  bool spawn_failed = false;
-  bool signaled = false;
-  bool timed_out = false;
-  int exit_code = 0;  // valid when !spawn_failed && !signaled
-  int signal = 0;     // valid when signaled
-
-  bool ok() const { return !spawn_failed && !signaled && !timed_out && exit_code == 0; }
-
-  std::string Describe() const {
-    char buf[64];
-    if (spawn_failed) {
-      return "failed to spawn";
-    }
-    if (timed_out) {
-      return "timed out (killed)";
-    }
-    if (signaled) {
-      std::snprintf(buf, sizeof(buf), "killed by signal %d", signal);
-      return buf;
-    }
-    std::snprintf(buf, sizeof(buf), "exited with %d", exit_code);
-    return buf;
-  }
-};
-
-#ifndef _WIN32
-
-// fork/exec with stdout+stderr redirected to `log_path` (empty = inherit,
-// the --verbose path) and a wall-clock budget: a child over budget gets
-// SIGTERM, then SIGKILL once the grace period lapses, so even a child that
-// ignores SIGTERM cannot hang the suite. `timeout_seconds` <= 0 disables
-// the budget.
-CommandStatus RunProcess(const std::vector<std::string>& args, const std::string& log_path,
-                         double timeout_seconds) {
-  CommandStatus status;
-  const pid_t pid = fork();
-  if (pid < 0) {
-    status.spawn_failed = true;
-    return status;
-  }
-  if (pid == 0) {
-    if (!log_path.empty()) {
-      const int fd = open(log_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        dup2(fd, STDOUT_FILENO);
-        dup2(fd, STDERR_FILENO);
-        close(fd);
-      }
-    }
-    std::vector<char*> argv;
-    argv.reserve(args.size() + 1);
-    for (const std::string& arg : args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(argv[0], argv.data());
-    _exit(127);
-  }
-
-  constexpr auto kPollInterval = std::chrono::milliseconds(20);
-  constexpr auto kKillGrace = std::chrono::seconds(5);
-  const auto start = std::chrono::steady_clock::now();
-  const bool bounded = timeout_seconds > 0;
-  const auto term_deadline =
-      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(bounded ? timeout_seconds : 0));
-  bool sent_term = false;
-  bool sent_kill = false;
-  auto kill_deadline = term_deadline;
-
-  for (;;) {
-    int wstatus = 0;
-    const pid_t reaped = waitpid(pid, &wstatus, WNOHANG);
-    if (reaped == pid) {
-      if (WIFSIGNALED(wstatus)) {
-        status.signaled = true;
-        status.signal = WTERMSIG(wstatus);
-      } else if (WIFEXITED(wstatus)) {
-        status.exit_code = WEXITSTATUS(wstatus);
-      } else {
-        status.spawn_failed = true;
-      }
-      // Death caused by our own escalation reports as a timeout, not as an
-      // organic signal death (the two are gated and retried differently).
-      status.timed_out = sent_term;
-      return status;
-    }
-    if (reaped < 0) {
-      status.spawn_failed = true;
-      return status;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    if (bounded && !sent_term && now >= term_deadline) {
-      kill(pid, SIGTERM);
-      sent_term = true;
-      kill_deadline = now + kKillGrace;
-    } else if (sent_term && !sent_kill && now >= kill_deadline) {
-      kill(pid, SIGKILL);
-      sent_kill = true;
-    }
-    std::this_thread::sleep_for(kPollInterval);
-  }
-}
-
-#else  // _WIN32: no fork; run unbounded through the shell.
-
-CommandStatus RunProcess(const std::vector<std::string>& args, const std::string& log_path,
-                         double) {
-  std::string command;
-  for (const std::string& arg : args) {
-    command += "\"" + arg + "\" ";
-  }
-  if (!log_path.empty()) {
-    command += "> \"" + log_path + "\" 2>&1";
-  }
-  CommandStatus status;
-  const int raw = std::system(command.c_str());
-  if (raw == -1) {
-    status.spawn_failed = true;
-  } else {
-    status.exit_code = raw;
-  }
-  return status;
-}
-
-#endif
 
 std::vector<std::string> SplitCsv(const std::string& csv) {
   std::vector<std::string> out;
@@ -357,15 +181,13 @@ bool Contains(const std::vector<std::string>& list, const std::string& name) {
 }
 
 // Write-ahead suite journal: one JSON object per line — a header describing
-// the run configuration, then {"event":"start"|"done",...} per binary and,
-// under the in-process engine, one {"event":"cell",...} per finished cell.
-// The header (and a resumed run's replayed prefix) goes through the
-// temp-file+rename path; every event after that is appended with a single
-// buffered write + flush. An engine run appends hundreds of cell events, so
-// rewriting the whole file per event — the scheme binary-granular journaling
-// used — would make journaling quadratic in suite size. The append can tear
-// at most the line in flight under a kill -9; LoadJournal drops a torn tail
-// and resumes from the last complete event.
+// the run configuration, then {"event":"start"|"done",...} per workload and
+// one {"event":"cell",...} per finished cell. The header (and a resumed
+// run's replayed prefix) goes through the temp-file+rename path; every event
+// after that is appended with a single buffered write + flush, so a suite's
+// hundreds of cell events cost linear, not quadratic, journal I/O. The
+// append can tear at most the line in flight under a kill -9; LoadJournal
+// drops a torn tail and resumes from the last complete event.
 class Journal {
  public:
   explicit Journal(std::string path) : path_(std::move(path)) {}
@@ -425,15 +247,13 @@ class Journal {
 };
 
 // What a previous run's journal says about the suite: the run-configuration
-// header, per binary the last completion event, and — engine runs — every
-// completed cell's payload, keyed (workload, cell). Cell payloads are what
-// make --resume cell-granular under --engine=inproc: a restored cell skips
-// execution entirely and feeds its journaled payload straight to assembly.
+// header and every completed cell's payload, keyed (workload, cell). A
+// restored cell skips execution entirely and feeds its journaled payload
+// straight to assembly.
 struct JournalState {
   json::Value header;
-  std::map<std::string, json::Value> done;  // binary name -> "done" event
   std::map<std::string, std::map<std::string, json::Value>> cells;  // workload -> cell -> payload
-  std::string raw;                          // full text, continued on resume
+  std::string raw;  // full text, continued on resume
 };
 
 StatusOr<JournalState> LoadJournal(const std::string& path) {
@@ -480,10 +300,7 @@ StatusOr<JournalState> LoadJournal(const std::string& path) {
       first = false;
       continue;
     }
-    const std::string event = parsed->StringOr("event", "");
-    if (event == "done") {
-      state.done[parsed->StringOr("binary", "")] = std::move(parsed).value();
-    } else if (event == "cell") {
+    if (parsed->StringOr("event", "") == "cell") {
       if (const json::Value* payload = parsed->Find("payload"); payload != nullptr) {
         state.cells[parsed->StringOr("binary", "")][parsed->StringOr("cell", "")] = *payload;
       }
@@ -503,179 +320,15 @@ json::Value InfoMetric(double value) {
   return entry;
 }
 
-// One binary's execution record, whether it ran as a child process or as an
-// engine job.
-struct BinaryRun {
-  CommandStatus status;
-  int retries = 0;            // signal deaths retried (at most once)
-  double runner_seconds = 0;  // host wall-clock around the child process
-  bool from_journal = false;  // completion taken from a resumed journal
-  // Every attempt's report path; retries get stamped paths
-  // (<name>.retry1.json) so no attempt ever overwrites another's output.
-  std::vector<std::string> report_paths;
-};
-
-// Forks one bench binary the way the historical runner always has: journal
-// start/done events, per-attempt report paths, one retry after an organic
-// signal death. Used for every binary under --engine=fork, and for
-// bench_substrate (never a registered workload — it measures host time and
-// wants an unshared process) under --engine=inproc.
-BinaryRun ExecuteForked(const SuiteEntry& entry, const Options& opts, uint64_t instructions,
-                        int inner_jobs, const fs::path& report_dir, Journal& journal,
-                        std::mutex& print_mutex) {
-  const std::string name = entry.name;
-  const fs::path binary = fs::path(opts.bench_dir) / name;
-  const fs::path log_path = report_dir / (name + ".log");
-  {
-    std::lock_guard<std::mutex> lock(print_mutex);
-    std::printf("[bench_runner] %s ...\n", name.c_str());
-    std::fflush(stdout);
-  }
-  json::Value started = json::Value::Object();
-  started.Set("event", "start");
-  started.Set("binary", name);
-  journal.Append(started);
-
-  BinaryRun run;
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    const fs::path report_path =
-        report_dir / (run.retries == 0
-                          ? name + ".json"
-                          : name + ".retry" + std::to_string(run.retries) + ".json");
-    run.report_paths.push_back(report_path.string());
-    std::vector<std::string> args = {
-        binary.string(), "--json=" + report_path.string(),
-        "--instructions=" + std::to_string(instructions),
-        "--jobs=" + std::to_string(inner_jobs)};
-    if (opts.checkpoint_interval > 0) {
-      args.push_back("--checkpoint-dir=" + (report_dir / "checkpoints" / name).string());
-      args.push_back("--checkpoint-interval=" + std::to_string(opts.checkpoint_interval));
-    }
-    if (opts.quick && entry.quick_extra[0] != '\0') {
-      args.push_back(entry.quick_extra);
-    }
-    // A stale report from a previous attempt (or run) must never be
-    // salvaged as this attempt's output.
-    std::error_code remove_ec;
-    fs::remove(report_path, remove_ec);
-    run.status = RunProcess(args, opts.verbose ? "" : log_path.string(), opts.timeout_seconds);
-    // Signal deaths (SIGSEGV, OOM-kill, ...) get one retry after a
-    // short backoff: transient host pressure is common in CI, and a
-    // deterministic crash still fails identically on the retry.
-    // Timeouts are not retried — a second attempt would double the
-    // wall-clock damage of a hung binary.
-    if (!run.status.signaled || run.status.timed_out || run.retries >= 1) {
-      break;
-    }
-    ++run.retries;
-    {
-      std::lock_guard<std::mutex> lock(print_mutex);
-      std::printf("[bench_runner] %s %s; retrying once\n", name.c_str(),
-                  run.status.Describe().c_str());
-      std::fflush(stdout);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  }
-  run.runner_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-
-  json::Value done = json::Value::Object();
-  done.Set("event", "done");
-  done.Set("binary", name);
-  done.Set("exit", run.status.spawn_failed ? -1 : run.status.exit_code);
-  if (run.status.signaled) {
-    done.Set("signal", run.status.signal);
-  }
-  done.Set("timed_out", run.status.timed_out);
-  done.Set("retries", run.retries);
-  done.Set("runner_seconds", run.runner_seconds);
-  json::Value reports = json::Value::Array();
-  for (const std::string& p : run.report_paths) {
-    reports.Append(p);
-  }
-  done.Set("reports", std::move(reports));
-  journal.Append(done);
-  return run;
-}
-
-// Folds one forked binary's outcome into the merged document: the header
-// entry, runner/seconds, and the report's metrics — salvaging whatever a
-// dead binary managed to write before it died.
-void MergeForkedRun(const std::string& name, const BinaryRun& run, const fs::path& report_dir,
-                    json::Value& binaries, json::Value& metrics, int& exit_code) {
-  const fs::path report_path = run.report_paths.empty()
-                                   ? report_dir / (name + ".json")
-                                   : fs::path(run.report_paths.back());
-  const fs::path log_path = report_dir / (name + ".log");
-  json::Value info = json::Value::Object();
-  info.Set("exit", run.status.spawn_failed ? -1 : run.status.exit_code);
-  if (run.status.signaled) {
-    info.Set("signal", run.status.signal);
-  }
-  info.Set("timed_out", run.status.timed_out);
-  info.Set("retries", run.retries);
-  info.Set("runner_seconds", run.runner_seconds);
-  if (run.from_journal) {
-    info.Set("resumed", true);
-  }
-  // Every attempt's report path (retries write to stamped paths), so the
-  // merged header records exactly which file each metric came from.
-  json::Value report_list = json::Value::Array();
-  for (const std::string& p : run.report_paths) {
-    report_list.Append(p);
-  }
-  info.Set("reports", std::move(report_list));
-  auto report = json::ParseFile(report_path.string());
-  if (!run.status.ok()) {
-    std::fprintf(stderr, "bench_runner: %s %s (log: %s)\n", name.c_str(),
-                 run.status.Describe().c_str(), log_path.c_str());
-    exit_code = 1;
-    // Salvage: a binary that died after writing its report (a crash in
-    // teardown, a timeout during a later phase) still contributes every
-    // metric it produced — the gate then reports precisely what is
-    // missing instead of failing the whole binary's coverage blind.
-    if (!report.ok()) {
-      info.Set("salvaged", false);
-      binaries.Set(name, std::move(info));
-      return;
-    }
-    std::fprintf(stderr, "bench_runner: %s left a parseable report; salvaging %zu metrics\n",
-                 name.c_str(),
-                 report->Find("metrics") != nullptr ? report->Find("metrics")->size() : 0);
-    info.Set("salvaged", true);
-  } else if (!report.ok()) {
-    std::fprintf(stderr, "bench_runner: %s\n", report.status().ToString().c_str());
-    exit_code = 1;
-    binaries.Set(name, std::move(info));
-    return;
-  }
-  info.Set("wall_seconds", report->NumberOr("wall_seconds", 0.0));
-  binaries.Set(name, std::move(info));
-  metrics.Set("runner/seconds/" + name, InfoMetric(run.runner_seconds));
-  if (const json::Value* m = report->Find("metrics"); m != nullptr && m->is_object()) {
-    for (const auto& [metric_name, metric] : m->members()) {
-      if (metrics.Find(metric_name) != nullptr) {
-        std::fprintf(stderr, "bench_runner: duplicate metric %s from %s\n", metric_name.c_str(),
-                     name.c_str());
-        exit_code = 1;
-        continue;
-      }
-      metrics.Set(metric_name, metric);
-    }
-  }
-}
-
 int Usage() {
   std::fprintf(stderr,
                "usage: bench_runner [--quick] [--only=a,b] [--skip=a,b] [--out=PATH]\n"
-               "                    [--bench-dir=DIR] [--baseline=PATH] [--no-gate]\n"
+               "                    [--baseline=PATH] [--baselines-dir=DIR] [--no-gate]\n"
                "                    [--compare=RESULTS] [--write-baseline=PATH]\n"
-               "                    [--instructions=N] [--jobs=N] [--timeout=SECONDS]\n"
-               "                    [--verbose] [--check-determinism=OTHER.json]\n"
-               "                    [--fastpath=on|off|check] [--journal=PATH]\n"
-               "                    [--resume] [--checkpoint-interval=N]\n"
-               "                    [--engine=inproc|fork|shard] [--workers=N]\n"
+               "                    [--instructions=N] [--jobs=N]\n"
+               "                    [--check-determinism=OTHER.json]\n"
+               "                    [--fastpath=on|off|check] [--journal=PATH] [--resume]\n"
+               "                    [--engine=inproc|shard] [--workers=N]\n"
                "                    [--lease=SECONDS] [--chaos=SPEC] [--worker-cli=PATH]\n");
   return 2;
 }
@@ -692,24 +345,18 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     };
     if (arg == "--quick") {
       opts.quick = true;
-    } else if (arg == "--verbose") {
-      opts.verbose = true;
     } else if (arg == "--no-gate") {
       opts.gate = false;
     } else if (arg == "--resume") {
       opts.resume = true;
     } else if (const char* v = value("--journal")) {
       opts.journal = v;
-    } else if (const char* v = value("--checkpoint-interval")) {
-      opts.checkpoint_interval = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--only")) {
       opts.only = SplitCsv(v);
     } else if (const char* v = value("--skip")) {
       opts.skip = SplitCsv(v);
     } else if (const char* v = value("--out")) {
       opts.out = v;
-    } else if (const char* v = value("--bench-dir")) {
-      opts.bench_dir = v;
     } else if (const char* v = value("--baseline")) {
       opts.baseline = v;
     } else if (const char* v = value("--baselines-dir")) {
@@ -722,8 +369,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       opts.instructions = std::strtoull(v, nullptr, 10);
     } else if (const char* v = value("--jobs")) {
       opts.jobs = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value("--timeout")) {
-      opts.timeout_seconds = std::strtod(v, nullptr);
     } else if (const char* v = value("--check-determinism")) {
       opts.check_determinism = v;
     } else if (const char* v = value("--fastpath")) {
@@ -744,16 +389,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
     }
   }
   return true;
-}
-
-// The bench binaries live next to this binary's parent: build/tools/../bench.
-std::string DefaultBenchDir(const char* argv0) {
-  std::error_code ec;
-  fs::path self = fs::canonical(fs::path(argv0), ec);
-  if (ec) {
-    self = fs::path(argv0);
-  }
-  return (self.parent_path().parent_path() / "bench").string();
 }
 
 const char* CompilerString() {
@@ -838,11 +473,12 @@ int Run(int argc, char** argv) {
   if (!ParseArgs(argc, argv, opts)) {
     return Usage();
   }
-  if (opts.engine != "inproc" && opts.engine != "fork" && opts.engine != "shard") {
-    std::fprintf(stderr, "bench_runner: bad --engine value '%s' (want inproc|fork|shard)\n",
+  if (opts.engine != "inproc" && opts.engine != "shard") {
+    std::fprintf(stderr, "bench_runner: bad --engine value '%s' (want inproc|shard)\n",
                  opts.engine.c_str());
     return 2;
   }
+  const bool shard = opts.engine == "shard";
   if (!opts.fastpath.empty()) {
     base::FastPathMode mode;
     if (!base::ParseFastPathMode(opts.fastpath.c_str(), &mode)) {
@@ -851,8 +487,8 @@ int Run(int argc, char** argv) {
       return 2;
     }
 #ifndef _WIN32
-    // Exported (not just set in-process): the bench binaries are child
-    // processes and pick the mode up from their own environment.
+    // Exported (not just set in-process): shard workers are child processes
+    // and pick the mode up from their own environment.
     ::setenv("MEMSENTRY_FASTPATH", base::FastPathModeName(mode), /*overwrite=*/1);
 #endif
     base::SetFastPathMode(mode);
@@ -860,9 +496,6 @@ int Run(int argc, char** argv) {
   const uint64_t instructions =
       opts.instructions != 0 ? opts.instructions
                              : (opts.quick ? kQuickInstructions : kFullInstructions);
-  if (opts.bench_dir.empty()) {
-    opts.bench_dir = DefaultBenchDir(argv[0]);
-  }
   if (opts.baselines_dir.empty()) {
     opts.baselines_dir = std::string(MEMSENTRY_SOURCE_DIR) + "/bench/baselines";
   }
@@ -882,15 +515,6 @@ int Run(int argc, char** argv) {
     }
     merged = std::move(loaded).value();
   } else {
-    const fs::path report_dir = fs::path(opts.out).parent_path() / "bench_reports";
-    std::error_code ec;
-    fs::create_directories(report_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "bench_runner: cannot create %s: %s\n", report_dir.c_str(),
-                   ec.message().c_str());
-      return 1;
-    }
-
     // Reject --only/--skip names that match nothing: a typo would otherwise
     // run an empty suite and fail the gate with hundreds of "missing metric"
     // errors instead of naming the bad selector.
@@ -907,6 +531,13 @@ int Run(int argc, char** argv) {
         }
       }
     }
+    std::vector<const SuiteEntry*> to_run;
+    for (const SuiteEntry& entry : kSuite) {
+      if ((opts.only.empty() || Contains(opts.only, entry.name)) &&
+          !Contains(opts.skip, entry.name)) {
+        to_run.push_back(&entry);
+      }
+    }
 
     merged.Set("schema", 1);
     merged.Set("suite", "memsentry-bench");
@@ -916,17 +547,10 @@ int Run(int argc, char** argv) {
     json::Value binaries = json::Value::Object();
     json::Value metrics = json::Value::Object();
 
-    // --verbose streams child stdout, which only exists with child
-    // processes, so it implies the fork engine.
-    const bool inproc = opts.engine == "inproc" && !opts.verbose;
-    const bool shard = opts.engine == "shard" && !opts.verbose;
-    const char* engine_name = inproc ? "inproc" : shard ? "shard" : "fork";
-
     // The suite journal. A fresh run writes a new header; --resume validates
     // the existing header against this invocation's configuration (merging
     // two differently-configured runs would silently gate garbage) and
-    // collects the binaries already journaled as done — plus, under the
-    // inproc engine, every cell already journaled with its payload.
+    // collects every cell already journaled with its payload.
     const std::string journal_path =
         opts.journal.empty() ? (fs::path(opts.out).parent_path() / "BENCH_JOURNAL.jsonl").string()
                              : opts.journal;
@@ -936,9 +560,8 @@ int Run(int argc, char** argv) {
     journal_header.Set("mode", opts.quick ? "quick" : "full");
     journal_header.Set("instructions", instructions);
     journal_header.Set("fastpath", opts.fastpath.empty() ? "default" : opts.fastpath);
-    journal_header.Set("engine", engine_name);
+    journal_header.Set("engine", opts.engine);
     journal_header.Set("out", opts.out);
-    std::map<std::string, json::Value> journaled_done;
     std::map<std::string, std::map<std::string, json::Value>> journal_cells;
     bool resuming = false;
     if (opts.resume) {
@@ -954,7 +577,6 @@ int Run(int argc, char** argv) {
                      journal_header.Dump(0).c_str());
         return 2;
       } else {
-        journaled_done = std::move(previous->done);
         journal_cells = std::move(previous->cells);
         journal.Continue(std::move(previous->raw));
         resuming = true;
@@ -963,217 +585,90 @@ int Run(int argc, char** argv) {
     if (!resuming) {
       journal.Start(journal_header);
     }
-#ifndef _WIN32
-    // The crash handler in each bench binary snapshots the journal tail into
-    // its bundles.
-    std::error_code abs_ec;
-    const fs::path abs_journal = fs::absolute(journal_path, abs_ec);
-    ::setenv("MEMSENTRY_JOURNAL", (abs_ec ? fs::path(journal_path) : abs_journal).c_str(),
-             /*overwrite=*/1);
-#endif
 
-    // Select the binaries to run; missing ones are reported up front so a
-    // half-built tree fails fast instead of mid-suite.
-    std::vector<const SuiteEntry*> to_run;
-    for (const SuiteEntry& entry : kSuite) {
-      const std::string name = entry.name;
-      if (!opts.only.empty() && !Contains(opts.only, name)) {
-        continue;
-      }
-      if (Contains(opts.skip, name)) {
-        continue;
-      }
-      if (!fs::exists(fs::path(opts.bench_dir) / name)) {
-        std::fprintf(stderr, "bench_runner: missing binary %s (build the bench targets)\n",
-                     (fs::path(opts.bench_dir) / name).c_str());
-        exit_code = 1;
-        continue;
-      }
-      to_run.push_back(&entry);
-    }
-
-    // The parallelism budget. Under --engine=inproc the whole budget goes to
-    // the engine's work-stealing pool (cell granularity beats binary
-    // granularity, so there is no slot split) and forked stragglers run
-    // serially alongside it. Under --engine=fork it splits between
-    // scheduling binaries concurrently (bounded job slots) and each binary's
-    // own sweep fan-out: with more binaries than budget every binary runs
-    // its sweeps serially; a lone binary (--only=fig3_address) gets the
-    // whole budget for its cells. --verbose streams child stdout, so it
-    // forces a fully serial fork run.
-    const int total_jobs = opts.verbose ? 1 : ResolveJobs(opts.jobs);
-    const int slots = static_cast<int>(
-        std::min<size_t>(static_cast<size_t>(total_jobs), std::max<size_t>(to_run.size(), 1)));
-    const int inner_jobs = inproc ? 1 : std::max(1, total_jobs / slots);
-
-    // Resumable completions: journaled as done with a clean exit and a
-    // parseable final report still on disk. Anything else (in-flight at the
-    // kill, crashed, report missing) re-runs.
-    std::map<std::string, BinaryRun> resumable;
-    for (const auto& [name, event] : journaled_done) {
-      BinaryRun run;
-      run.from_journal = true;
-      const int exit = static_cast<int>(event.NumberOr("exit", -1));
-      run.status.spawn_failed = exit < 0;
-      run.status.exit_code = exit < 0 ? 0 : exit;
-      if (const json::Value* sig = event.Find("signal"); sig != nullptr) {
-        run.status.signaled = true;
-        run.status.signal = static_cast<int>(sig->number_value());
-      }
-      run.status.timed_out = event.BoolOr("timed_out", false);
-      run.retries = static_cast<int>(event.NumberOr("retries", 0));
-      run.runner_seconds = event.NumberOr("runner_seconds", 0.0);
-      if (const json::Value* reports = event.Find("reports");
-          reports != nullptr && reports->is_array()) {
-        for (const json::Value& p : reports->items()) {
-          run.report_paths.push_back(p.string_value());
-        }
-      }
-      if (run.status.ok() && !run.report_paths.empty() &&
-          json::ParseFile(run.report_paths.back()).ok()) {
-        resumable.emplace(name, std::move(run));
+    // What both backends share, built once: each workload's options and the
+    // cell-granular durability hooks. Restored cells skip execution and feed
+    // their journaled payloads to assembly; every finished cell's payload is
+    // journaled (Journal::Append serializes), so a kill -9 mid-suite costs at
+    // most the cells that were in flight.
+    std::vector<eval::WorkloadOptions> workload_options(to_run.size());
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      workload_options[i].experiment.target_instructions = instructions;
+      if (opts.quick && to_run[i]->quick_extra[0] != '\0') {
+        const char* extra_argv[] = {"bench_runner", to_run[i]->quick_extra};
+        eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), workload_options[i]);
       }
     }
+    auto restore = [&journal_cells](const std::string& workload,
+                                    const std::string& cell) -> const json::Value* {
+      const auto wit = journal_cells.find(workload);
+      if (wit == journal_cells.end()) {
+        return nullptr;
+      }
+      const auto cit = wit->second.find(cell);
+      return cit == wit->second.end() ? nullptr : &cit->second;
+    };
+    auto on_cell_done = [&journal](const std::string& workload, const std::string& cell,
+                                   const json::Value& payload) {
+      json::Value event = json::Value::Object();
+      event.Set("event", "cell");
+      event.Set("binary", workload);
+      event.Set("cell", cell);
+      event.Set("payload", payload);
+      journal.Append(event);
+    };
+    auto announce = [&](const SuiteEntry& entry) {
+      std::printf("[bench_runner] %s (%s) ...\n", entry.name, opts.engine.c_str());
+      std::fflush(stdout);
+      json::Value started = json::Value::Object();
+      started.Set("event", "start");
+      started.Set("binary", entry.name);
+      journal.Append(started);
+    };
 
-    std::mutex print_mutex;
+    const int total_jobs = ResolveJobs(opts.jobs);
     const auto suite_start = std::chrono::steady_clock::now();
-    std::vector<BinaryRun> runs(to_run.size());
-    // Per-entry engine results (nullptr = the entry was forked). The engine
-    // object must outlive these pointers, hence the optional below.
-    std::vector<const eval::JobReport*> engine_reports(to_run.size(), nullptr);
+    // One report per entry (nullptr = never submitted). The backend owns the
+    // reports, so it lives until the merge below is done.
+    std::vector<const eval::JobReport*> reports(to_run.size(), nullptr);
+    std::unique_ptr<eval::CampaignEngine> engine;
+    std::unique_ptr<eval::ShardCoordinator> coordinator;
     eval::EngineStats engine_stats;
     sim::DecodeCacheStats decode_stats;
-    int engine_workers = 0;
-    std::unique_ptr<eval::CampaignEngine> engine;
-    // Shard engine state: the coordinator must outlive engine_reports (its
-    // JobReports back them), exactly like `engine` above.
-    std::unique_ptr<eval::ShardCoordinator> coordinator;
     eval::CoordinatorStats coordinator_stats;
 
-    if (inproc) {
+    if (!shard) {
       eval::EngineOptions engine_options;
       // Escape hatch for memo bisection: MEMSENTRY_NO_RUN_MEMO=1 runs every
       // cell from scratch. Results must not change (the determinism check
       // passes either way) — only the wall-clock does.
       engine_options.run_memo = std::getenv("MEMSENTRY_NO_RUN_MEMO") == nullptr;
       engine_options.jobs = total_jobs;
-      // Cell-granular durability: every finished cell's payload is journaled
-      // (Journal::Append serializes), and on --resume the journaled payloads
-      // mark their cells done at submit time — a kill -9 mid-suite costs at
-      // most the cells that were in flight.
-      engine_options.restore = [&journal_cells](
-                                   const std::string& workload,
-                                   const std::string& cell) -> const json::Value* {
-        const auto wit = journal_cells.find(workload);
-        if (wit == journal_cells.end()) {
-          return nullptr;
-        }
-        const auto cit = wit->second.find(cell);
-        return cit == wit->second.end() ? nullptr : &cit->second;
-      };
-      engine_options.on_cell_done = [&journal](const std::string& workload,
-                                               const std::string& cell,
-                                               const json::Value& payload) {
-        json::Value event = json::Value::Object();
-        event.Set("event", "cell");
-        event.Set("binary", workload);
-        event.Set("cell", cell);
-        event.Set("payload", payload);
-        journal.Append(event);
-      };
+      engine_options.restore = restore;
+      engine_options.on_cell_done = on_cell_done;
       // Engine-wide decode statistics start from zero so the merged report's
       // engine/decode_cache_* metrics describe exactly this suite run.
       sim::DecodeCache::Global().ResetStats();
       engine = std::make_unique<eval::CampaignEngine>(&suite::SuiteRegistry(), engine_options);
-      engine_workers = engine->jobs();
-
-      // Submit every registered workload up front: the engine interleaves
-      // all of their cells across its workers, so a straggler workload soaks
-      // up the whole pool instead of serializing behind a slot schedule.
+      // Submit every workload up front: the engine interleaves all of their
+      // cells across its workers, so a straggler workload soaks up the whole
+      // pool.
       std::vector<uint64_t> job_ids(to_run.size(), 0);
       for (size_t i = 0; i < to_run.size(); ++i) {
-        const SuiteEntry& entry = *to_run[i];
-        if (suite::FindSuiteWorkload(entry.name) == nullptr) {
-          continue;  // forked below, concurrently with the engine's drain
-        }
-        eval::WorkloadOptions woptions;
-        woptions.experiment.target_instructions = instructions;
-        if (opts.checkpoint_interval > 0) {
-          woptions.experiment.checkpoint_dir =
-              (report_dir / "checkpoints" / entry.name).string();
-          std::error_code checkpoint_ec;
-          fs::create_directories(woptions.experiment.checkpoint_dir, checkpoint_ec);
-          woptions.experiment.checkpoint_interval = opts.checkpoint_interval;
-        }
-        if (opts.quick && entry.quick_extra[0] != '\0') {
-          // The same token the forked binary would receive on its argv.
-          const char* extra_argv[] = {"bench_runner", entry.quick_extra};
-          eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), woptions);
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (engine) ...\n", entry.name);
-          std::fflush(stdout);
-        }
-        json::Value started = json::Value::Object();
-        started.Set("event", "start");
-        started.Set("binary", entry.name);
-        journal.Append(started);
-        job_ids[i] = engine->Submit(entry.name, woptions);
+        announce(*to_run[i]);
+        job_ids[i] = engine->Submit(to_run[i]->name, workload_options[i]);
       }
-
-      // bench_substrate (and anything else unregistered) forks on this
-      // thread while the engine's workers chew through the cell queues.
       for (size_t i = 0; i < to_run.size(); ++i) {
-        if (job_ids[i] != 0) {
-          continue;
-        }
-        const std::string name = to_run[i]->name;
-        if (const auto it = resumable.find(name); it != resumable.end()) {
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", name.c_str());
-          std::fflush(stdout);
-          runs[i] = it->second;
-          continue;
-        }
-        runs[i] = ExecuteForked(*to_run[i], opts, instructions, inner_jobs, report_dir,
-                                journal, print_mutex);
-      }
-
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (job_ids[i] == 0) {
-          continue;
-        }
-        const eval::JobReport* job = engine->Wait(job_ids[i]);
-        engine_reports[i] = job;
-        size_t restored = 0;
-        for (size_t c = 0; c < job->cell_restored.size(); ++c) {
-          restored += job->cell_restored[c] ? 1 : 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
-                      job->workload.c_str(), job->cell_names.size(), restored,
-                      job->wall_seconds);
-          std::fflush(stdout);
-        }
-        json::Value done = json::Value::Object();
-        done.Set("event", "done");
-        done.Set("binary", job->workload);
-        done.Set("exit", job->status);
-        done.Set("timed_out", false);
-        done.Set("retries", 0);
-        done.Set("runner_seconds", job->wall_seconds);
-        done.Set("cells", static_cast<uint64_t>(job->cell_names.size()));
-        done.Set("reports", json::Value::Array());
-        journal.Append(done);
+        reports[i] = engine->Wait(job_ids[i]);
       }
       engine_stats = engine->stats();
       decode_stats = sim::DecodeCache::Global().stats();
-    } else if (shard) {
+    } else {
       eval::CoordinatorOptions coptions;
       coptions.workers = opts.workers;
       coptions.lease_seconds = opts.lease_seconds;
-      coptions.socket_dir = (report_dir / "coordinator").string();
+      coptions.socket_dir = (fs::path(opts.out).parent_path() / "bench_reports" / "coordinator")
+                                .string();
       // Workers are the memsentry_cli sibling of this binary unless
       // overridden (tests point --worker-cli at the build tree).
       if (!opts.worker_cli.empty()) {
@@ -1195,156 +690,63 @@ int Run(int argc, char** argv) {
         }
         coptions.chaos = *chaos;
       }
-      // The same cell-granular durability hooks the inproc engine wires up:
-      // restored cells skip dispatch entirely, completed cells journal their
-      // payloads (the coordinator calls back from its own thread only).
-      coptions.restore = [&journal_cells](const std::string& workload,
-                                          const std::string& cell) -> const json::Value* {
-        const auto wit = journal_cells.find(workload);
-        if (wit == journal_cells.end()) {
-          return nullptr;
-        }
-        const auto cit = wit->second.find(cell);
-        return cit == wit->second.end() ? nullptr : &cit->second;
-      };
-      coptions.on_cell_done = [&journal](const std::string& workload, const std::string& cell,
-                                         const json::Value& payload) {
-        json::Value event = json::Value::Object();
-        event.Set("event", "cell");
-        event.Set("binary", workload);
-        event.Set("cell", cell);
-        event.Set("payload", payload);
-        journal.Append(event);
-      };
+      // The coordinator calls both hooks from its own thread only.
+      coptions.restore = restore;
+      coptions.on_cell_done = on_cell_done;
       coordinator = std::make_unique<eval::ShardCoordinator>(&suite::SuiteRegistry(), coptions);
-
-      // Submit every registered workload; mid-cell checkpointing is not
-      // forwarded over the wire (workers build cells from the recipe alone),
-      // so --checkpoint-interval is an inproc/fork-only feature.
-      std::vector<size_t> shard_index(to_run.size(), static_cast<size_t>(-1));
+      std::vector<uint64_t> job_ids(to_run.size(), 0);
       for (size_t i = 0; i < to_run.size(); ++i) {
-        const SuiteEntry& entry = *to_run[i];
-        if (suite::FindSuiteWorkload(entry.name) == nullptr) {
-          continue;  // forked below, concurrently with the coordinator's drain
-        }
-        // Identical option construction to the inproc branch (note: quick
-        // mode flows through the instruction budget and quick_extra argv,
-        // not WorkloadOptions::quick) — any divergence here breaks the
-        // bit-identity contract between engines.
-        eval::WorkloadOptions woptions;
-        woptions.experiment.target_instructions = instructions;
-        if (opts.quick && entry.quick_extra[0] != '\0') {
-          const char* extra_argv[] = {"bench_runner", entry.quick_extra};
-          eval::ParseWorkloadArgs(2, const_cast<char**>(extra_argv), woptions);
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (shard) ...\n", entry.name);
-          std::fflush(stdout);
-        }
-        json::Value started = json::Value::Object();
-        started.Set("event", "start");
-        started.Set("binary", entry.name);
-        journal.Append(started);
-        const uint64_t id = coordinator->Submit(entry.name, woptions);
-        if (id != 0) {
-          shard_index[i] = static_cast<size_t>(id - 1);
+        announce(*to_run[i]);
+        job_ids[i] = coordinator->Submit(to_run[i]->name, workload_options[i]);
+      }
+      (void)coordinator->Run();
+      for (size_t i = 0; i < to_run.size(); ++i) {
+        if (job_ids[i] != 0) {
+          reports[i] = coordinator->reports()[job_ids[i] - 1].get();
         }
       }
-
-      // Drive the fleet on its own thread while unregistered binaries
-      // (bench_substrate) fork on this one.
-      std::thread coordinator_thread([&coordinator] { (void)coordinator->Run(); });
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (shard_index[i] != static_cast<size_t>(-1)) {
-          continue;
-        }
-        const std::string name = to_run[i]->name;
-        if (const auto it = resumable.find(name); it != resumable.end()) {
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", name.c_str());
-          std::fflush(stdout);
-          runs[i] = it->second;
-          continue;
-        }
-        runs[i] = ExecuteForked(*to_run[i], opts, instructions, inner_jobs, report_dir,
-                                journal, print_mutex);
-      }
-      coordinator_thread.join();
       coordinator_stats = coordinator->stats();
-
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (shard_index[i] == static_cast<size_t>(-1)) {
-          continue;
-        }
-        const eval::JobReport* job = coordinator->reports()[shard_index[i]].get();
-        engine_reports[i] = job;
-        size_t restored = 0;
-        for (size_t c = 0; c < job->cell_restored.size(); ++c) {
-          restored += job->cell_restored[c] ? 1 : 0;
-        }
-        {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n",
-                      job->workload.c_str(), job->cell_names.size(), restored,
-                      job->wall_seconds);
-          std::fflush(stdout);
-        }
-        json::Value done = json::Value::Object();
-        done.Set("event", "done");
-        done.Set("binary", job->workload);
-        done.Set("exit", job->status);
-        done.Set("timed_out", false);
-        done.Set("retries", 0);
-        done.Set("runner_seconds", job->wall_seconds);
-        done.Set("cells", static_cast<uint64_t>(job->cell_names.size()));
-        done.Set("reports", json::Value::Array());
-        journal.Append(done);
-      }
-    } else {
-      runs = ParallelMap(slots, to_run.size(), [&](size_t i) -> BinaryRun {
-        const SuiteEntry& entry = *to_run[i];
-        if (const auto it = resumable.find(entry.name); it != resumable.end()) {
-          std::lock_guard<std::mutex> lock(print_mutex);
-          std::printf("[bench_runner] %s (done; resumed from journal)\n", entry.name);
-          std::fflush(stdout);
-          return it->second;
-        }
-        return ExecuteForked(entry, opts, instructions, inner_jobs, report_dir, journal,
-                             print_mutex);
-      });
     }
     const double suite_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
 
     // Merge serially in suite order, so the merged document (and any error
-    // output) is identical no matter how the parallel schedule interleaved.
+    // output) is identical no matter how the cells were scheduled.
     for (size_t i = 0; i < to_run.size(); ++i) {
       const std::string name = to_run[i]->name;
-      if (engine_reports[i] == nullptr) {
-        MergeForkedRun(name, runs[i], report_dir, binaries, metrics, exit_code);
+      if (reports[i] == nullptr) {
+        std::fprintf(stderr, "bench_runner: %s was not accepted by the %s engine\n",
+                     name.c_str(), opts.engine.c_str());
+        exit_code = 1;
         continue;
       }
-      const eval::JobReport& job = *engine_reports[i];
+      const eval::JobReport& job = *reports[i];
       size_t restored = 0;
       for (size_t c = 0; c < job.cell_restored.size(); ++c) {
         restored += job.cell_restored[c] ? 1 : 0;
       }
+      std::printf("[bench_runner] %s done: %zu cells (%zu restored) in %.2fs\n", name.c_str(),
+                  job.cell_names.size(), restored, job.wall_seconds);
+      json::Value done = json::Value::Object();
+      done.Set("event", "done");
+      done.Set("binary", name);
+      done.Set("exit", job.status);
+      done.Set("wall_seconds", job.wall_seconds);
+      done.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
+      journal.Append(done);
+
       json::Value info = json::Value::Object();
       info.Set("exit", job.status);
-      info.Set("timed_out", false);
-      info.Set("retries", 0);
-      info.Set("runner_seconds", job.wall_seconds);
-      info.Set("engine", engine_name);
+      info.Set("engine", opts.engine);
       info.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
       if (restored > 0) {
         info.Set("cells_restored", static_cast<uint64_t>(restored));
         info.Set("resumed", true);
       }
-      info.Set("reports", json::Value::Array());
       info.Set("wall_seconds", job.wall_seconds);
       if (job.state != eval::JobState::kDone || job.status != 0) {
-        std::fprintf(stderr, "bench_runner: %s (engine) finished %s with status %d\n",
-                     name.c_str(), eval::JobStateName(job.state), job.status);
+        std::fprintf(stderr, "bench_runner: %s finished %s with status %d\n", name.c_str(),
+                     eval::JobStateName(job.state), job.status);
         exit_code = 1;
       }
       binaries.Set(name, std::move(info));
@@ -1359,9 +761,9 @@ int Run(int argc, char** argv) {
         metrics.Set(metric_name, metric);
       }
       // The trailer bench::Reporter::Finish appends after a standalone run's
-      // metric stream, so the merged document keeps the same shape in both
-      // engines (both are host wall-clock derived, info / host-perf kinds —
-      // never part of the determinism contract).
+      // metric stream, so the merged document has the standalone shape (both
+      // are host wall-clock derived, info / host-perf kinds — never part of
+      // the determinism contract).
       metrics.Set(name + "/wall_seconds", InfoMetric(job.wall_seconds));
       if (job.report.sim_instructions() > 0 && job.wall_seconds > 0) {
         json::Value throughput = json::Value::Object();
@@ -1372,48 +774,28 @@ int Run(int argc, char** argv) {
         metrics.Set(name + "/sim_instr_per_second", std::move(throughput));
       }
     }
-    if (inproc || shard) {
-      // Where the suite's wall-clock actually went, at the engine's
-      // scheduling granularity. tools/ci/check_gate.sh wall-summary surfaces
-      // the slowest cells from these; all info-kind, never gated.
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (engine_reports[i] == nullptr) {
-          continue;
-        }
-        const eval::JobReport& job = *engine_reports[i];
-        for (size_t c = 0; c < job.cell_names.size(); ++c) {
-          metrics.Set("engine/seconds/" + job.workload + "/" + job.cell_names[c],
-                      InfoMetric(job.cell_seconds[c]));
-        }
+    std::fflush(stdout);
+    // Where the suite's wall-clock actually went, at the engine's scheduling
+    // granularity. tools/ci/check_gate.sh wall-summary surfaces the slowest
+    // cells from these; all info-kind, never gated.
+    for (const eval::JobReport* job : reports) {
+      if (job == nullptr) {
+        continue;
+      }
+      for (size_t c = 0; c < job->cell_names.size(); ++c) {
+        metrics.Set("engine/seconds/" + job->workload + "/" + job->cell_names[c],
+                    InfoMetric(job->cell_seconds[c]));
       }
     }
-    if (shard) {
-      // The coordinator's failure traffic. All info-kind: every counter is
-      // host-timing-dependent (a loaded machine expires leases chaos never
-      // touched), so none participate in gating or the determinism check —
-      // the fidelity/perf stream above is what stays bit-identical.
-      metrics.Set("coordinator/cells_total",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_total)));
-      metrics.Set("coordinator/cells_dispatched",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_dispatched)));
-      metrics.Set("coordinator/cells_redispatched",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_redispatched)));
-      metrics.Set("coordinator/cells_inlined",
-                  InfoMetric(static_cast<double>(coordinator_stats.cells_inlined)));
-      metrics.Set("coordinator/lease_expiries",
-                  InfoMetric(static_cast<double>(coordinator_stats.lease_expiries)));
-      metrics.Set("coordinator/garbled_replies",
-                  InfoMetric(static_cast<double>(coordinator_stats.garbled_replies)));
-      metrics.Set("coordinator/connect_retries",
-                  InfoMetric(static_cast<double>(coordinator_stats.connect_retries)));
-      metrics.Set("coordinator/workers_respawned",
-                  InfoMetric(static_cast<double>(coordinator_stats.workers_respawned)));
-      metrics.Set("coordinator/workers_quarantined",
-                  InfoMetric(static_cast<double>(coordinator_stats.workers_quarantined)));
-      metrics.Set("coordinator/degraded",
-                  InfoMetric(coordinator_stats.degraded ? 1.0 : 0.0));
-    }
-    if (inproc) {
+
+    // Which engine produced the document, plus its engine-wide aggregates:
+    // work-stealing traffic and the shared caches' efficacy (inproc), or the
+    // coordinator's failure traffic (shard). All info-kind: every counter is
+    // host-timing-dependent, so none participate in gating or the
+    // determinism check.
+    json::Value engine_header = json::Value::Object();
+    engine_header.Set("engine", opts.engine);
+    if (!shard) {
       metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(engine_stats.cells_run)));
       metrics.Set("engine/cells_restored",
                   InfoMetric(static_cast<double>(engine_stats.cells_restored)));
@@ -1424,26 +806,29 @@ int Run(int argc, char** argv) {
       const eval::RunMemo::Stats memo_stats = eval::RunMemo::Global().stats();
       metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo_stats.HitRate()));
       metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo_stats.hits)));
-    }
-    // The wall-clock trajectory of the suite itself: info metrics, recorded
-    // in every snapshot but never gated (they are host-dependent).
-    metrics.Set("runner/wall_seconds", InfoMetric(suite_seconds));
-    metrics.Set("runner/jobs", InfoMetric(total_jobs));
-
-    // Which engine produced the document, plus — inproc — the engine-wide
-    // aggregates (work-stealing traffic and the shared decode cache's
-    // efficacy across every workload in this one warm process).
-    json::Value engine_header = json::Value::Object();
-    engine_header.Set("engine", engine_name);
-    if (inproc) {
-      engine_header.Set("jobs", engine_workers);
+      engine_header.Set("jobs", engine->jobs());
       engine_header.Set("cells_run", engine_stats.cells_run);
       engine_header.Set("cells_restored", engine_stats.cells_restored);
       engine_header.Set("steals", engine_stats.steals);
       engine_header.Set("decode_cache_hit_rate", decode_stats.HitRate());
       engine_header.Set("decode_cache_lowerings", decode_stats.misses);
-    }
-    if (shard) {
+    } else {
+      const std::pair<const char*, uint64_t> counters[] = {
+          {"cells_total", coordinator_stats.cells_total},
+          {"cells_dispatched", coordinator_stats.cells_dispatched},
+          {"cells_redispatched", coordinator_stats.cells_redispatched},
+          {"cells_inlined", coordinator_stats.cells_inlined},
+          {"lease_expiries", coordinator_stats.lease_expiries},
+          {"garbled_replies", coordinator_stats.garbled_replies},
+          {"connect_retries", coordinator_stats.connect_retries},
+          {"workers_respawned", coordinator_stats.workers_respawned},
+          {"workers_quarantined", coordinator_stats.workers_quarantined},
+          {"degraded", coordinator_stats.degraded ? 1u : 0u},
+      };
+      for (const auto& [counter, value] : counters) {
+        metrics.Set(std::string("coordinator/") + counter,
+                    InfoMetric(static_cast<double>(value)));
+      }
       engine_header.Set("workers", opts.workers);
       engine_header.Set("lease_seconds", opts.lease_seconds);
       engine_header.Set("chaos", opts.chaos);
@@ -1452,26 +837,29 @@ int Run(int argc, char** argv) {
       engine_header.Set("workers_quarantined", coordinator_stats.workers_quarantined);
       engine_header.Set("degraded", coordinator_stats.degraded);
     }
+    // The wall-clock trajectory of the suite itself: info metrics, recorded
+    // in every snapshot but never gated (they are host-dependent).
+    metrics.Set("runner/wall_seconds", InfoMetric(suite_seconds));
+    metrics.Set("runner/jobs", InfoMetric(total_jobs));
     merged.Set("engine", std::move(engine_header));
 
     // Host metadata, so future baseline snapshots are attributable.
     json::Value host = json::Value::Object();
     host.Set("jobs", total_jobs);
-    host.Set("inner_jobs", inner_jobs);
     host.Set("hardware_concurrency", HardwareJobs());
     host.Set("compiler", CompilerString());
     merged.Set("host", std::move(host));
     merged.Set("binaries", std::move(binaries));
     merged.Set("metrics", std::move(metrics));
-    if (inproc) {
+    if (!shard) {
       std::printf(
           "[bench_runner] suite wall-clock %.2fs (engine=inproc, workers=%d, cells=%llu "
           "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
-          suite_seconds, engine_workers,
+          suite_seconds, engine->jobs(),
           static_cast<unsigned long long>(engine_stats.cells_run),
           static_cast<unsigned long long>(engine_stats.cells_restored),
           static_cast<unsigned long long>(engine_stats.steals), decode_stats.HitRate());
-    } else if (shard) {
+    } else {
       std::printf(
           "[bench_runner] suite wall-clock %.2fs (engine=shard, workers=%d, cells=%llu "
           "[%llu redispatched, %llu inlined, %llu restored], lease expiries=%llu, "
@@ -1485,10 +873,6 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(coordinator_stats.garbled_replies),
           static_cast<unsigned long long>(coordinator_stats.workers_quarantined),
           coordinator_stats.degraded ? 1 : 0);
-    } else {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=fork, jobs=%d, per-binary jobs=%d)\n",
-          suite_seconds, total_jobs, inner_jobs);
     }
 
     if (Status s = json::WriteFileAtomic(opts.out, merged); !s.ok()) {
