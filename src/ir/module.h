@@ -35,22 +35,29 @@ struct Module {
 
   // The digest memo below is atomic (not copyable), so spell out the value
   // operations. Copies and moves drop the memo — they are setup-time
-  // operations and the memo re-fills on the next decode-cache lookup.
+  // operations and the memo re-fills on the next decode-cache lookup. Every
+  // construction, copy, move (both sides) and assignment also takes a fresh
+  // id(), so no two module states ever share one.
   Module() = default;
   Module(const Module& o) : functions(o.functions), entry(o.entry), version(o.version) {}
   Module& operator=(const Module& o) {
     functions = o.functions;
     entry = o.entry;
     version = o.version;
+    id_ = NextId();
     digest_version_.store(~uint64_t{0}, std::memory_order_release);
     return *this;
   }
   Module(Module&& o) noexcept
-      : functions(std::move(o.functions)), entry(o.entry), version(o.version) {}
+      : functions(std::move(o.functions)), entry(o.entry), version(o.version) {
+    o.id_ = NextId();
+  }
   Module& operator=(Module&& o) noexcept {
     functions = std::move(o.functions);
     entry = o.entry;
     version = o.version;
+    id_ = NextId();
+    o.id_ = NextId();
     digest_version_.store(~uint64_t{0}, std::memory_order_release);
     return *this;
   }
@@ -60,6 +67,12 @@ struct Module {
   uint64_t version = 0;
 
   void Touch() { ++version; }
+
+  // Process-unique identity of this module instance. Unlike its address, an
+  // id is never reused: a module constructed where a freed one lived (or
+  // assigned over it) gets a new id, so (id, version) names one module state
+  // for the life of the process. sim::DecodedModule::Matches relies on this.
+  uint64_t id() const { return id_; }
 
   // Content-digest memo for sim::ModuleContentDigest: valid while the module
   // is at `digest_version` (Touch() implicitly invalidates it). Atomics so
@@ -111,6 +124,12 @@ struct Module {
   }
 
  private:
+  static uint64_t NextId() {
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  uint64_t id_ = NextId();
   // ~0 marks "never digested" — version 0 modules digest on first ask.
   mutable std::atomic<uint64_t> digest_version_{~uint64_t{0}};
   mutable std::atomic<uint64_t> digest_{0};

@@ -1,6 +1,5 @@
 #include "src/sim/decode_cache.h"
 
-#include <chrono>
 #include <cstring>
 
 #include "src/sim/process.h"
@@ -93,6 +92,7 @@ std::shared_ptr<const DecodedModule> DecodeCache::Get(const ir::Module& module,
 
   std::shared_future<std::shared_ptr<const DecodedModule>> future;
   std::promise<std::shared_ptr<const DecodedModule>> promise;
+  uint64_t serial = 0;
   bool build_here = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -110,35 +110,63 @@ std::shared_ptr<const DecodedModule> DecodeCache::Get(const ir::Module& module,
         *was_hit = false;
       }
       future = promise.get_future().share();
-      lru_.push_front(Entry{key, future});
+      serial = ++next_serial_;
+      lru_.push_front(Entry{key, future, serial, 0, false});
       index_[key] = lru_.begin();
       build_here = true;
-      EvictOverCapacityLocked();
     }
   }
   if (build_here) {
     // Built outside the lock: a slow decode must not serialize unrelated
     // keys. Racing callers for this key block on the shared_future.
+    std::shared_ptr<const DecodedModule> decoded;
     try {
-      promise.set_value(DecodedModule::Build(module, process));
+      decoded = DecodedModule::Build(module, process);
     } catch (...) {
+      {
+        // Forget the failed entry so a later Get retries the build.
+        std::lock_guard<std::mutex> lock(mutex_);
+        auto it = FindLocked(key, serial);
+        if (it != lru_.end()) {
+          index_.erase(key);
+          lru_.erase(it);
+        }
+      }
       promise.set_exception(std::current_exception());  // unblock waiters
       throw;
     }
+    const size_t bytes = decoded->bytes();
+    promise.set_value(decoded);
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = FindLocked(key, serial);
+    if (it != lru_.end()) {  // not dropped by Clear() meanwhile
+      it->bytes = bytes;
+      it->ready = true;
+      bytes_ += bytes;
+      EvictOverCapacityLocked();
+    }
+    return decoded;
   }
   return future.get();
 }
 
+DecodeCache::EntryList::iterator DecodeCache::FindLocked(const Key& key, uint64_t serial) {
+  auto it = index_.find(key);
+  return it != index_.end() && it->second->serial == serial ? it->second : lru_.end();
+}
+
 void DecodeCache::EvictOverCapacityLocked() {
-  // Walk from least- to most-recently-used, dropping ready entries until
-  // back under capacity. In-flight builds are never evicted: dropping one
-  // would let a racing Get start a second lowering for the same key.
+  // Walk from least- to most-recently-used, dropping ready entries until the
+  // charged bytes fit the budget. In-flight builds are never evicted:
+  // dropping one would let a racing Get start a second lowering for the
+  // same key.
   auto it = lru_.end();
-  while (lru_.size() > capacity_ && it != lru_.begin()) {
+  while (bytes_ > capacity_ && it != lru_.begin()) {
     --it;
-    if (it->decoded.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+    if (!it->ready) {
       continue;
     }
+    bytes_ -= it->bytes;
     index_.erase(it->key);
     it = lru_.erase(it);
     ++stats_.evictions;
@@ -147,7 +175,13 @@ void DecodeCache::EvictOverCapacityLocked() {
 
 DecodeCacheStats DecodeCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  DecodeCacheStats stats = stats_;
+  stats.bytes = bytes_;
+  stats.entries = 0;
+  for (const Entry& entry : lru_) {
+    stats.entries += entry.ready ? 1 : 0;
+  }
+  return stats;
 }
 
 void DecodeCache::ResetStats() {
@@ -159,6 +193,7 @@ void DecodeCache::Clear() {
   std::lock_guard<std::mutex> lock(mutex_);
   lru_.clear();
   index_.clear();
+  bytes_ = 0;
 }
 
 size_t DecodeCache::size() const {
@@ -166,9 +201,14 @@ size_t DecodeCache::size() const {
   return lru_.size();
 }
 
-void DecodeCache::SetCapacity(size_t capacity) {
+size_t DecodeCache::capacity() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity == 0 ? 1 : capacity;
+  return capacity_;
+}
+
+void DecodeCache::SetCapacity(size_t capacity_bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  capacity_ = capacity_bytes == 0 ? 1 : capacity_bytes;
   EvictOverCapacityLocked();
 }
 

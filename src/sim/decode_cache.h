@@ -5,14 +5,19 @@
 // of times; the cache makes each unique (content, cost model) pair decode
 // exactly once, even when ParallelMap workers race to populate it — the
 // first caller builds, everyone else blocks on a shared_future for that
-// key. Entries are shared_ptrs: eviction (LRU past `capacity`) only drops
-// the cache's reference, so executors holding a decode keep it alive.
+// key. Entries are shared_ptrs: eviction only drops the cache's reference,
+// so executors holding a decode keep it alive.
+//
+// The cache is bounded in bytes, not entries: each ready entry is charged
+// its DecodedModule::bytes(), and while the total exceeds the budget the
+// least recently used ready entries are evicted. In-flight builds are never
+// evicted (nor charged until they finish). The default budget holds the
+// whole quick suite's decode set, so a warm serve daemon never re-lowers.
 //
 // Content keying (not pointer + version keying) is deliberate: a global
-// cache outlives the modules it decodes, and the heap reuses addresses —
-// `DecodedModule::Matches`-style identity checks would alias. The digest
-// also makes content-identical module instances (every cell of a figure
-// sweep builds its own baseline module) share one decode.
+// cache outlives the modules it decodes, and the heap reuses addresses. The
+// digest also makes content-identical module instances (every cell of a
+// figure sweep builds its own baseline module) share one decode.
 #ifndef MEMSENTRY_SRC_SIM_DECODE_CACHE_H_
 #define MEMSENTRY_SRC_SIM_DECODE_CACHE_H_
 
@@ -35,6 +40,10 @@ struct DecodeCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;  // each miss is exactly one lowering
   uint64_t evictions = 0;
+  // Gauges, read at stats() time (ResetStats leaves them alone): the ready
+  // entries held and the DecodedModule::bytes() they are charged.
+  uint64_t bytes = 0;
+  uint64_t entries = 0;
   double HitRate() const {
     const uint64_t total = hits + misses;
     return total == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(total);
@@ -52,9 +61,14 @@ uint64_t CostModelDigest(const machine::CostModel& cost);
 
 class DecodeCache {
  public:
-  static constexpr size_t kDefaultCapacity = 64;
+  // Default byte budget. The quick suite's whole decode set is 408
+  // lowerings of about 9.7M source instructions, about 106 MiB at 11.4
+  // bytes per instruction; 256 MiB keeps all of it resident with room for
+  // larger modules.
+  static constexpr size_t kDefaultCapacityBytes = size_t{256} << 20;
 
-  explicit DecodeCache(size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
+  explicit DecodeCache(size_t capacity_bytes = kDefaultCapacityBytes)
+      : capacity_(capacity_bytes == 0 ? 1 : capacity_bytes) {}
 
   // The process-wide cache every Executor consults.
   static DecodeCache& Global();
@@ -63,7 +77,8 @@ class DecodeCache {
   // on first use. Thread-safe; concurrent callers with the same key get the
   // same shared_ptr and only one of them runs DecodedModule::Build. When
   // `was_hit` is non-null it reports whether this call found a ready (or
-  // in-flight) entry.
+  // in-flight) entry. The returned decode is valid even when it is larger
+  // than the whole budget (it is then evicted as soon as it is charged).
   std::shared_ptr<const DecodedModule> Get(const ir::Module& module, const Process& process,
                                            bool* was_hit = nullptr);
 
@@ -74,8 +89,10 @@ class DecodeCache {
   void Clear();
   size_t size() const;
 
-  size_t capacity() const { return capacity_; }
-  void SetCapacity(size_t capacity);
+  // The byte budget. SetCapacity evicts down to the new budget at once; 0
+  // is treated as 1 byte (no ready entry is retained).
+  size_t capacity() const;
+  void SetCapacity(size_t capacity_bytes);
 
  private:
   struct Key {
@@ -97,15 +114,23 @@ class DecodeCache {
   struct Entry {
     Key key;
     std::shared_future<std::shared_ptr<const DecodedModule>> decoded;
+    uint64_t serial = 0;  // tells a rebuilt entry for the same key apart
+    size_t bytes = 0;     // charged once the build finishes
+    bool ready = false;   // false while the build is in flight
   };
+  using EntryList = std::list<Entry>;
 
+  // Finds the entry `serial` created for `key`, if it is still cached.
+  EntryList::iterator FindLocked(const Key& key, uint64_t serial);
   void EvictOverCapacityLocked();
 
   mutable std::mutex mutex_;
-  size_t capacity_;
+  size_t capacity_;  // bytes
+  size_t bytes_ = 0;
+  uint64_t next_serial_ = 0;
   // Front = most recently used. The map indexes into the list.
-  std::list<Entry> lru_;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  EntryList lru_;
+  std::unordered_map<Key, EntryList::iterator, KeyHash> index_;
   DecodeCacheStats stats_;
 };
 

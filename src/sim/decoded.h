@@ -9,6 +9,16 @@
 // fused memory ops ride the MMU grant cache and bail out of the run on a
 // verdict miss or TLB-version tick.
 //
+// Compact by design, so a resident cache can hold every decode a suite
+// needs: a RegOp is 8 bytes (static costs live in a small per-module table
+// of deduplicated entries, immediates wider than 32 bits in a per-function
+// pool), a µop is 32 bytes (a fused run's RegOp range overlays the branch
+// fields), source positions of fused ops are derived from their run rather
+// than stored, and the (block, index) -> µop map is a sparse per-block index
+// (one entry per 16 instructions) plus a short forward scan instead of a
+// per-instruction table. Every array is sized
+// by a counting pass, so capacity equals use; bytes() reports the total.
+//
 // Bit-identity by construction: fused execution performs the *same sequence
 // of floating-point additions* to the cycle accumulator as the reference
 // interpreter — per-op, in order, never pre-summed (the cost model's
@@ -62,11 +72,31 @@ enum UopHandler : uint8_t {
   kNumUopHandlers,
 };
 
-// One pre-resolved operation inside a fused run. `cost` and (when
-// `has_extra`) `extra` are charged as two separate additions, exactly
-// as the reference interpreter charges slot + critical-latency (kAndImm) or
-// slot + ymm-reserve penalty (kVecOp). Since PR 7, fused runs extend across
-// kLoad/kStore (`is_memory`): a fused memory op replays the full MMU access
+// One entry of a module's static-cost table. `cost` and (when `has_extra`)
+// `extra` are charged as two separate additions, exactly as the reference
+// interpreter charges slot + critical-latency (kAndImm, kBndcu/kBndcl) or
+// slot + clobber spills (kWrpkru). Every µop and RegOp names its entry by a
+// one-byte index. The entry is a function of (opcode, instrumentation flag,
+// critical flag, wide immediate) alone — kVecOp's immediate-scaled
+// ymm-reserve penalty is charged from the immediate at run time — so a
+// module never needs more than 2^8 distinct entries.
+struct UopCost {
+  double cost = 0;
+  double extra = 0;
+  bool has_extra = false;
+  bool instrumentation = false;  // attribute the op's cycles to instrumentation
+  bool wide_imm = false;         // RegOp::imm indexes DecodedFunction::wide_imms
+
+  bool operator==(const UopCost&) const = default;
+};
+
+// One pre-resolved operation inside a fused run: 8 bytes. The immediate is
+// stored inline when it is the sign extension of 32 bits (almost all of
+// them); wider values — SFI masks, movabs constants — live once per function
+// in DecodedFunction::wide_imms and `imm` holds their index. A RegOp stores
+// no source position: the k-th op of a fused µop `u` is instruction
+// (u.block, u.index + k), since a run never crosses a block. Fused runs
+// extend across kLoad/kStore: a fused memory op replays the full MMU access
 // (grant probe, pricing, safe-access profiling) inline, and the run bails
 // back to the dispatch loop the moment the op's grant verdict misses or the
 // TLB version ticks — see Executor::RunDecoded.
@@ -74,79 +104,99 @@ struct RegOp {
   ir::Opcode op = ir::Opcode::kNop;
   uint8_t dst = 0;
   uint8_t src = 0;
-  uint8_t alu_kind = 0;  // kAluRR: imm & 3
-  bool instrumentation = false;
-  bool has_extra = false;
-  bool is_memory = false;  // kLoad/kStore: grant-stability bailout applies
-  double cost = 0;
-  double extra = 0;
-  uint64_t imm = 0;
-  // Source position (block, index) for kCheck re-derivation.
-  int32_t block = 0;
-  int32_t index = 0;
+  uint8_t cost = 0;  // index into DecodedModule::costs
+  uint32_t imm = 0;
 };
+static_assert(sizeof(RegOp) <= 8, "RegOp must stay one 8-byte word");
 
-// One µop. Either a fused run of RegOps (fused == true) or a single
-// non-fusible instruction carrying its original opcode. A non-fused µop
-// with op == kNop is a synthetic block-end guard replicating the reference
-// interpreter's fetch-past-terminator #GP for unverified modules.
+// One µop: 32 bytes. Either a fused run of RegOps (handler == kHFused) or a
+// single non-fusible instruction carrying its original opcode. A non-fused
+// µop with op == kNop is a synthetic block-end guard replicating the
+// reference interpreter's fetch-past-terminator #GP for unverified modules.
 struct Uop {
   ir::Opcode op = ir::Opcode::kNop;
   uint8_t handler = kHGuard;  // pre-resolved dispatch index (UopHandler)
-  bool fused = false;
-  bool instrumentation = false;
-  bool critical = false;
-  bool has_extra = false;
   uint8_t dst = 0;
   uint8_t src = 0;
-  uint8_t flags = 0;
-  uint64_t imm = 0;
-  // kJmp/kCondBr: flat µop index of the taken target's block head.
-  // kCall: callee function index. kIndirectCall and the rest: the original
-  // instruction's target field.
+  uint8_t flags = 0;  // the source instruction's ir::kFlag* bits
+  uint8_t cost = 0;   // index into DecodedModule::costs
+  // Source position (of the first op, for a fused run), for return-address
+  // encoding, safe-access profiling refs, exit cursors and kCheck
+  // re-derivation.
+  int32_t block = 0;
+  int32_t index = 0;
+  // kJmp/kCondBr: flat µop index of the taken target's block head. kCall:
+  // callee function index. kIndirectCall and the rest: the original
+  // instruction's target field. Fused runs overlay (first RegOp in
+  // DecodedFunction::regops, RegOp count) on target/fallthrough — read them
+  // through fuse_start()/fuse_count().
   int32_t target = 0;
   // kCondBr only: flat µop index of the fall-through block head.
   int32_t fallthrough = 0;
-  // Source position, for return-address encoding, safe-access profiling
-  // refs and kCheck re-derivation.
-  int32_t block = 0;
-  int32_t index = 0;
-  double cost = 0;   // pre-resolved first cycle addition
-  double extra = 0;  // pre-resolved second addition (critical latency etc.)
-  uint32_t fuse_start = 0;  // fused: first RegOp in DecodedFunction::regops
-  uint32_t fuse_count = 0;  // fused: number of RegOps
+  uint64_t imm = 0;
+
+  bool fused() const { return handler == kHFused; }
+  uint32_t fuse_start() const { return static_cast<uint32_t>(target); }
+  uint32_t fuse_count() const { return static_cast<uint32_t>(fallthrough); }
+  bool instrumentation() const { return (flags & ir::kFlagInstrumentation) != 0; }
 };
+static_assert(sizeof(Uop) <= 32, "Uop must stay half a cache line");
 
 struct DecodedFunction {
+  // Source positions per checkpoint of the sparse slot index below.
+  static constexpr int32_t kSlotStride = 16;
+
   std::vector<Uop> uops;
   std::vector<RegOp> regops;
-  // block index -> flat µop index of the block's first µop.
+  std::vector<uint64_t> wide_imms;  // deduplicated immediates that need 64 bits
+  // Block b's µops are [block_head[b], block_head[b + 1]); the trailing
+  // entry is uops.size().
   std::vector<int32_t> block_head;
-  // (block, instruction index) -> µop position. Forged-but-valid return
-  // addresses may land mid-fused-run, so every instruction position maps to
-  // its µop plus the number of RegOps to skip inside it. Stored flat (one
-  // array per function, per-block offsets) so decode does one allocation
-  // instead of one per block.
+  // The sparse slot index: for block b, slot_index[slot_base[b] + j] is the
+  // µop covering instruction j * kSlotStride of the block.
+  std::vector<uint32_t> slot_base;
+  std::vector<int32_t> slot_index;
+
+  // A source instruction position on the µop stream: its µop plus the number
+  // of RegOps to skip inside it (nonzero only mid-fused-run).
   struct InstrSlot {
     int32_t uop = 0;
     uint32_t skip = 0;
   };
-  std::vector<InstrSlot> instr_slots;
-  std::vector<uint32_t> instr_base;  // block index -> offset into instr_slots
-
-  // `block`/`index` must be bounds-checked against the source module first.
+  // Maps (block, index) onto the µop stream. Forged-but-valid return
+  // addresses and resume cursors may land mid-fused-run. Instead of a
+  // per-instruction table, the sparse index names the µop covering the
+  // nearest checkpoint at or before `index`, and a short forward scan (at
+  // most kSlotStride µops, usually one or two) reaches the µop covering
+  // `index`: µops tile their block in source order. `block`/`index` must be
+  // bounds-checked against the source module first.
   InstrSlot Slot(int32_t block, int32_t index) const {
-    return instr_slots[instr_base[static_cast<size_t>(block)] + static_cast<uint32_t>(index)];
+    const size_t b = static_cast<size_t>(block);
+    int32_t ui = slot_index[slot_base[b] + static_cast<uint32_t>(index / kSlotStride)];
+    const int32_t end = block_head[b + 1];
+    while (ui + 1 < end && uops[static_cast<size_t>(ui) + 1].index <= index) {
+      ++ui;
+    }
+    return {ui, static_cast<uint32_t>(index - uops[static_cast<size_t>(ui)].index)};
   }
+
 };
 
-// The decoded form of a whole module, tied to the (module version, cost
-// model, ymm reservation) it was built against. Shareable across executors:
-// bench harnesses that construct a fresh Executor per run can build one
-// DecodedModule up front and hand it to each.
+// The immediate of RegOp `op`, whose cost entry is `cost`, in a function
+// whose wide-immediate pool is `wide_imms`.
+inline uint64_t RegOpImm(const RegOp& op, const UopCost& cost, const uint64_t* wide_imms) {
+  return cost.wide_imm ? wide_imms[op.imm]
+                       : static_cast<uint64_t>(static_cast<int64_t>(static_cast<int32_t>(op.imm)));
+}
+
+// The decoded form of a whole module, tied to the (module id and version,
+// cost model, ymm reservation) it was built against. Shareable across
+// executors: bench harnesses that construct a fresh Executor per run can
+// build one DecodedModule up front and hand it to each.
 struct DecodedModule {
   std::vector<DecodedFunction> functions;
-  const ir::Module* source = nullptr;
+  std::vector<UopCost> costs;        // deduplicated; indexed by Uop/RegOp::cost
+  uint64_t source_id = 0;            // ir::Module::id() of the module decoded
   uint64_t module_version = 0;
   uint64_t instr_count = 0;          // belt-and-suspenders vs missed Touch()
   machine::CostModel cost;           // snapshot; memcmp-validated
@@ -157,14 +207,19 @@ struct DecodedModule {
 
   // True when this decode is still valid for (module, process): same module
   // identity and version, same instruction count, identical cost model and
-  // ymm reservation.
+  // ymm reservation. Identity is ir::Module::id(), never the address: a
+  // module built where a freed one lived is a different module.
   bool Matches(const ir::Module& module, const Process& process) const;
 
   // The cost-model half of Matches: identical cost snapshot and ymm
   // reservation. Used by Executor for decodes obtained from the shared
-  // DecodeCache, whose `source` points at whichever module instance first
-  // populated the entry (content-identical, not pointer-identical).
+  // DecodeCache, whose `source_id` names whichever module instance first
+  // populated the entry (content-identical, not the same instance).
   bool CostMatches(const Process& process) const;
+
+  // Heap bytes this decode holds: every array's allocated capacity plus the
+  // objects themselves. The DecodeCache budgets by this.
+  size_t bytes() const;
 };
 
 // kCheck helpers: re-derive a µop/RegOp from its source instruction and the
@@ -172,9 +227,12 @@ struct DecodedModule {
 // This is the decode-layer half of the differential oracle (the MMU grant
 // check is the other half); tests additionally compare full fast-vs-
 // reference RunResults bitwise.
-void CheckUop(const ir::Module& module, int func, const Uop& uop,
+void CheckUop(const ir::Module& module, int func, const DecodedModule& dec, const Uop& uop,
               const machine::CostModel& cost);
-void CheckRegOp(const ir::Module& module, int func, const RegOp& op,
+// `block`/`index` are the op's derived source position: (u.block,
+// u.index + k) for the k-th op of fused µop `u`.
+void CheckRegOp(const ir::Module& module, int func, const DecodedModule& dec,
+                const DecodedFunction& df, const RegOp& op, int32_t block, int32_t index,
                 const machine::CostModel& cost, bool ymm_reserved);
 
 }  // namespace memsentry::sim

@@ -92,20 +92,23 @@ RunResult Executor::Run(const RunConfig& config) {
 
 void Executor::EnsureDecoded() {
   if (decoded_ != nullptr) {
-    if (decoded_for_ == module_ && decoded_for_version_ == module_->version &&
+    if (decoded_for_ == decoded_.get() && decoded_for_id_ == module_->id() &&
+        decoded_for_version_ == module_->version &&
         decoded_->instr_count == module_->InstrCount() && decoded_->CostMatches(*process_)) {
       return;  // revalidated without re-digesting the module
     }
     if (decoded_->Matches(*module_, *process_)) {
-      // A decode handed in via SetDecoded whose `source` is this very
-      // module instance; pin the cheap revalidation to it.
-      decoded_for_ = module_;
+      // A decode handed in via SetDecoded that was built from this very
+      // module state; pin the cheap revalidation to it.
+      decoded_for_ = decoded_.get();
+      decoded_for_id_ = module_->id();
       decoded_for_version_ = module_->version;
       return;
     }
   }
   decoded_ = DecodeCache::Global().Get(*module_, *process_);
-  decoded_for_ = module_;
+  decoded_for_ = decoded_.get();
+  decoded_for_id_ = module_->id();
   decoded_for_version_ = module_->version;
 }
 
@@ -580,16 +583,16 @@ RunResult Executor::RunReference(const RunConfig& config, const RunResult* resum
 // the cycle accumulator for instrumentation attribution, execute, then
 // attribute. Handlers that redirect control set `ui` themselves and end
 // with END_UOP_JMP(); straight-line handlers end with END_UOP_ADV().
-#define BEGIN_UOP()                       \
-  if (check) {                            \
-    CheckUop(*module_, func, *u, cost);   \
-  }                                       \
-  ++result.instructions;                  \
+#define BEGIN_UOP()                           \
+  if (check) {                                \
+    CheckUop(*module_, func, dec, *u, cost);  \
+  }                                           \
+  ++result.instructions;                      \
   const Cycles cycles_before = result.cycles; \
   (void)cycles_before
 
 #define END_UOP_COMMON()                                            \
-  if (u->instrumentation) {                                         \
+  if (u->instrumentation()) {                                       \
     ++result.instrumentation_instrs;                                \
     result.instrumentation_cycles += result.cycles - cycles_before; \
   }
@@ -609,6 +612,7 @@ RunResult Executor::RunDecoded(const RunConfig& config, bool check, const RunRes
   auto& mmu = process_->mmu();
   const auto& functions = module_->functions;
   const DecodedModule& dec = *decoded_;
+  const UopCost* const costs = dec.costs.data();
   const machine::CostModel& cost = *cost_;
 
   int func = module_->entry;
@@ -642,7 +646,8 @@ RunResult Executor::RunDecoded(const RunConfig& config, bool check, const RunRes
       check ? base::FastPathMode::kCheck : base::FastPathMode::kOn;
 
   // Identical to RunReference's data_access, with the instruction position
-  // passed in (the µop carries its source block/index for PackRef).
+  // passed in (a singleton µop's own block/index, or a fused op's position
+  // derived from its run) for PackRef.
   // always_inline: GCC's size heuristic otherwise leaves this as an
   // out-of-line call on every modeled load/store.
   auto data_access = [&](VirtAddr va, machine::AccessType access, uint64_t* value,
@@ -703,13 +708,16 @@ dispatch:
     // when a ret/resume landed mid-run; the budget clamp makes the
     // instruction limit hit at exactly the same op as the reference loop.
     if (check) {
-      CheckUop(*module_, func, *u, cost);
+      CheckUop(*module_, func, dec, *u, cost);
     }
-    const uint64_t want = u->fuse_count - skip;
+    const uint64_t want = u->fuse_count() - skip;
     const uint64_t budget = config.max_instructions - result.instructions;
     const uint64_t run = want < budget ? want : budget;
-    const RegOp* ops = df->regops.data() + u->fuse_start + skip;
+    const RegOp* ops = df->regops.data() + u->fuse_start() + skip;
     const uint32_t entered_skip = skip;
+    // Source position of ops[0]; ops[n] is (block, first_index + n).
+    const int32_t block = u->block;
+    const int32_t first_index = u->index + static_cast<int32_t>(skip);
     skip = 0;
     // Grant-stability admission: fused memory ops ride the MMU grant cache.
     // Each op is admitted under the (VPN, access, PKRU, TLB-version, ASID)
@@ -720,41 +728,55 @@ dispatch:
     // fresh run against the updated translation state.
     const uint64_t tlb_version_at_entry = mmu.tlb().version();
     const uint64_t grant_misses_at_entry = mmu.grant_stats().misses;
+    // Loop invariants, so the op bodies below read registers, not memory.
+    const uint64_t* const wide = df->wide_imms.data();
+    const bool ymm_reserved = dec.ymm_reserved;
     bool bailed = false;
     uint64_t n = 0;
     for (; n < run; ++n) {
       const RegOp& r = ops[n];
+      const int32_t index = first_index + static_cast<int32_t>(n);
       if (check) {
-        CheckRegOp(*module_, func, r, cost, dec.ymm_reserved);
+        CheckRegOp(*module_, func, dec, *df, r, block, index, cost, process_->ymm_reserved());
       }
+      const UopCost& c = costs[r.cost];
       const Cycles cycles_before = result.cycles;
       // Static cost first (slot, then extra): the same additions the
       // reference interpreter performs, in the same order. Memory ops then
       // append their MMU pricing inside data_access, also reference-order.
-      result.cycles += r.cost;
-      if (r.has_extra) {
-        result.cycles += r.extra;
+      result.cycles += c.cost;
+      if (c.has_extra) {
+        result.cycles += c.extra;
       }
       switch (r.op) {
         case ir::Opcode::kNop:
+          break;
         case ir::Opcode::kVecOp:
+          // The ymm-reserve penalty scales with the immediate, so it is
+          // charged here rather than pre-resolved: still the second
+          // addition, as in the reference.
+          if (ymm_reserved) {
+            result.cycles +=
+                static_cast<double>(RegOpImm(r, c, wide)) * cost.ymm_reserve_vec_penalty;
+          }
           break;
         case ir::Opcode::kMovImm:
-          regs[static_cast<machine::Gpr>(r.dst)] = r.imm;
+          regs[static_cast<machine::Gpr>(r.dst)] = RegOpImm(r, c, wide);
           break;
         case ir::Opcode::kAddImm: {
           uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
-          dst += static_cast<int64_t>(r.imm);
+          dst += static_cast<int64_t>(RegOpImm(r, c, wide));
           regs.zero_flag = dst == 0;
           break;
         }
         case ir::Opcode::kAndImm:
-          regs[static_cast<machine::Gpr>(r.dst)] &= r.imm;
+          regs[static_cast<machine::Gpr>(r.dst)] &= RegOpImm(r, c, wide);
           break;
         case ir::Opcode::kAluRR: {
           uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
           const uint64_t src = regs[static_cast<machine::Gpr>(r.src)];
-          switch (r.alu_kind) {
+          // The ALU kind is imm & 3; an inline immediate keeps its low bits.
+          switch (RegOpImm(r, c, wide) & 3) {
             case 0:
               dst += src;
               break;
@@ -773,14 +795,14 @@ dispatch:
         }
         case ir::Opcode::kLea:
           regs[static_cast<machine::Gpr>(r.dst)] =
-              regs[static_cast<machine::Gpr>(r.src)] + static_cast<int64_t>(r.imm);
+              regs[static_cast<machine::Gpr>(r.src)] + static_cast<int64_t>(RegOpImm(r, c, wide));
           break;
         case ir::Opcode::kLoad: {
           ++result.loads;
           uint64_t value = 0;
           machine::Fault fault;
           if (!data_access(regs[static_cast<machine::Gpr>(r.src)], machine::AccessType::kRead,
-                           &value, &fault, r.block, r.index)) {
+                           &value, &fault, block, index)) {
             result.instructions += n + 1;  // the faulting op counts, as in the reference
             return fault_out(fault);
           }
@@ -792,7 +814,7 @@ dispatch:
           uint64_t value = regs[static_cast<machine::Gpr>(r.src)];
           machine::Fault fault;
           if (!data_access(regs[static_cast<machine::Gpr>(r.dst)], machine::AccessType::kWrite,
-                           &value, &fault, r.block, r.index)) {
+                           &value, &fault, block, index)) {
             result.instructions += n + 1;
             return fault_out(fault);
           }
@@ -802,11 +824,12 @@ dispatch:
           assert(false && "non-fusible op inside a fused run");
           std::abort();
       }
-      if (r.instrumentation) {
+      if (c.instrumentation) {
         ++result.instrumentation_instrs;
         result.instrumentation_cycles += result.cycles - cycles_before;
       }
-      if (r.is_memory && n + 1 < run &&
+      const bool memory = r.op == ir::Opcode::kLoad || r.op == ir::Opcode::kStore;
+      if (memory && n + 1 < run &&
           (mmu.grant_stats().misses != grant_misses_at_entry ||
            mmu.tlb().version() != tlb_version_at_entry)) {
         ++n;  // this op completed (via the slow path); count it and bail
@@ -823,7 +846,7 @@ dispatch:
     }
     if (run < want) {
       // Instruction budget exhausted mid-run: leave `skip` naming the next
-      // unexecuted RegOp so the exit cursor below reads its source
+      // unexecuted RegOp so the exit cursor below derives its source
       // position — the same (block, index) the reference loop stops at.
       skip = entered_skip + static_cast<uint32_t>(run);
       goto limit_exit;
@@ -836,7 +859,7 @@ dispatch:
     // Synthetic block-end guard: the reference loop faults here when it
     // fetches past an unterminated block, before counting an instruction.
     if (check) {
-      CheckUop(*module_, func, *u, cost);
+      CheckUop(*module_, func, dec, *u, cost);
     }
     return fault_out({machine::FaultType::kGeneralProtection, 0, machine::AccessType::kExecute});
   }
@@ -846,7 +869,7 @@ dispatch:
     // robustness and the portable dispatcher's exhaustiveness.
     BEGIN_UOP();
     ++result.loads;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     uint64_t value = 0;
     machine::Fault fault;
     if (!data_access(regs[static_cast<machine::Gpr>(u->src)], machine::AccessType::kRead,
@@ -860,7 +883,7 @@ dispatch:
   OP(Store) {
     BEGIN_UOP();
     ++result.stores;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     uint64_t value = regs[static_cast<machine::Gpr>(u->src)];
     machine::Fault fault;
     if (!data_access(regs[static_cast<machine::Gpr>(u->dst)], machine::AccessType::kWrite,
@@ -872,7 +895,7 @@ dispatch:
 
   OP(Jmp) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     mpx::OnLegacyBranch(regs);  // no-op when BNDPRESERVE is set
     if (u->target < 0) {
       // Out-of-range block target (undefined behaviour in the reference
@@ -886,7 +909,7 @@ dispatch:
 
   OP(CondBr) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     mpx::OnLegacyBranch(regs);
     const int32_t next = !regs.zero_flag ? u->target : u->fallthrough;
     if (next < 0) {
@@ -911,7 +934,7 @@ dispatch:
       }
     }
     ++result.calls;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     mpx::OnLegacyBranch(regs);
     if (call_depth >= 4096) {
       return fault_out({machine::FaultType::kGeneralProtection, regs[machine::Gpr::kRsp],
@@ -945,7 +968,7 @@ dispatch:
   OP(Ret) {
     BEGIN_UOP();
     ++result.rets;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     mpx::OnLegacyBranch(regs);
     if (call_depth == 0) {
       // Returning from the entry function ends the program (there is no
@@ -982,7 +1005,7 @@ dispatch:
 
   OP(Halt) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     result.halted = true;
     return result;
   }
@@ -1011,7 +1034,7 @@ dispatch:
   OP(Mprotect) {
     BEGIN_UOP();
     ++result.domain_switches;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     const bool open = u->imm != 0;
     for (auto& region : process_->safe_regions()) {
       machine::PageFlags flags = machine::PageFlags::Data();
@@ -1029,9 +1052,9 @@ dispatch:
 
   OP(Bndcu) {
     BEGIN_UOP();
-    result.cycles += u->cost;
-    if (u->has_extra) {
-      result.cycles += u->extra;
+    result.cycles += costs[u->cost].cost;
+    if (costs[u->cost].has_extra) {
+      result.cycles += costs[u->cost].extra;
     }
     // A legacy-branch reset left this register in INIT state: reload it
     // from the bound table (the BNDPRESERVE=0 cost the paper avoids).
@@ -1049,9 +1072,9 @@ dispatch:
 
   OP(Bndcl) {
     BEGIN_UOP();
-    result.cycles += u->cost;
-    if (u->has_extra) {
-      result.cycles += u->extra;
+    result.cycles += costs[u->cost].cost;
+    if (costs[u->cost].has_extra) {
+      result.cycles += costs[u->cost].extra;
     }
     auto& bnd = regs.bnd[u->imm];
     if (bnd.upper == ~uint64_t{0} && process_->bnd_reload(static_cast<int>(u->imm))) {
@@ -1068,10 +1091,10 @@ dispatch:
   OP(Wrpkru) {
     BEGIN_UOP();
     ++result.domain_switches;
-    result.cycles += u->cost;
-    if (u->has_extra) {
+    result.cycles += costs[u->cost].cost;
+    if (costs[u->cost].has_extra) {
       // rax/rcx/rdx clobbers force spills around dense call sites.
-      result.cycles += u->extra;
+      result.cycles += costs[u->cost].extra;
     }
     mpk::WritePkru(regs, static_cast<uint32_t>(u->imm));
     END_UOP_ADV();
@@ -1079,7 +1102,7 @@ dispatch:
 
   OP(Rdpkru) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     regs[static_cast<machine::Gpr>(u->dst)] = mpk::ReadPkru(regs);
     END_UOP_ADV();
   }
@@ -1087,7 +1110,7 @@ dispatch:
   OP(VmFunc) {
     BEGIN_UOP();
     ++result.domain_switches;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     if (!process_->dune_enabled()) {
       return fault_out({machine::FaultType::kGeneralProtection, u->imm,
                         machine::AccessType::kExecute});
@@ -1101,7 +1124,7 @@ dispatch:
 
   OP(VmCall) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     if (!process_->dune_enabled()) {
       return fault_out({machine::FaultType::kGeneralProtection, u->imm,
                         machine::AccessType::kExecute});
@@ -1117,7 +1140,7 @@ dispatch:
 
   OP(MFence) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     END_UOP_ADV();
   }
 
@@ -1153,7 +1176,7 @@ dispatch:
   OP(EnclaveEnter) {
     BEGIN_UOP();
     ++result.domain_switches;
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     if (process_->enclave() == nullptr) {
       return fault_out({machine::FaultType::kEnclaveExit, 0, machine::AccessType::kExecute});
     }
@@ -1166,7 +1189,7 @@ dispatch:
 
   OP(EnclaveExit) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     if (process_->enclave() == nullptr) {
       return fault_out({machine::FaultType::kEnclaveExit, 0, machine::AccessType::kExecute});
     }
@@ -1185,7 +1208,7 @@ dispatch:
 
   OP(TrapIf) {
     BEGIN_UOP();
-    result.cycles += u->cost;
+    result.cycles += costs[u->cost].cost;
     if (!regs.zero_flag) {
       result.trapped = true;
       return result;
@@ -1205,17 +1228,12 @@ limit_exit:
   result.hit_instruction_limit = true;
   {
     // Map the µop position back to its source instruction. A fused µop's
-    // next unexecuted RegOp carries its own (block, index); a singleton µop
-    // is its source instruction.
+    // next unexecuted RegOp sits `skip` instructions past the run's start
+    // (skip is 0 everywhere else); a singleton µop is its source
+    // instruction.
     const Uop& stop = df->uops[static_cast<size_t>(ui)];
-    int32_t block = stop.block;
-    int32_t index = stop.index;
-    if (stop.fused) {
-      const RegOp& r = df->regops[stop.fuse_start + skip];
-      block = r.block;
-      index = r.index;
-    }
-    result.cursor = RunCursor{true, func, block, index, call_depth};
+    result.cursor = RunCursor{true, func, stop.block, stop.index + static_cast<int32_t>(skip),
+                              call_depth};
   }
   return result;
 }

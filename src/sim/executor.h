@@ -126,17 +126,20 @@ class Executor {
   // Makes decoded_ valid for the live (module, cost model, ymm) state,
   // consulting the shared DecodeCache (content-keyed, so concurrent cells
   // lowering the same module share one decode). Cache-fetched decodes are
-  // revalidated cheaply by (module pointer, version) without re-digesting.
+  // revalidated cheaply by (module id, version) without re-digesting.
   void EnsureDecoded();
 
   Process* process_;
   const ir::Module* module_;
   const machine::CostModel* cost_;
   std::shared_ptr<const DecodedModule> decoded_;
-  // Which (module instance, version) decoded_ was last validated for; lets
-  // a cache-shared decode (whose `source` is some other content-identical
-  // module instance) skip the content digest on every Run.
-  const ir::Module* decoded_for_ = nullptr;
+  // Which decode was last validated, and for which (module id, version);
+  // lets a cache-shared decode (whose `source_id` names some other
+  // content-identical module instance) skip the content digest on every
+  // Run. Ids, not addresses: a module re-created in the same storage must
+  // not inherit the validation.
+  const DecodedModule* decoded_for_ = nullptr;
+  uint64_t decoded_for_id_ = 0;
   uint64_t decoded_for_version_ = 0;
   // Transient per-event scratch (AES crypt staging); bump-allocated so the
   // hot loop stops hitting the general heap once the first chunk warms up.

@@ -609,9 +609,14 @@ int AssembleServer(const WorkloadOptions& options, const std::vector<json::Value
   report.AddInfo("microarch/decode_cache_hit_rate", decode_stats.HitRate());
   report.AddInfo("microarch/decode_cache_lowerings",
                  static_cast<double>(decode_stats.misses));
+  report.AddInfo("microarch/decode_cache_evictions",
+                 static_cast<double>(decode_stats.evictions));
+  report.AddInfo("microarch/decode_cache_bytes", static_cast<double>(decode_stats.bytes));
   if (options.print) {
-    std::printf("decode cache: %.4f hit rate, %llu lowerings\n", decode_stats.HitRate(),
-                static_cast<unsigned long long>(decode_stats.misses));
+    std::printf("decode cache: %.4f hit rate, %llu lowerings, %llu evictions, %llu bytes held\n",
+                decode_stats.HitRate(), static_cast<unsigned long long>(decode_stats.misses),
+                static_cast<unsigned long long>(decode_stats.evictions),
+                static_cast<unsigned long long>(decode_stats.bytes));
   }
   return 0;
 }

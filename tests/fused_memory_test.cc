@@ -230,14 +230,14 @@ TEST(FusedMemory, DecodedFormContainsFusedMemoryRuns) {
   ASSERT_FALSE(decoded->functions.empty());
   bool found_mixed_run = false;
   for (const sim::Uop& uop : decoded->functions[0].uops) {
-    if (!uop.fused) {
+    if (!uop.fused()) {
       continue;
     }
     int memory_ops = 0;
     int register_ops = 0;
-    for (uint32_t i = 0; i < uop.fuse_count; ++i) {
-      const sim::RegOp& op = decoded->functions[0].regops[uop.fuse_start + i];
-      if (op.is_memory) {
+    for (uint32_t i = 0; i < uop.fuse_count(); ++i) {
+      const sim::RegOp& op = decoded->functions[0].regops[uop.fuse_start() + i];
+      if (op.op == ir::Opcode::kLoad || op.op == ir::Opcode::kStore) {
         ++memory_ops;
       } else {
         ++register_ops;

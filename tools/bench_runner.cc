@@ -803,6 +803,9 @@ int Run(int argc, char** argv) {
       metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode_stats.HitRate()));
       metrics.Set("engine/decode_cache_lowerings",
                   InfoMetric(static_cast<double>(decode_stats.misses)));
+      metrics.Set("engine/decode_cache_evictions",
+                  InfoMetric(static_cast<double>(decode_stats.evictions)));
+      metrics.Set("engine/decode_cache_bytes", InfoMetric(static_cast<double>(decode_stats.bytes)));
       const eval::RunMemo::Stats memo_stats = eval::RunMemo::Global().stats();
       metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo_stats.HitRate()));
       metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo_stats.hits)));
@@ -812,6 +815,8 @@ int Run(int argc, char** argv) {
       engine_header.Set("steals", engine_stats.steals);
       engine_header.Set("decode_cache_hit_rate", decode_stats.HitRate());
       engine_header.Set("decode_cache_lowerings", decode_stats.misses);
+      engine_header.Set("decode_cache_evictions", decode_stats.evictions);
+      engine_header.Set("decode_cache_bytes", decode_stats.bytes);
     } else {
       const std::pair<const char*, uint64_t> counters[] = {
           {"cells_total", coordinator_stats.cells_total},
