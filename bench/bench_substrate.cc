@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks of the substrates themselves (host-side
 // performance of the simulator, not simulated cycles): page walks, TLB,
-// cache tags, AES, EPT translation, executor throughput.
+// cache tags, AES, the crypt domain-switch toggle, EPT translation, executor
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -8,6 +9,7 @@
 #include "src/ir/builder.h"
 #include "src/machine/mmu.h"
 #include "src/sim/executor.h"
+#include "src/sim/process.h"
 #include "src/vmx/ept.h"
 #include "src/workloads/synth.h"
 
@@ -48,6 +50,31 @@ void BM_AesEncryptBlock(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AesEncryptBlock);
+
+// One crypt domain switch over a state.range(0)-byte region (Table 4's crypt
+// size sweep), fastpath on. The first toggle under a schedule runs AES for
+// the whole keystream; a reused toggle only compares the schedule and XORs.
+void CryptRegionToggle(benchmark::State& state, bool first) {
+  const uint64_t size = static_cast<uint64_t>(state.range(0));
+  sim::Machine machine;
+  sim::Process process(&machine);
+  (void)process.MapRange(sim::kSafeRegionBase, 1, machine::PageFlags::Data());
+  sim::SafeRegion& region = process.AddSafeRegion("bench", sim::kSafeRegionBase, size);
+  region.crypt = true;
+  region.enc_keys = aes::ExpandKey(aes::Block{1, 2, 3, 4});
+  region.nonce = 7;
+  for (auto _ : state) {
+    if (first) {
+      region.keystream.reset();
+    }
+    benchmark::DoNotOptimize(process.CryptToggle(region, size, base::FastPathMode::kOn));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * size));
+}
+void BM_CryptRegionToggleFirst(benchmark::State& state) { CryptRegionToggle(state, true); }
+void BM_CryptRegionToggle(benchmark::State& state) { CryptRegionToggle(state, false); }
+BENCHMARK(BM_CryptRegionToggleFirst)->Arg(64)->Arg(2048);
+BENCHMARK(BM_CryptRegionToggle)->Arg(64)->Arg(2048);
 
 void BM_EptTranslate(benchmark::State& state) {
   machine::PhysicalMemory pmem(1 << 16);

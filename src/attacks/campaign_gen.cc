@@ -217,16 +217,10 @@ bool OpenGate(Env& env, GateState& gate) {
       return gate.open;
     }
     case core::TechniqueKind::kCrypt: {
-      if (!region->crypt || !region->encrypted_now) {
+      if (!region->crypt || !region->encrypted_now ||
+          !env.process.CryptToggle(*region, region->size).ok()) {
         return false;
       }
-      std::vector<uint8_t> bytes(region->size);
-      if (!env.process.PeekBytes(region->base, bytes.data(), region->size).ok()) {
-        return false;
-      }
-      aes::CryptRegion(bytes, region->enc_keys, region->nonce);
-      (void)env.process.PokeBytes(region->base, bytes.data(), region->size);
-      region->encrypted_now = false;
       gate.open = true;
       return true;
     }
@@ -250,12 +244,7 @@ void CloseGate(Env& env, GateState& gate) {
       break;
     case core::TechniqueKind::kCrypt:
       if (!region->encrypted_now) {  // the audit may have re-encrypted already
-        std::vector<uint8_t> bytes(region->size);
-        if (env.process.PeekBytes(region->base, bytes.data(), region->size).ok()) {
-          aes::CryptRegion(bytes, region->enc_keys, region->nonce);
-          (void)env.process.PokeBytes(region->base, bytes.data(), region->size);
-          region->encrypted_now = true;
-        }
+        (void)env.process.CryptToggle(*region, region->size);
       }
       break;
     default:

@@ -1,5 +1,6 @@
 // Runtime selection of the simulator fast paths (pre-decoded µop streams in
-// the executor, the MMU translation grant cache). The fast paths are
+// the executor, the MMU translation grant cache, the crypt regions' reused
+// AES-CTR keystreams). The fast paths are
 // bit-identical by construction — every modeled number (cycles, stats,
 // faults, safe-access refs) matches the reference paths exactly — so the
 // mode only changes wall-clock. kCheck runs the fast paths with reference
@@ -11,8 +12,8 @@
 namespace memsentry::base {
 
 enum class FastPathMode : int {
-  kOff = 0,    // reference interpreter + full MMU path only
-  kOn = 1,     // decoded µop streams + MMU grant cache
+  kOff = 0,    // reference interpreter + full MMU path + fresh AES only
+  kOn = 1,     // decoded µop streams + MMU grant cache + keystream reuse
   kCheck = 2,  // fast paths, validated in lockstep against the reference
 };
 

@@ -229,11 +229,7 @@ Status CryptTechnique::Prepare(sim::Process& process) {
     region.enc_key_digest = KeyScheduleDigest(region.enc_keys, region.nonce);
     region.crypt = true;
     // Encrypt at rest now; the data becomes ciphertext until a domain open.
-    std::vector<uint8_t> bytes(region.size);
-    MEMSENTRY_RETURN_IF_ERROR(process.PeekBytes(region.base, bytes.data(), region.size));
-    aes::CryptRegion(bytes, region.enc_keys, region.nonce);
-    MEMSENTRY_RETURN_IF_ERROR(process.PokeBytes(region.base, bytes.data(), region.size));
-    region.encrypted_now = true;
+    MEMSENTRY_RETURN_IF_ERROR(process.CryptToggle(region, region.size));
   }
   // Round keys are parked in ymm8..15 upper halves: reserve them, which taxes
   // vector-heavy code (Section 6.2).
@@ -290,14 +286,7 @@ std::vector<ProtectionAuditIssue> CryptTechnique::AuditProtection(sim::Process& 
     }
     if (!region.encrypted_now) {
       // Left decrypted at rest (missed close): re-encrypt with the intact key.
-      std::vector<uint8_t> bytes(region.size);
-      const bool peeked = process.PeekBytes(region.base, bytes.data(), region.size).ok();
-      bool repaired = false;
-      if (peeked) {
-        aes::CryptRegion(bytes, region.enc_keys, region.nonce);
-        repaired = process.PokeBytes(region.base, bytes.data(), region.size).ok();
-        region.encrypted_now = repaired;
-      }
+      const bool repaired = process.CryptToggle(region, region.size).ok();
       issues.push_back(ProtectionAuditIssue{
           .what = "region " + region.name + " found decrypted at rest",
           .repaired = repaired});

@@ -134,8 +134,10 @@ Status PageTable::WritePteRaw(VirtAddr virt, uint64_t pte) {
 }
 
 bool PageTable::IsMapped(VirtAddr virt) const {
-  auto result = Walk(virt);
-  return result.ok();
+  // Same loads as Walk(), without building a NotFound status per miss (the
+  // safe-region allocator probes many unmapped pages).
+  const PhysAddr slot = FindPteSlot(virt);
+  return slot != 0 && (pmem_->Read64(slot) & kPtePresent) != 0;
 }
 
 StatusOr<WalkResult> PageTable::Walk(VirtAddr virt) const {

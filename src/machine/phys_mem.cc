@@ -116,4 +116,21 @@ void PhysicalMemory::WriteBytes(PhysAddr addr, const void* in, uint64_t size) {
   std::memcpy(FrameFor(addr)->data() + PageOffset(addr), in, size);
 }
 
+void PhysicalMemory::XorBytes(PhysAddr addr, const uint8_t* in, uint64_t size) {
+  assert(PageOffset(addr) + size <= kPageSize && "xor crosses a frame boundary");
+  uint8_t* bytes = FrameFor(addr)->data() + PageOffset(addr);
+  uint64_t i = 0;
+  for (; i + 8 <= size; i += 8) {  // a word at a time: -O2 keeps byte loops scalar
+    uint64_t word;
+    uint64_t key;
+    std::memcpy(&word, bytes + i, 8);
+    std::memcpy(&key, in + i, 8);
+    word ^= key;
+    std::memcpy(bytes + i, &word, 8);
+  }
+  for (; i < size; ++i) {
+    bytes[i] ^= in[i];
+  }
+}
+
 }  // namespace memsentry::machine

@@ -72,6 +72,9 @@ class PhysicalMemory {
   }
   void ReadBytes(PhysAddr addr, void* out, uint64_t size) const;
   void WriteBytes(PhysAddr addr, const void* in, uint64_t size);
+  // In-place XOR of `size` bytes (within one frame): ReadBytes, XOR, then
+  // WriteBytes, without the staging copy.
+  void XorBytes(PhysAddr addr, const uint8_t* in, uint64_t size);
 
   // Crash-safe snapshots (src/machine/snapshot.h): frames sorted by number,
   // preserving the allocated-but-unmaterialized distinction. LoadState

@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdlib>
-#include <span>
 #include <vector>
 
 #include "src/base/fastpath.h"
@@ -481,18 +480,11 @@ RunResult Executor::RunReference(const RunConfig& config, const RunResult* resum
         result.cycles += cost_->ymm_to_xmm_all_keys +
                          static_cast<double>(blocks) * (cost_->aes_encdec_block / 2.0) +
                          static_cast<double>(instr.target) * cost_->xmm_spill;
-        // CTR keystream XOR: the same operation encrypts and decrypts. The
-        // staging buffer comes from the executor's arena — one bump after
-        // the first chunk warms up, instead of a heap round-trip per event.
-        arena_.Reset();
-        uint8_t* bytes = arena_.AllocateArray<uint8_t>(size);
-        if (!process_->PeekBytes(region->base, bytes, size).ok()) {
+        // CTR keystream XOR: the same operation encrypts and decrypts.
+        if (!process_->CryptToggle(*region, size, base::FastPathMode::kOff).ok()) {
           return fault_out({machine::FaultType::kPageNotPresent, region->base,
                             machine::AccessType::kRead});
         }
-        aes::CryptRegion(std::span<uint8_t>(bytes, size), region->enc_keys, region->nonce);
-        (void)process_->PokeBytes(region->base, bytes, size);
-        region->encrypted_now = !region->encrypted_now;
         break;
       }
       case ir::Opcode::kEnclaveEnter: {
@@ -1158,18 +1150,12 @@ dispatch:
     result.cycles += cost.ymm_to_xmm_all_keys +
                      static_cast<double>(blocks) * (cost.aes_encdec_block / 2.0) +
                      static_cast<double>(u->target) * cost.xmm_spill;
-    // CTR keystream staging from the executor's arena: a pointer bump per
-    // crypt event instead of a heap allocation (crypt cells fire this on
-    // every domain switch).
-    arena_.Reset();
-    uint8_t* bytes = arena_.AllocateArray<uint8_t>(size);
-    if (!process_->PeekBytes(region->base, bytes, size).ok()) {
+    // Crypt cells fire this on every domain switch: XOR in place from the
+    // region's reused keystream (recomputed and compared under kCheck).
+    if (!process_->CryptToggle(*region, size, mode).ok()) {
       return fault_out({machine::FaultType::kPageNotPresent, region->base,
                         machine::AccessType::kRead});
     }
-    aes::CryptRegion(std::span<uint8_t>(bytes, size), region->enc_keys, region->nonce);
-    (void)process_->PokeBytes(region->base, bytes, size);
-    region->encrypted_now = !region->encrypted_now;
     END_UOP_ADV();
   }
 

@@ -13,7 +13,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/base/arena.h"
 #include "src/base/types.h"
 #include "src/ir/module.h"
 #include "src/machine/fault.h"
@@ -141,9 +140,6 @@ class Executor {
   const DecodedModule* decoded_for_ = nullptr;
   uint64_t decoded_for_id_ = 0;
   uint64_t decoded_for_version_ = 0;
-  // Transient per-event scratch (AES crypt staging); bump-allocated so the
-  // hot loop stops hitting the general heap once the first chunk warms up.
-  base::Arena arena_;
 };
 
 }  // namespace memsentry::sim

@@ -1,6 +1,9 @@
 #include "src/sim/process.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "src/machine/snapshot.h"
 
@@ -194,6 +197,57 @@ Status Process::PeekBytes(VirtAddr va, void* out, uint64_t size) const {
   return OkStatus();
 }
 
+Status Process::CryptToggle(SafeRegion& region, uint64_t size, base::FastPathMode mode) {
+  if (mode == base::FastPathMode::kOff) {
+    std::vector<uint8_t> bytes(size);
+    MEMSENTRY_RETURN_IF_ERROR(PeekBytes(region.base, bytes.data(), size));
+    aes::CryptRegion(bytes, region.enc_keys, region.nonce);
+    MEMSENTRY_RETURN_IF_ERROR(PokeBytes(region.base, bytes.data(), size));
+    region.encrypted_now = !region.encrypted_now;
+    return OkStatus();
+  }
+  for (VirtAddr va = region.base; va < region.base + size; va = PageAlignDown(va) + kPageSize) {
+    MEMSENTRY_RETURN_IF_ERROR(TranslateRaw(va).status());
+  }
+  std::unique_ptr<CryptKeystream>& memo = region.keystream;
+  if (memo == nullptr) {
+    memo = std::make_unique<CryptKeystream>();
+  }
+  // Full comparisons, never a digest: a colliding schedule could only cost a
+  // recompute, not a wrong byte.
+  const bool same_keys = memo->nonce == region.nonce &&
+                         std::memcmp(memo->keys.data(), region.enc_keys.data(),
+                                     sizeof(aes::KeySchedule)) == 0;
+  if (!same_keys || memo->bytes.size() < size) {
+    // Sized to the longest toggle so far, so alternating partial and whole
+    // toggles of one region share a single keystream.
+    memo->bytes.assign(std::max<uint64_t>(size, memo->bytes.size()), 0);
+    memo->keys = region.enc_keys;
+    memo->nonce = region.nonce;
+    aes::CryptRegion(memo->bytes, memo->keys, memo->nonce);  // XOR into zeros
+  } else if (mode == base::FastPathMode::kCheck) {
+    std::vector<uint8_t> fresh(size);
+    aes::CryptRegion(fresh, region.enc_keys, region.nonce);
+    if (std::memcmp(fresh.data(), memo->bytes.data(), size) != 0) {
+      std::fprintf(stderr,
+                   "memsentry: crypt keystream divergence in region %s (base=0x%llx size=%llu)\n",
+                   region.name.c_str(), static_cast<unsigned long long>(region.base),
+                   static_cast<unsigned long long>(size));
+      std::abort();
+    }
+  }
+  const uint8_t* keystream = memo->bytes.data();
+  for (VirtAddr va = region.base, end = region.base + size; va < end;) {
+    const uint64_t chunk = std::min<uint64_t>(end - va, kPageSize - PageOffset(va));
+    const PhysAddr phys = TranslateRaw(va).value();
+    machine_->pmem.XorBytes(phys, keystream, chunk);
+    va += chunk;
+    keystream += chunk;
+  }
+  region.encrypted_now = !region.encrypted_now;
+  return OkStatus();
+}
+
 uint64_t Process::DispatchSyscall(uint64_t nr, uint64_t a0, uint64_t a1) {
   if (syscall_) {
     return syscall_(nr, a0, a1);
@@ -323,7 +377,7 @@ Status Process::LoadState(machine::SnapshotReader& r) {
     region.enc_key_digest = r.U64();
     region.mprotected = r.Bool();
     if (&region == &scratch) {
-      AddSafeRegion(scratch.name, scratch.base, scratch.size) = scratch;
+      AddSafeRegion(scratch.name, scratch.base, scratch.size) = std::move(scratch);
     }
   }
   MEMSENTRY_RETURN_IF_ERROR(r.status());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/aes/aes128.h"
+#include "src/base/fastpath.h"
 #include "src/base/status.h"
 #include "src/base/types.h"
 #include "src/dune/dune.h"
@@ -33,6 +34,15 @@ inline constexpr VirtAddr kStackTop = 0x300000000000ULL;         // 48 TiB (grow
 inline constexpr VirtAddr kTableBase = 0x280000000000ULL;        // 40 TiB (dispatch tables)
 inline constexpr VirtAddr kSafeRegionBase = 0x480000000000ULL;   // 72 TiB (sensitive side)
 
+// Host-only memo of a crypt region's AES-CTR keystream, together with the
+// exact schedule and nonce it was generated from (see Process::CryptToggle).
+// Never serialized.
+struct CryptKeystream {
+  aes::KeySchedule keys{};
+  uint64_t nonce = 0;
+  std::vector<uint8_t> bytes;  // the keystream's first bytes.size() bytes
+};
+
 // A registered safe region plus per-technique state.
 struct SafeRegion {
   std::string name;
@@ -47,6 +57,8 @@ struct SafeRegion {
   aes::KeySchedule enc_keys{};  // conceptually parked in ymm8..15 upper halves
   uint64_t enc_key_digest = 0;  // FNV of enc_keys+nonce at Prepare; audits compare
   bool mprotected = false;      // mprotect baseline: currently inaccessible
+  // Host-only, allocated at the first toggle that reuses keystreams.
+  std::unique_ptr<CryptKeystream> keystream;
 
   bool Contains(VirtAddr a) const { return a >= base && a < base + size; }
 };
@@ -111,6 +123,22 @@ class Process {
   Status Poke64(VirtAddr va, uint64_t value);
   Status PokeBytes(VirtAddr va, const void* data, uint64_t size);
   Status PeekBytes(VirtAddr va, void* out, uint64_t size) const;
+
+  // The crypt technique's domain switch: XORs the first `size` bytes of
+  // `region` with its AES-CTR keystream (one op both encrypts and decrypts)
+  // and flips region.encrypted_now. Every page is translated before any byte
+  // changes, so an unmapped page returns its error with the region intact.
+  // kOff computes fresh AES through a staging copy (the reference path).
+  // kOn XORs in place from the region's keystream memo, reused only when its
+  // schedule and nonce equal the region's live ones in full and it is at
+  // least `size` bytes long; anything else (a clobbered round key, a
+  // snapshot restore that brought other keys, a longer toggle) regenerates
+  // it. kCheck also recomputes a reused keystream and aborts, naming the
+  // region, on divergence.
+  Status CryptToggle(SafeRegion& region, uint64_t size) {
+    return CryptToggle(region, size, base::GetFastPathMode());
+  }
+  Status CryptToggle(SafeRegion& region, uint64_t size, base::FastPathMode mode);
 
   // --- Accessors ---
   Machine& machine() { return *machine_; }

@@ -147,10 +147,6 @@ Status ServerEngine::Setup() {
       key_pool.push_back(static_cast<uint8_t>(rv));
     }
   }
-  if (config_.technique == ServerTechnique::kCrypt) {
-    tenant_keys_aes_.resize(static_cast<size_t>(n));
-    tenant_nonces_.resize(static_cast<size_t>(n));
-  }
 
   Rng secrets(config_.seed ^ 0xa11ce5c0ff3eULL);
   for (int t = 0; t < n; ++t) {
@@ -182,17 +178,10 @@ Status ServerEngine::Setup() {
           const uint64_t word = secrets.Next();
           std::memcpy(key_block.data() + 8 * i, &word, 8);
         }
-        tenant_keys_aes_[static_cast<size_t>(t)] = aes::ExpandKey(key_block);
-        tenant_nonces_[static_cast<size_t>(t)] = secrets.Next();
-        std::vector<uint8_t> buf(config_.safe_region_bytes);
-        MEMSENTRY_RETURN_IF_ERROR(process_.PeekBytes(base, buf.data(), buf.size()));
-        aes::CryptRegion(buf, tenant_keys_aes_[static_cast<size_t>(t)],
-                         tenant_nonces_[static_cast<size_t>(t)]);
-        MEMSENTRY_RETURN_IF_ERROR(process_.PokeBytes(base, buf.data(), buf.size()));
+        region.enc_keys = aes::ExpandKey(key_block);
+        region.nonce = secrets.Next();
         region.crypt = true;
-        region.encrypted_now = true;
-        region.nonce = tenant_nonces_[static_cast<size_t>(t)];
-        region.enc_keys = tenant_keys_aes_[static_cast<size_t>(t)];
+        MEMSENTRY_RETURN_IF_ERROR(process_.CryptToggle(region, config_.safe_region_bytes));
         break;
       }
       case ServerTechnique::kMprotect: {
@@ -369,11 +358,7 @@ Cycles ServerEngine::OpenRegion(int tenant) {
       // Genuinely decrypt in place (keys conceptually live in ymm uppers);
       // one CTR pass is ~11 AES rounds per block plus the key extraction.
       sim::SafeRegion& region = process_.safe_regions()[static_cast<size_t>(tenant)];
-      std::vector<uint8_t> buf(config_.safe_region_bytes);
-      (void)process_.PeekBytes(region.base, buf.data(), buf.size());
-      aes::CryptRegion(buf, region.enc_keys, region.nonce);
-      (void)process_.PokeBytes(region.base, buf.data(), buf.size());
-      region.encrypted_now = false;
+      (void)process_.CryptToggle(region, config_.safe_region_bytes);
       const double blocks =
           std::ceil(static_cast<double>(config_.safe_region_bytes) / aes::kBlockSize);
       return blocks * cost.aes_round * 11.0 + cost.ymm_to_xmm_all_keys;
@@ -398,11 +383,7 @@ Cycles ServerEngine::CloseRegion(int tenant) {
     }
     case ServerTechnique::kCrypt: {
       sim::SafeRegion& region = process_.safe_regions()[static_cast<size_t>(tenant)];
-      std::vector<uint8_t> buf(config_.safe_region_bytes);
-      (void)process_.PeekBytes(region.base, buf.data(), buf.size());
-      aes::CryptRegion(buf, region.enc_keys, region.nonce);
-      (void)process_.PokeBytes(region.base, buf.data(), buf.size());
-      region.encrypted_now = true;
+      (void)process_.CryptToggle(region, config_.safe_region_bytes);
       const double blocks =
           std::ceil(static_cast<double>(config_.safe_region_bytes) / aes::kBlockSize);
       return blocks * cost.aes_round * 11.0 + cost.ymm_to_xmm_all_keys;

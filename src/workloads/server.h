@@ -143,8 +143,6 @@ class ServerEngine {
   bool setup_done_ = false;
   uint64_t faults_ = 0;
   std::vector<uint8_t> tenant_keys_;            // MPK multiplexed key per tenant
-  std::vector<aes::KeySchedule> tenant_keys_aes_;  // crypt: per-tenant schedule
-  std::vector<uint64_t> tenant_nonces_;
   ir::Module request_module_;
   std::shared_ptr<const sim::DecodedModule> decoded_request_;
 };

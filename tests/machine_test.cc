@@ -105,6 +105,26 @@ TEST_F(PageTableTest, ProtectionKeyInPteBits59To62) {
   EXPECT_EQ(PageTable::PtePkey(walk.value().pte), 3);
 }
 
+TEST_F(PageTableTest, IsMappedAgreesWithWalk) {
+  const VirtAddr mapped = 0x123456789000ULL;
+  ASSERT_TRUE(pt_.MapNew(mapped, PageFlags::Data()).ok());
+  const VirtAddr cases[] = {
+      mapped,               // mapped leaf
+      mapped + 0xfff,       // mapped leaf, unaligned
+      mapped + kPageSize,   // unmapped leaf in a live page table
+      0x7f0000000000ULL,    // no PDPT below this PML4 slot
+      mapped + (1ULL << 30) // PDPT present, no page directory
+  };
+  for (VirtAddr va : cases) {
+    EXPECT_EQ(pt_.IsMapped(va), pt_.Walk(va).ok()) << std::hex << va;
+  }
+  EXPECT_TRUE(pt_.IsMapped(mapped));
+  EXPECT_FALSE(pt_.IsMapped(mapped + kPageSize));
+  ASSERT_TRUE(pt_.Unmap(mapped).ok());
+  EXPECT_EQ(pt_.IsMapped(mapped), pt_.Walk(mapped).ok());
+  EXPECT_FALSE(pt_.IsMapped(mapped));
+}
+
 TEST_F(PageTableTest, SetKeyRejectsBadKeyAndMissingPage) {
   ASSERT_TRUE(pt_.MapNew(0xa000, PageFlags::Data()).ok());
   EXPECT_FALSE(pt_.SetKey(0xa000, 16).ok());
