@@ -8,7 +8,6 @@
 #include <ctime>
 #include <exception>
 #include <filesystem>
-#include <mutex>
 #include <system_error>
 #include <vector>
 
@@ -28,24 +27,14 @@ namespace {
 // handler; the handler itself allocates nothing.
 constexpr size_t kPathMax = 1024;
 constexpr size_t kManifestMax = 32768;
-constexpr uint64_t kJournalTailBytes = 8192;
 
 char g_root[kPathMax];
-char g_journal_path[kPathMax];
 char g_binary[128] = "unknown";
 char g_cell[256] = "idle";
 char g_manifest_head[kManifestMax];  // complete manifest up to `"reason": "`
 size_t g_manifest_head_len = 0;
 bool g_installed = false;
 volatile sig_atomic_t g_fatal_handled = 0;
-
-// Staged snapshot blob. Swapped under a mutex by SetCrashSnapshot; the
-// handler reads the raw pointer/size without locking (a crash racing a swap
-// can at worst write the previous snapshot, which is still a valid bundle).
-std::mutex g_snapshot_mutex;
-std::string g_snapshot_storage;
-const char* volatile g_snapshot_data = nullptr;
-volatile uint64_t g_snapshot_size = 0;
 
 // --- async-signal-safe string building ---
 
@@ -137,18 +126,6 @@ size_t WriteBundleAt(const char* reason, char* dir, size_t dir_cap) {
     close(fd);
   }
 
-  const char* snapshot = g_snapshot_data;
-  const uint64_t snapshot_size = g_snapshot_size;
-  if (snapshot != nullptr && snapshot_size > 0) {
-    p = SafeAppend(path, 0, sizeof(path), dir);
-    p = SafeAppend(path, p, sizeof(path), "/snapshot.bin");
-    fd = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd >= 0) {
-      SafeWrite(fd, snapshot, snapshot_size);
-      close(fd);
-    }
-  }
-
 #if defined(__GLIBC__)
   p = SafeAppend(path, 0, sizeof(path), dir);
   p = SafeAppend(path, p, sizeof(path), "/backtrace.txt");
@@ -161,27 +138,6 @@ size_t WriteBundleAt(const char* reason, char* dir, size_t dir_cap) {
   }
 #endif
 
-  if (g_journal_path[0] != '\0') {
-    const int journal = open(g_journal_path, O_RDONLY);
-    if (journal >= 0) {
-      const off_t size = lseek(journal, 0, SEEK_END);
-      const off_t start =
-          size > static_cast<off_t>(kJournalTailBytes) ? size - static_cast<off_t>(kJournalTailBytes) : 0;
-      lseek(journal, start, SEEK_SET);
-      p = SafeAppend(path, 0, sizeof(path), dir);
-      p = SafeAppend(path, p, sizeof(path), "/journal_tail.txt");
-      fd = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
-      if (fd >= 0) {
-        char buf[512];
-        ssize_t n;
-        while ((n = read(journal, buf, sizeof(buf))) > 0) {
-          SafeWrite(fd, buf, static_cast<size_t>(n));
-        }
-        close(fd);
-      }
-      close(journal);
-    }
-  }
   return pos;
 }
 
@@ -256,10 +212,6 @@ void InstallCrashHandler(const std::string& bundle_root) {
   }
   strncpy(g_root, bundle_root.c_str(), sizeof(g_root) - 1);
   g_root[sizeof(g_root) - 1] = '\0';
-  if (const char* journal = std::getenv("MEMSENTRY_JOURNAL")) {
-    strncpy(g_journal_path, journal, sizeof(g_journal_path) - 1);
-    g_journal_path[sizeof(g_journal_path) - 1] = '\0';
-  }
   // Default manifest before any cell context is staged.
   RenderManifestHead(CrashContext{});
   g_binary[0] = '\0';
@@ -289,25 +241,11 @@ void ClearCrashCell() {
   RenderManifestHead(idle);
 }
 
-void SetCrashSnapshot(std::string blob) {
-  std::lock_guard<std::mutex> lock(g_snapshot_mutex);
-  // Drop the handler's view before the storage mutates underneath it.
-  g_snapshot_data = nullptr;
-  g_snapshot_size = 0;
-  g_snapshot_storage = std::move(blob);
-  if (!g_snapshot_storage.empty()) {
-    g_snapshot_data = g_snapshot_storage.data();
-    g_snapshot_size = g_snapshot_storage.size();
-  }
-}
-
 std::string WriteCrashBundle(const char* reason) {
   char dir[kPathMax];
   const size_t len = WriteBundleAt(reason, dir, sizeof(dir));
   return len > 0 ? std::string(dir, len) : std::string();
 }
-
-std::string_view CrashJournalPath() { return g_journal_path; }
 
 namespace {
 

@@ -2,11 +2,9 @@
 // an uncaught exception, or a programmatic trigger (fastpath check-mode
 // divergence, fault-matrix escape) — a handler writes a replayable bundle
 //
-//   crash_bundles/<timestamp>-<binary>-<cell>/
+//   crash_bundles/<timestamp>-<pid>-<binary>-<cell>/
 //     manifest.json    binary, cell, seed, config, replay spec, reason
-//     snapshot.bin     last simulation snapshot, when one was staged
 //     backtrace.txt    async-signal-safe raw backtrace (glibc builds)
-//     journal_tail.txt tail of the suite journal (MEMSENTRY_JOURNAL)
 //
 // and `memsentry_cli replay <bundle>` re-executes the failing cell
 // deterministically from the manifest's replay spec.
@@ -17,8 +15,9 @@
 #ifndef MEMSENTRY_SRC_BASE_CRASH_HANDLER_H_
 #define MEMSENTRY_SRC_BASE_CRASH_HANDLER_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
-#include <string_view>
 
 namespace memsentry::base {
 
@@ -46,19 +45,11 @@ void SetCrashContext(const CrashContext& context);
 // cell="idle" and no replay spec.
 void ClearCrashCell();
 
-// Stages the most recent simulation snapshot blob; written into the bundle
-// verbatim as snapshot.bin. Pass an empty string to drop the staged blob.
-void SetCrashSnapshot(std::string blob);
-
 // Programmatic trigger for failures that are detected rather than trapped
 // (containment escapes, determinism divergence): writes a bundle now and
 // returns its directory path ("" if the handler was never installed or the
 // bundle could not be created). Does not terminate the process.
 std::string WriteCrashBundle(const char* reason);
-
-// The staged journal path, taken from $MEMSENTRY_JOURNAL at install time
-// (exposed for tests).
-std::string_view CrashJournalPath();
 
 // --- bundle retention ---
 //

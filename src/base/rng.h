@@ -4,7 +4,6 @@
 #ifndef MEMSENTRY_SRC_BASE_RNG_H_
 #define MEMSENTRY_SRC_BASE_RNG_H_
 
-#include <array>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -61,15 +60,6 @@ class Rng {
 
   // Bernoulli with probability p.
   bool Chance(double p) { return NextDouble() < p; }
-
-  // Crash-safe snapshots: the raw xoshiro state, so a restored stream
-  // continues with exactly the draws an uninterrupted one would make.
-  std::array<uint64_t, 4> state() const { return {state_[0], state_[1], state_[2], state_[3]}; }
-  void set_state(const std::array<uint64_t, 4>& s) {
-    for (int i = 0; i < 4; ++i) {
-      state_[i] = s[static_cast<size_t>(i)];
-    }
-  }
 
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }

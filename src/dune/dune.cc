@@ -1,15 +1,6 @@
 #include "src/dune/dune.h"
 
-#include <algorithm>
-#include <vector>
-
-#include "src/machine/snapshot.h"
-
 namespace memsentry::dune {
-
-namespace {
-constexpr uint32_t kTagDune = 0x44554E45;  // "DUNE"
-}  // namespace
 
 DuneVm::DuneVm(machine::PhysicalMemory* pmem) : pmem_(pmem), vmx_(pmem) {
   // EPT 0 always exists: the default (nonsensitive) domain.
@@ -86,54 +77,6 @@ uint64_t DuneVm::HandleHypercall(uint64_t nr, uint64_t a0, uint64_t a1, uint64_t
     default:
       return static_cast<uint64_t>(-1);
   }
-}
-
-void DuneVm::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagDune);
-  w.PutU64(next_gpa_);
-  w.PutU64(hypercall_count_);
-  // Sorted guest page numbers so the blob is independent of hash-map order.
-  std::vector<uint64_t> gpns;
-  gpns.reserve(frames_.size());
-  for (const auto& [gpn, frame] : frames_) {
-    gpns.push_back(gpn);
-  }
-  std::sort(gpns.begin(), gpns.end());
-  w.PutU64(gpns.size());
-  for (const uint64_t gpn : gpns) {
-    const GuestFrame& frame = frames_.at(gpn);
-    w.PutU64(gpn);
-    w.PutU64(frame.host);
-    w.PutI32(frame.private_to);
-  }
-  vmx_.SaveState(w);
-}
-
-Status DuneVm::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagDune, "dune")) {
-    return r.status();
-  }
-  const uint64_t next = r.U64();
-  const uint64_t hypercalls = r.U64();
-  const uint64_t count = r.U64();
-  if (!r.FitCount(count, 20)) {
-    return r.status();
-  }
-  std::unordered_map<uint64_t, GuestFrame> frames;
-  frames.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint64_t gpn = r.U64();
-    GuestFrame frame;
-    frame.host = r.U64();
-    frame.private_to = r.I32();
-    frames[gpn] = frame;
-  }
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  MEMSENTRY_RETURN_IF_ERROR(vmx_.LoadState(r));
-  next_gpa_ = next;
-  hypercall_count_ = hypercalls;
-  frames_ = std::move(frames);
-  return OkStatus();
 }
 
 }  // namespace memsentry::dune

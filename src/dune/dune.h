@@ -52,12 +52,6 @@ class DuneVm {
 
   uint64_t hypercall_count() const { return hypercall_count_; }
 
-  // Crash-safe snapshots: the guest-frame table, allocation cursor,
-  // hypercall count and EPT roots. The syscall handler is reinstalled by
-  // deterministic setup, not serialized.
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
-
  private:
   uint64_t HandleHypercall(uint64_t nr, uint64_t a0, uint64_t a1, uint64_t a2);
 

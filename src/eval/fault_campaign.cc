@@ -4,12 +4,10 @@
 #include <cstring>
 
 #include "src/aes/aes128.h"
-#include "src/base/crash_handler.h"
 #include "src/core/advisor.h"
 #include "src/core/memsentry.h"
 #include "src/mpx/mpx.h"
 #include "src/sim/kernel.h"
-#include "src/sim/snapshot.h"
 
 namespace memsentry::eval {
 namespace {
@@ -295,14 +293,12 @@ FaultCellResult RunFaultCell(core::TechniqueKind kind, sim::FaultSite site,
     cell.detail = injected.value().detail;
   }
 
-  // Crash-bundle hook: die right after injection with the full simulation
-  // state staged, so the bundle's snapshot captures the armed fault and a
-  // replay reproduces this exact abort.
+  // Crash-bundle hook: die right after injection. The crash handler writes
+  // the bundle from the staged context, whose replay spec reproduces this
+  // exact abort.
   const std::string cell_label =
       std::string(core::TechniqueKindName(kind)) + "/" + sim::FaultSiteName(site);
   if (options.force_crash == cell_label) {
-    base::SetCrashSnapshot(
-        sim::SaveSnapshot(process, nullptr, &kernel, &injector, cell_label));
     std::abort();
   }
 

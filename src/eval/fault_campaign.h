@@ -55,8 +55,8 @@ struct FaultCampaignOptions {
   // stop, and lets the tests prove that an escape fails the regression gate.
   bool skip_containment_audit = false;
   // Crash-bundle hook: when set to "<TechniqueKindName>/<FaultSiteName>",
-  // the matching cell stages a full simulation snapshot with the crash
-  // handler and aborts right after injection. Deterministic by construction
+  // the matching cell aborts right after injection, and the crash handler
+  // writes a bundle from the staged context. Deterministic by construction
   // (same seed, same cell, same abort point), so `memsentry_cli replay` on
   // the resulting bundle reproduces the identical failure.
   std::string force_crash;

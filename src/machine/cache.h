@@ -14,9 +14,6 @@
 
 namespace memsentry::machine {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 enum class CacheLevel { kL1 = 0, kL2 = 1, kL3 = 2, kDram = 3 };
 
 struct CacheStats {
@@ -55,10 +52,6 @@ class CacheArray {
   }
 
   void Flush();
-
-  // Crash-safe snapshots: geometry-validated tag/LRU dump of valid lines.
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   // lru == 0 means invalid: tick_ starts at 0 and every touch stamps
@@ -116,9 +109,6 @@ class CacheHierarchy {
 
   const CacheStats& stats() const { return stats_; }
   void ResetStats() { stats_ = CacheStats{}; }
-
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   CacheArray l1_;

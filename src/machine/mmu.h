@@ -21,9 +21,6 @@
 
 namespace memsentry::machine {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 // Second-level address translation (implemented by vmx::Ept). Guest-physical
 // frames produced by the guest page tables are translated again; pages absent
 // from the active EPT raise EPT violations.
@@ -41,7 +38,7 @@ class SecondLevelTranslation {
   // which real hardware achieves with per-EPTP TLB tagging. Non-virtual on
   // purpose — the grant probe reads it on every memory access, so it must
   // stay a plain inline load; implementations publish tag changes through
-  // SetAsidTag (vmx does so on every EPT switch and snapshot restore).
+  // SetAsidTag (vmx does so on every EPT switch).
   uint16_t AsidTag() const { return asid_tag_; }
 
  protected:
@@ -199,12 +196,6 @@ class Mmu {
     tlb_.ResetStats();
     dcache_.ResetStats();
   }
-
-  // Crash-safe snapshots: vpid, stats, TLB and D-cache state. Grants hold
-  // Tlb::Entry pointers into the pre-restore TLB, so LoadState drops them
-  // all — the slow path re-derives each verdict bit-identically.
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   // One memoized Access() verdict: the cached leaf PTE (frame + permission

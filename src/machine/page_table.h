@@ -12,9 +12,6 @@
 
 namespace memsentry::machine {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 // Architectural PTE bits.
 inline constexpr uint64_t kPtePresent = uint64_t{1} << 0;
 inline constexpr uint64_t kPteWritable = uint64_t{1} << 1;
@@ -86,11 +83,6 @@ class PageTable {
   static uint8_t PtePkey(uint64_t pte) {
     return static_cast<uint8_t>((pte & kPtePkeyMask) >> kPtePkeyShift);
   }
-
-  // Crash-safe snapshots: only the root pointer — all table frames live in
-  // (and restore with) physical memory.
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   // Returns the physical address of the leaf PTE slot for virt, creating

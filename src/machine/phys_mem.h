@@ -16,9 +16,6 @@
 
 namespace memsentry::machine {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 class PhysicalMemory {
  public:
   // total_frames bounds the simulated DRAM size (frames are 4 KiB).
@@ -75,13 +72,6 @@ class PhysicalMemory {
   // In-place XOR of `size` bytes (within one frame): ReadBytes, XOR, then
   // WriteBytes, without the staging copy.
   void XorBytes(PhysAddr addr, const uint8_t* in, uint64_t size);
-
-  // Crash-safe snapshots (src/machine/snapshot.h): frames sorted by number,
-  // preserving the allocated-but-unmaterialized distinction. LoadState
-  // replaces all content, validates the DRAM geometry and resets the frame
-  // lookup cache.
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   using Frame = std::array<uint8_t, kPageSize>;

@@ -14,9 +14,6 @@
 
 namespace memsentry::machine {
 
-class SnapshotReader;
-class SnapshotWriter;
-
 struct TlbStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -84,12 +81,6 @@ class Tlb {
   // call mid-run without breaking bit-identity.
   int OccupancyForVpid(uint16_t vpid) const;
   int CountResidentVpids() const;
-
-  // Crash-safe snapshots: entries with their (set, way) coordinates, the LRU
-  // tick and the mutation version — replacement decisions and grant-cache
-  // coherence both depend on them bit-for-bit.
-  void SaveState(SnapshotWriter& w) const;
-  Status LoadState(SnapshotReader& r);
 
  private:
   static int SetIndex(uint64_t vpn) { return static_cast<int>(vpn & (kSets - 1)); }

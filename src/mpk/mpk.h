@@ -33,10 +33,6 @@ class KeyAllocator {
   Status Free(uint8_t key);
   bool InUse(uint8_t key) const { return key < kNumKeys && in_use_.test(key); }
 
-  // Crash-safe snapshots: the raw in-use bitmap.
-  uint16_t bits() const { return static_cast<uint16_t>(in_use_.to_ulong()); }
-  void set_bits(uint16_t bits) { in_use_ = std::bitset<kNumKeys>(bits); }
-
  private:
   std::bitset<kNumKeys> in_use_;
 };

@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "src/machine/snapshot.h"
-
 namespace memsentry::sgx {
-
-namespace {
-constexpr uint32_t kTagSgx = 0x53475821;  // "SGX!"
-}  // namespace
 
 Status Enclave::AddPage(VirtAddr va) {
   if (finalized_) {
@@ -99,69 +93,6 @@ machine::FaultOr<bool> Enclave::OcallReturn() {
   }
   in_ocall_ = false;
   return true;
-}
-
-void Enclave::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagSgx);
-  w.PutU64(base_);
-  w.PutU64(max_pages_);
-  w.PutU64(committed_pages_.size());
-  for (const uint64_t page : committed_pages_) {
-    w.PutU64(page);
-  }
-  std::vector<uint32_t> ids;
-  ids.reserve(entries_.size());
-  for (const auto& [id, target] : entries_) {
-    ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  w.PutU64(ids.size());
-  for (const uint32_t id : ids) {
-    w.PutU32(id);
-    w.PutU64(entries_.at(id));
-  }
-  w.PutBool(finalized_);
-  w.PutBool(inside_);
-  w.PutBool(in_ocall_);
-}
-
-Status Enclave::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagSgx, "sgx")) {
-    return r.status();
-  }
-  const uint64_t base = r.U64();
-  const uint64_t max_pages = r.U64();
-  const uint64_t page_count = r.U64();
-  if (!r.FitCount(page_count, 8)) {
-    return r.status();
-  }
-  std::vector<uint64_t> pages;
-  pages.reserve(page_count);
-  for (uint64_t i = 0; i < page_count; ++i) {
-    pages.push_back(r.U64());
-  }
-  const uint64_t entry_count = r.U64();
-  if (!r.FitCount(entry_count, 12)) {
-    return r.status();
-  }
-  std::unordered_map<uint32_t, VirtAddr> entries;
-  entries.reserve(entry_count);
-  for (uint64_t i = 0; i < entry_count; ++i) {
-    const uint32_t id = r.U32();
-    entries[id] = r.U64();
-  }
-  const bool finalized = r.Bool();
-  const bool inside = r.Bool();
-  const bool in_ocall = r.Bool();
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  base_ = base;
-  max_pages_ = max_pages;
-  committed_pages_ = std::move(pages);
-  entries_ = std::move(entries);
-  finalized_ = finalized;
-  inside_ = inside;
-  in_ocall_ = in_ocall;
-  return OkStatus();
 }
 
 }  // namespace memsentry::sgx

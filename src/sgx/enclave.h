@@ -14,11 +14,6 @@
 #include "src/base/types.h"
 #include "src/machine/fault.h"
 
-namespace memsentry::machine {
-class SnapshotReader;
-class SnapshotWriter;
-}  // namespace memsentry::machine
-
 namespace memsentry::sgx {
 
 class Enclave {
@@ -54,11 +49,6 @@ class Enclave {
   // are untouchable from outside (real SGX gives abort-page semantics; we
   // fault so tests observe the denial deterministically).
   bool AccessAllowed(VirtAddr va) const { return !Contains(va) || inside(); }
-
-  // Crash-safe snapshots: geometry, committed pages, entry points and the
-  // inside/ocall execution state.
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
 
  private:
   VirtAddr base_;

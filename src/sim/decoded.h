@@ -121,8 +121,8 @@ struct Uop {
   uint8_t flags = 0;  // the source instruction's ir::kFlag* bits
   uint8_t cost = 0;   // index into DecodedModule::costs
   // Source position (of the first op, for a fused run), for return-address
-  // encoding, safe-access profiling refs, exit cursors and kCheck
-  // re-derivation.
+  // encoding, safe-access profiling refs, return-target slot lookup and
+  // kCheck re-derivation.
   int32_t block = 0;
   int32_t index = 0;
   // kJmp/kCondBr: flat µop index of the taken target's block head. kCall:
@@ -163,13 +163,13 @@ struct DecodedFunction {
     int32_t uop = 0;
     uint32_t skip = 0;
   };
-  // Maps (block, index) onto the µop stream. Forged-but-valid return
-  // addresses and resume cursors may land mid-fused-run. Instead of a
-  // per-instruction table, the sparse index names the µop covering the
-  // nearest checkpoint at or before `index`, and a short forward scan (at
-  // most kSlotStride µops, usually one or two) reaches the µop covering
-  // `index`: µops tile their block in source order. `block`/`index` must be
-  // bounds-checked against the source module first.
+  // Maps (block, index) onto the µop stream. A forged-but-valid return
+  // address may land mid-fused-run. Instead of a per-instruction table, the
+  // sparse index names the µop covering the nearest checkpoint at or before
+  // `index`, and a short forward scan (at most kSlotStride µops, usually one
+  // or two) reaches the µop covering `index`: µops tile their block in
+  // source order. `block`/`index` must be bounds-checked against the source
+  // module first.
   InstrSlot Slot(int32_t block, int32_t index) const {
     const size_t b = static_cast<size_t>(block);
     int32_t ui = slot_index[slot_base[b] + static_cast<uint32_t>(index / kSlotStride)];

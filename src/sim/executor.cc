@@ -62,31 +62,15 @@ struct Position {
   int index = 0;
 };
 
-// A resume cursor must name a live instruction of this module before either
-// interpreter dereferences it — snapshots pass checksum validation, but a
-// cursor saved against a different module would index out of bounds.
-bool CursorNamesInstruction(const ir::Module& module, const RunCursor& cursor) {
-  if (cursor.func < 0 || cursor.func >= static_cast<int>(module.functions.size())) {
-    return false;
-  }
-  const auto& func = module.functions[static_cast<size_t>(cursor.func)];
-  if (cursor.block < 0 || cursor.block >= static_cast<int>(func.blocks.size())) {
-    return false;
-  }
-  const auto& block = func.blocks[static_cast<size_t>(cursor.block)];
-  return cursor.index >= 0 && cursor.index < static_cast<int>(block.instrs.size()) &&
-         cursor.call_depth >= 0;
-}
-
 }  // namespace
 
 RunResult Executor::Run(const RunConfig& config) {
   const base::FastPathMode mode = base::GetFastPathMode();
   if (mode == base::FastPathMode::kOff) {
-    return RunReference(config, nullptr);
+    return RunReference(config);
   }
   EnsureDecoded();
-  return RunDecoded(config, /*check=*/mode == base::FastPathMode::kCheck, nullptr);
+  return RunDecoded(config, /*check=*/mode == base::FastPathMode::kCheck);
 }
 
 void Executor::EnsureDecoded() {
@@ -111,25 +95,7 @@ void Executor::EnsureDecoded() {
   decoded_for_version_ = module_->version;
 }
 
-RunResult Executor::Resume(const RunConfig& config, const RunResult& partial) {
-  if (!partial.hit_instruction_limit || !partial.cursor.valid) {
-    return partial;  // already finished; nothing to continue
-  }
-  if (!CursorNamesInstruction(*module_, partial.cursor)) {
-    RunResult result = partial;
-    result.fault =
-        machine::Fault{machine::FaultType::kGeneralProtection, 0, machine::AccessType::kExecute};
-    return result;
-  }
-  const base::FastPathMode mode = base::GetFastPathMode();
-  if (mode == base::FastPathMode::kOff) {
-    return RunReference(config, &partial);
-  }
-  EnsureDecoded();
-  return RunDecoded(config, /*check=*/mode == base::FastPathMode::kCheck, &partial);
-}
-
-RunResult Executor::RunReference(const RunConfig& config, const RunResult* resume) {
+RunResult Executor::RunReference(const RunConfig& config) {
   RunResult result;
   auto& regs = process_->regs();
   auto& mmu = process_->mmu();
@@ -137,13 +103,6 @@ RunResult Executor::RunReference(const RunConfig& config, const RunResult* resum
 
   Position pos{module_->entry, 0, 0};
   int call_depth = 0;
-  if (resume != nullptr) {
-    result = *resume;
-    result.hit_instruction_limit = false;
-    pos = Position{resume->cursor.func, resume->cursor.block, resume->cursor.index};
-    call_depth = resume->cursor.call_depth;
-    result.cursor = RunCursor{};
-  }
 
   auto fault_out = [&](const machine::Fault& fault) {
     result.fault = fault;
@@ -535,7 +494,6 @@ RunResult Executor::RunReference(const RunConfig& config, const RunResult* resum
   }
 
   result.hit_instruction_limit = true;
-  result.cursor = RunCursor{true, pos.func, pos.block, pos.index, call_depth};
   return result;
 }
 
@@ -598,7 +556,7 @@ RunResult Executor::RunReference(const RunConfig& config, const RunResult* resum
   END_UOP_COMMON();   \
   DISPATCH()
 
-RunResult Executor::RunDecoded(const RunConfig& config, bool check, const RunResult* resume) {
+RunResult Executor::RunDecoded(const RunConfig& config, bool check) {
   RunResult result;
   auto& regs = process_->regs();
   auto& mmu = process_->mmu();
@@ -610,21 +568,8 @@ RunResult Executor::RunDecoded(const RunConfig& config, bool check, const RunRes
   int func = module_->entry;
   const DecodedFunction* df = &dec.functions[static_cast<size_t>(func)];
   int32_t ui = 0;       // flat µop index within *df
-  uint32_t skip = 0;    // RegOps to skip when resuming mid-fused-run (after ret)
+  uint32_t skip = 0;    // RegOps to skip on entering a fused µop mid-run
   int call_depth = 0;
-  if (resume != nullptr) {
-    result = *resume;
-    result.hit_instruction_limit = false;
-    result.cursor = RunCursor{};
-    func = resume->cursor.func;
-    df = &dec.functions[static_cast<size_t>(func)];
-    // Cursors are source positions; Slot maps them onto the µop stream,
-    // landing mid-fused-run when the budget cut one short.
-    const DecodedFunction::InstrSlot slot = df->Slot(resume->cursor.block, resume->cursor.index);
-    ui = slot.uop;
-    skip = slot.skip;
-    call_depth = resume->cursor.call_depth;
-  }
 
   auto fault_out = [&](const machine::Fault& fault) {
     result.fault = fault;
@@ -697,8 +642,9 @@ dispatch:
 
   OP(Fused) {
     // Replay the pre-resolved straight-line run. `skip` is nonzero only
-    // when a ret/resume landed mid-run; the budget clamp makes the
-    // instruction limit hit at exactly the same op as the reference loop.
+    // when a ret landed mid-run or a bail-out re-enters it; the budget
+    // clamp makes the instruction limit hit at exactly the same op as the
+    // reference loop.
     if (check) {
       CheckUop(*module_, func, dec, *u, cost);
     }
@@ -837,10 +783,8 @@ dispatch:
       DISPATCH();
     }
     if (run < want) {
-      // Instruction budget exhausted mid-run: leave `skip` naming the next
-      // unexecuted RegOp so the exit cursor below derives its source
-      // position — the same (block, index) the reference loop stops at.
-      skip = entered_skip + static_cast<uint32_t>(run);
+      // Instruction budget exhausted mid-run, at the same op the reference
+      // loop stops at.
       goto limit_exit;
     }
     ++ui;
@@ -1212,15 +1156,6 @@ dispatch:
 
 limit_exit:
   result.hit_instruction_limit = true;
-  {
-    // Map the µop position back to its source instruction. A fused µop's
-    // next unexecuted RegOp sits `skip` instructions past the run's start
-    // (skip is 0 everywhere else); a singleton µop is its source
-    // instruction.
-    const Uop& stop = df->uops[static_cast<size_t>(ui)];
-    result.cursor = RunCursor{true, func, stop.block, stop.index + static_cast<int32_t>(skip),
-                              call_depth};
-  }
   return result;
 }
 

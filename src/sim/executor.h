@@ -34,19 +34,6 @@ constexpr uint64_t PackRef(int func, int block, int index) {
          static_cast<uint64_t>(index);
 }
 
-// Where a budget-limited run stopped: the next instruction to execute plus
-// the live call depth. Mode-portable by construction — the decoded
-// interpreter maps mid-fused-run µop offsets back to their source
-// (block, index), so a cursor saved under any MEMSENTRY_FASTPATH mode
-// resumes under any other.
-struct RunCursor {
-  bool valid = false;
-  int func = 0;
-  int block = 0;
-  int index = 0;
-  int call_depth = 0;
-};
-
 struct RunResult {
   uint64_t instructions = 0;
   Cycles cycles = 0;
@@ -65,10 +52,6 @@ struct RunResult {
   uint64_t domain_switches = 0;          // wrpkru/vmfunc/crypt/ecall/mprotect events
   uint64_t instrumentation_instrs = 0;
   Cycles instrumentation_cycles = 0;
-
-  // Populated whenever the run exits with hit_instruction_limit; feeds
-  // Executor::Resume and the snapshot layer.
-  RunCursor cursor;
 
   // Populated when profiling. An unordered set keeps the hot-path insert
   // O(1); consumers that need a stable order (annotation passes, reports)
@@ -99,18 +82,6 @@ class Executor {
   // divergence).
   RunResult Run(const RunConfig& config = {});
 
-  // Continues a run that previously stopped at its instruction budget.
-  // `partial` must carry hit_instruction_limit and a valid cursor, and the
-  // process must hold the machine state from that exact moment (typically
-  // restored via sim/snapshot). config.max_instructions is the TOTAL budget
-  // including instructions already executed; the continuation performs the
-  // same sequence of state updates and cycle additions as an uninterrupted
-  // run, so run(N+M) == run(N); save; load; resume(M) bit for bit. A
-  // `partial` that already finished (or whose cursor no longer names a valid
-  // instruction of this module) is returned unchanged — the latter with a
-  // #GP fault recorded.
-  RunResult Resume(const RunConfig& config, const RunResult& partial);
-
   // Hands this executor a pre-built decoded form, so harnesses constructing
   // a fresh Executor per run don't re-decode each time. Validated against
   // the live (module, cost model, ymm) state before use; refetched from the
@@ -119,8 +90,8 @@ class Executor {
   const std::shared_ptr<const DecodedModule>& decoded() const { return decoded_; }
 
  private:
-  RunResult RunReference(const RunConfig& config, const RunResult* resume);
-  RunResult RunDecoded(const RunConfig& config, bool check, const RunResult* resume);
+  RunResult RunReference(const RunConfig& config);
+  RunResult RunDecoded(const RunConfig& config, bool check);
 
   // Makes decoded_ valid for the live (module, cost model, ymm) state,
   // consulting the shared DecodeCache (content-keyed, so concurrent cells

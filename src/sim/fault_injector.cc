@@ -1,65 +1,8 @@
 #include "src/sim/fault_injector.h"
 
 #include "src/machine/page_table.h"
-#include "src/machine/snapshot.h"
 
 namespace memsentry::sim {
-
-namespace {
-constexpr uint32_t kTagInjector = 0x46494E4A;  // "FINJ"
-}  // namespace
-
-void FaultInjector::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagInjector);
-  w.PutU64(seed_);
-  for (const uint64_t word : rng_.state()) {
-    w.PutU64(word);
-  }
-  w.PutU64(injections_.size());
-  for (const Injection& injection : injections_) {
-    w.PutI32(static_cast<int32_t>(injection.site));
-    w.PutU64(injection.address);
-    w.PutU64(injection.before);
-    w.PutU64(injection.after);
-    w.PutString(injection.detail);
-  }
-}
-
-Status FaultInjector::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagInjector, "fault-injector")) {
-    return r.status();
-  }
-  const uint64_t seed = r.U64();
-  std::array<uint64_t, 4> state;
-  for (uint64_t& word : state) {
-    word = r.U64();
-  }
-  const uint64_t count = r.U64();
-  if (!r.FitCount(count, 36)) {
-    return r.status();
-  }
-  std::vector<Injection> injections;
-  injections.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    const int32_t site = r.I32();
-    if (site < 0 || site >= kNumFaultSites) {
-      r.Fail(InvalidArgument("snapshot fault site out of range"));
-      return r.status();
-    }
-    Injection injection;
-    injection.site = static_cast<FaultSite>(site);
-    injection.address = r.U64();
-    injection.before = r.U64();
-    injection.after = r.U64();
-    injection.detail = r.String();
-    injections.push_back(std::move(injection));
-  }
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  seed_ = seed;
-  rng_.set_state(state);
-  injections_ = std::move(injections);
-  return OkStatus();
-}
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {

@@ -67,12 +67,6 @@ class FaultInjector {
   const std::vector<Injection>& injections() const { return injections_; }
   uint64_t seed() const { return seed_; }
 
-  // Crash-safe snapshots: seed, raw RNG stream position and the injection
-  // log, so a restored campaign picks the same victims an uninterrupted one
-  // would.
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
-
  private:
   // Deterministic choice of victim region/page. Region picks are uniform
   // over the registry; page picks uniform over the region's pages.

@@ -1,14 +1,10 @@
 #include "src/sim/kernel.h"
 
-#include "src/machine/snapshot.h"
-
 namespace memsentry::sim {
 namespace {
 
 // The kernel's mmap area sits between the heap and the stack.
 inline constexpr VirtAddr kMmapBase = kMmapAreaBase;
-
-constexpr uint32_t kTagKernel = 0x4B45524E;  // "KERN"
 
 }  // namespace
 
@@ -259,72 +255,6 @@ uint64_t Kernel::DoPkeyFree(uint8_t key) {
     return SysErr(Errno::kEBUSY);
   }
   return keys_.Free(key).ok() ? 0 : SysErr(Errno::kEINVAL);
-}
-
-void Kernel::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagKernel);
-  w.PutU16(keys_.bits());
-  w.PutU64(mmap_cursor_);
-  w.PutU64(brk_);
-  w.PutU64(mmap_calls_);
-  w.PutU64(mprotect_calls_);
-  w.PutU64(write_sink_);
-  w.PutU64(injected_failures_);
-  for (const uint64_t count : tag_counts_) {
-    w.PutU64(count);
-  }
-  w.PutU64(armed_.size());
-  for (const ArmedFailure& armed : armed_) {
-    w.PutU64(armed.nr);
-    w.PutU64(static_cast<uint64_t>(armed.err));
-    w.PutI32(armed.remaining);
-  }
-}
-
-Status Kernel::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagKernel, "kernel")) {
-    return r.status();
-  }
-  const uint16_t key_bits = r.U16();
-  const uint64_t mmap_cursor = r.U64();
-  const uint64_t brk = r.U64();
-  const uint64_t mmap_calls = r.U64();
-  const uint64_t mprotect_calls = r.U64();
-  const uint64_t write_sink = r.U64();
-  const uint64_t injected = r.U64();
-  std::array<uint64_t, mpk::kNumKeys> tag_counts{};
-  for (uint64_t& count : tag_counts) {
-    count = r.U64();
-  }
-  const uint64_t armed_count = r.U64();
-  if (!r.FitCount(armed_count, 20)) {
-    return r.status();
-  }
-  std::vector<ArmedFailure> armed;
-  armed.reserve(armed_count);
-  for (uint64_t i = 0; i < armed_count; ++i) {
-    ArmedFailure failure;
-    failure.nr = r.U64();
-    failure.err = static_cast<Errno>(r.U64());
-    failure.remaining = r.I32();
-    armed.push_back(failure);
-  }
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  keys_.set_bits(key_bits);
-  mmap_cursor_ = mmap_cursor;
-  brk_ = brk;
-  mmap_calls_ = mmap_calls;
-  mprotect_calls_ = mprotect_calls;
-  write_sink_ = write_sink;
-  injected_failures_ = injected;
-  tag_counts_ = tag_counts;
-  armed_ = std::move(armed);
-  // Per-ASID attribution is scheduler-session state and is not part of the
-  // pinned snapshot format; a restored kernel starts with a clean ledger.
-  current_asid_ = 0;
-  total_syscalls_ = 0;
-  asid_syscalls_.clear();
-  return OkStatus();
 }
 
 }  // namespace memsentry::sim

@@ -61,8 +61,7 @@ const char* ErrnoName(Errno err);
 
 // An installed mmap-policy layer (e.g. defenses::MmapPolicy). Consulted by
 // the kernel on the memory-management syscalls. Like the syscall handler, it
-// is session state: never owned by the kernel and never serialized — setup
-// re-attaches it after LoadState.
+// is session state: never owned by the kernel.
 class MmapPolicyHook {
  public:
   virtual ~MmapPolicyHook() = default;
@@ -130,14 +129,6 @@ class Kernel {
   uint64_t tagged_pages(uint8_t key) const {
     return key < mpk::kNumKeys ? tag_counts_[key] : 0;
   }
-
-  // Crash-safe snapshots: key allocator bitmap, placement cursors, counters
-  // and armed injected failures. Install() is re-run by setup, not saved.
-  // The per-ASID attribution is scheduler-session state, not ABI state: it is
-  // NOT serialized (the on-disk format is pinned by a golden blob) and
-  // LoadState resets it along with current_asid.
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
 
  private:
   uint64_t DoMmap(VirtAddr hint, uint64_t length);

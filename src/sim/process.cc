@@ -5,13 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/machine/snapshot.h"
-
 namespace memsentry::sim {
-
-namespace {
-constexpr uint32_t kTagProcess = 0x50524F43;  // "PROC"
-}  // namespace
 
 Process::Process(Machine* machine)
     : machine_(machine), page_table_(&machine->pmem), mmu_(&machine->pmem, &machine->cost) {
@@ -253,144 +247,6 @@ uint64_t Process::DispatchSyscall(uint64_t nr, uint64_t a0, uint64_t a1) {
     return syscall_(nr, a0, a1);
   }
   return 0;
-}
-
-void Process::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagProcess);
-  // Digest of the cost model (all doubles, no padding): a snapshot priced
-  // under one calibration must not silently continue under another.
-  w.PutU64(machine::SnapshotDigest(&machine_->cost, sizeof(machine_->cost)));
-  machine_->pmem.SaveState(w);
-  page_table_.SaveState(w);
-  mmu_.SaveState(w);
-  machine::SaveRegisterFile(regs_, w);
-  w.PutBool(ymm_reserved_);
-  for (const auto& reload : bnd_reload_) {
-    w.PutBool(reload.has_value());
-    w.PutU64(reload.has_value() ? reload->lower : 0);
-    w.PutU64(reload.has_value() ? reload->upper : 0);
-  }
-  w.PutU64(mappings_.size());
-  for (const Mapping& m : mappings_) {
-    w.PutU64(m.base);
-    w.PutU64(m.pages);
-  }
-  w.PutBool(dune_ != nullptr);
-  if (dune_ != nullptr) {
-    dune_->SaveState(w);
-  }
-  w.PutBool(enclave_ != nullptr);
-  if (enclave_ != nullptr) {
-    enclave_->SaveState(w);
-  }
-  w.PutU64(safe_regions_.size());
-  for (const SafeRegion& region : safe_regions_) {
-    w.PutString(region.name);
-    w.PutU64(region.base);
-    w.PutU64(region.size);
-    w.PutU8(region.pkey);
-    w.PutI32(region.ept_index);
-    w.PutBool(region.crypt);
-    w.PutBool(region.encrypted_now);
-    w.PutU64(region.nonce);
-    w.PutBytes(region.enc_keys.data(), sizeof(aes::KeySchedule));
-    w.PutU64(region.enc_key_digest);
-    w.PutBool(region.mprotected);
-  }
-}
-
-Status Process::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagProcess, "process")) {
-    return r.status();
-  }
-  const uint64_t cost_digest = r.U64();
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  if (cost_digest != machine::SnapshotDigest(&machine_->cost, sizeof(machine_->cost))) {
-    return FailedPrecondition("snapshot was taken under a different cost model");
-  }
-  MEMSENTRY_RETURN_IF_ERROR(machine_->pmem.LoadState(r));
-  MEMSENTRY_RETURN_IF_ERROR(page_table_.LoadState(r));
-  MEMSENTRY_RETURN_IF_ERROR(mmu_.LoadState(r));
-  MEMSENTRY_RETURN_IF_ERROR(machine::LoadRegisterFile(&regs_, r));
-  ymm_reserved_ = r.Bool();
-  for (auto& reload : bnd_reload_) {
-    const bool has = r.Bool();
-    machine::BoundRegister bounds;
-    bounds.lower = r.U64();
-    bounds.upper = r.U64();
-    reload = has ? std::optional<machine::BoundRegister>(bounds) : std::nullopt;
-  }
-  const uint64_t mapping_count = r.U64();
-  if (!r.FitCount(mapping_count, 16)) {
-    return r.status();
-  }
-  std::vector<Mapping> mappings;
-  mappings.reserve(mapping_count);
-  for (uint64_t i = 0; i < mapping_count; ++i) {
-    Mapping m;
-    m.base = r.U64();
-    m.pages = r.U64();
-    mappings.push_back(m);
-  }
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  // Dune and the enclave hold structure (EPT radix trees, entry points) that
-  // deterministic setup must have rebuilt before the restore; their presence
-  // is a precondition, not something LoadState can conjure.
-  const bool has_dune = r.Bool();
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  if (has_dune != (dune_ != nullptr)) {
-    return FailedPrecondition("snapshot Dune presence does not match the live process");
-  }
-  if (dune_ != nullptr) {
-    MEMSENTRY_RETURN_IF_ERROR(dune_->LoadState(r));
-  }
-  const bool has_enclave = r.Bool();
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  if (has_enclave != (enclave_ != nullptr)) {
-    return FailedPrecondition("snapshot enclave presence does not match the live process");
-  }
-  if (enclave_ != nullptr) {
-    MEMSENTRY_RETURN_IF_ERROR(enclave_->LoadState(r));
-  }
-  const uint64_t region_count = r.U64();
-  if (!r.FitCount(region_count, 64)) {
-    return r.status();
-  }
-  if (region_count < safe_regions_.size()) {
-    return FailedPrecondition("snapshot has fewer safe regions than the live process");
-  }
-  // Overwrite live regions in place (handed-out SafeRegion* stay valid) and
-  // append any the snapshot added after the live setup registered its own.
-  for (uint64_t i = 0; i < region_count; ++i) {
-    SafeRegion scratch;
-    SafeRegion& region =
-        i < safe_regions_.size() ? safe_regions_[i] : scratch;
-    region.name = r.String();
-    region.base = r.U64();
-    region.size = r.U64();
-    region.pkey = r.U8();
-    region.ept_index = r.I32();
-    region.crypt = r.Bool();
-    region.encrypted_now = r.Bool();
-    region.nonce = r.U64();
-    r.Bytes(region.enc_keys.data(), sizeof(aes::KeySchedule));
-    region.enc_key_digest = r.U64();
-    region.mprotected = r.Bool();
-    if (&region == &scratch) {
-      AddSafeRegion(scratch.name, scratch.base, scratch.size) = std::move(scratch);
-    }
-  }
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  mappings_ = std::move(mappings);
-  // Rebuild the lookup index: bases may have moved with the restored state.
-  region_index_.clear();
-  for (SafeRegion& region : safe_regions_) {
-    region_index_.push_back(&region);
-  }
-  std::sort(region_index_.begin(), region_index_.end(),
-            [](const SafeRegion* a, const SafeRegion* b) { return a->base < b->base; });
-  last_region_hit_ = nullptr;
-  return OkStatus();
 }
 
 }  // namespace memsentry::sim

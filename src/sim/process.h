@@ -131,9 +131,8 @@ class Process {
   // kOff computes fresh AES through a staging copy (the reference path).
   // kOn XORs in place from the region's keystream memo, reused only when its
   // schedule and nonce equal the region's live ones in full and it is at
-  // least `size` bytes long; anything else (a clobbered round key, a
-  // snapshot restore that brought other keys, a longer toggle) regenerates
-  // it. kCheck also recomputes a reused keystream and aborts, naming the
+  // least `size` bytes long; anything else (a clobbered round key, a new
+  // nonce, a longer toggle) regenerates it. kCheck also recomputes a reused keystream and aborts, naming the
   // region, on divergence.
   Status CryptToggle(SafeRegion& region, uint64_t size) {
     return CryptToggle(region, size, base::GetFastPathMode());
@@ -167,18 +166,6 @@ class Process {
   using SyscallHandler = std::function<uint64_t(uint64_t nr, uint64_t a0, uint64_t a1)>;
   void SetSyscallHandler(SyscallHandler handler) { syscall_ = std::move(handler); }
   uint64_t DispatchSyscall(uint64_t nr, uint64_t a0, uint64_t a1);
-
-  // Crash-safe snapshots: everything architecturally observable — physical
-  // memory, page table root, MMU/TLB/cache state, registers, layout
-  // bookkeeping, Dune/EPT and enclave state, and the safe-region registry.
-  // The syscall handler is NOT serialized; restores must run the same
-  // deterministic setup (technique Prepare + Kernel::Install) on a fresh
-  // Process before LoadState overwrites its state. Presence of Dune / an
-  // enclave and the EPT count must match the snapshot (kFailedPrecondition
-  // otherwise). Safe regions are overwritten in place so handed-out
-  // SafeRegion* handles stay valid.
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
 
  private:
   // Binary search over the base-sorted index (last-hit cache first); exact

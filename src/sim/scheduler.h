@@ -29,8 +29,8 @@ struct SchedulerConfig {
   Cycles quantum = 50'000;
   // Direct cost of a context switch (register save/restore, kernel entry and
   // exit, scheduler bookkeeping) charged whenever the CPU changes tenant.
-  // Lives here rather than in machine::CostModel on purpose: the snapshot
-  // format digests sizeof(CostModel), and the committed golden blob pins it.
+  // A per-handoff scheduler parameter rather than a per-instruction price,
+  // so it lives here and not in machine::CostModel.
   // The *indirect* cost (cold TLB/grant-cache for the incoming ASID) is not a
   // constant at all — it emerges from the ASID-tagged MMU state.
   Cycles context_switch_cycles = 3'000;

@@ -1,12 +1,6 @@
 #include "src/vmx/ept.h"
 
-#include "src/machine/snapshot.h"
-
 namespace memsentry::vmx {
-
-namespace {
-constexpr uint32_t kTagVmx = 0x564D5821;  // "VMX!"
-}  // namespace
 
 Status Ept::Map(GuestPhysAddr gpa, PhysAddr hpa, EptPerms perms) {
   machine::PageFlags flags;
@@ -68,40 +62,6 @@ machine::FaultOr<PhysAddr> VmxContext::TranslateGuestPhys(GuestPhysAddr gpa,
     return machine::Fault{machine::FaultType::kEptViolation, gpa, access};
   }
   return epts_[static_cast<size_t>(active_)]->Translate(gpa, access);
-}
-
-void Ept::SaveState(machine::SnapshotWriter& w) const { table_.SaveState(w); }
-
-Status Ept::LoadState(machine::SnapshotReader& r) { return table_.LoadState(r); }
-
-void VmxContext::SaveState(machine::SnapshotWriter& w) const {
-  w.PutTag(kTagVmx);
-  w.PutI32(static_cast<int32_t>(epts_.size()));
-  w.PutI32(active_);
-  for (const auto& ept : epts_) {
-    ept->SaveState(w);
-  }
-}
-
-Status VmxContext::LoadState(machine::SnapshotReader& r) {
-  if (!r.ExpectTag(kTagVmx, "vmx")) {
-    return r.status();
-  }
-  const int32_t count = r.I32();
-  const int32_t active = r.I32();
-  MEMSENTRY_RETURN_IF_ERROR(r.status());
-  if (count != static_cast<int32_t>(epts_.size())) {
-    return FailedPrecondition("snapshot EPT count does not match the live EPTP list");
-  }
-  if (active < 0 || active >= count) {
-    return InvalidArgument("snapshot active EPT index out of range");
-  }
-  for (auto& ept : epts_) {
-    MEMSENTRY_RETURN_IF_ERROR(ept->LoadState(r));
-  }
-  active_ = active;
-  SetAsidTag(static_cast<uint16_t>(active_ + 1));
-  return OkStatus();
 }
 
 }  // namespace memsentry::vmx

@@ -37,11 +37,6 @@ class Ept {
 
   machine::FaultOr<PhysAddr> Translate(GuestPhysAddr gpa, machine::AccessType access) const;
 
-  // Crash-safe snapshots: the radix root (the structure itself lives in the
-  // snapshotted physical memory).
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
-
  private:
   // Reuses the page-table radix machinery; EPT entries have the same
   // frame/permission geometry (we encode X as !NX).
@@ -80,12 +75,6 @@ class VmxContext : public machine::SecondLevelTranslation {
   machine::FaultOr<PhysAddr> TranslateGuestPhys(GuestPhysAddr gpa,
                                                 machine::AccessType access) override;
   int ExtraWalkLevels() const override { return 4; }
-
-  // Crash-safe snapshots: the active index and every EPT root. The live EPT
-  // count must equal the snapshot's (restores rebuild the same number of
-  // EPTs through deterministic setup before loading).
-  void SaveState(machine::SnapshotWriter& w) const;
-  Status LoadState(machine::SnapshotReader& r);
 
  private:
   machine::PhysicalMemory* pmem_;

@@ -1,9 +1,8 @@
 // Process::CryptToggle, the crypt technique's domain switch: whatever the
 // keystream memo holds, every toggle must leave exactly the bytes a fresh
 // aes::CryptRegion over a staging copy would (the kOff reference path), under
-// partial and growing lengths, a clobbered round key, a changed nonce and a
-// snapshot restore that brings different keys. kCheck must catch a memo that
-// no longer matches its keys.
+// partial and growing lengths, a clobbered round key and a changed nonce.
+// kCheck must catch a memo that no longer matches its keys.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -14,7 +13,6 @@
 #include "src/base/fastpath.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/process.h"
-#include "src/sim/snapshot.h"
 
 namespace memsentry::sim {
 namespace {
@@ -117,29 +115,6 @@ TEST_P(CryptKeystreamTest, NonceChangeRegenerates) {
   EXPECT_EQ(f.Memory(), f.mirror);
   f.Toggle(200, GetParam());
   EXPECT_EQ(f.Memory(), f.mirror);
-}
-
-TEST_P(CryptKeystreamTest, SnapshotRestoreWithOtherKeysRegenerates) {
-  Fixture warm(4);
-  warm.Toggle(kRegionBytes, GetParam());  // memo under warm's keys
-  Fixture other(5);
-  other.Toggle(kRegionBytes, FastPathMode::kOff);
-  const std::string blob = SaveSnapshot(other.process, nullptr, nullptr, nullptr, "other");
-  ASSERT_TRUE(LoadSnapshot(blob, &warm.process, nullptr, nullptr, nullptr).ok());
-  ASSERT_EQ(warm.region->nonce, other.region->nonce);
-  warm.mirror = other.mirror;
-  for (uint64_t size : {kRegionBytes, uint64_t{33}}) {
-    warm.Toggle(size, GetParam());
-    ASSERT_EQ(warm.Memory(), warm.mirror) << "after toggling " << size << " bytes";
-  }
-}
-
-TEST_P(CryptKeystreamTest, MemoIsNotPartOfASnapshot) {
-  Fixture f(6);
-  const std::string cold = SaveSnapshot(f.process, nullptr, nullptr, nullptr, "cell");
-  f.Toggle(kRegionBytes, GetParam());
-  f.Toggle(kRegionBytes, GetParam());
-  EXPECT_EQ(SaveSnapshot(f.process, nullptr, nullptr, nullptr, "cell"), cold);
 }
 
 TEST_P(CryptKeystreamTest, UnmappedPageFailsWithoutTouchingTheRegion) {

@@ -5,9 +5,8 @@
 // machine stats with the fast paths on, off, and in lockstep-check mode.
 // This is the end-to-end half of the oracle; kCheck additionally re-derives
 // every µop and MMU grant inline and aborts the process on divergence.
-#include <memory>
 #include <optional>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -16,7 +15,6 @@
 #include "src/defenses/shadow_stack.h"
 #include "src/sim/executor.h"
 #include "src/sim/fault_injector.h"
-#include "src/sim/snapshot.h"
 #include "src/workloads/spec_profiles.h"
 #include "src/workloads/synth.h"
 
@@ -61,7 +59,7 @@ bool NeedsDomainDefense(TechniqueKind kind) {
   }
 }
 
-struct Snapshot {
+struct Outcome {
   sim::RunResult result;
   machine::TlbStats tlb;
   machine::CacheStats cache;
@@ -69,123 +67,57 @@ struct Snapshot {
   bool injected = false;
 };
 
-// One fully built pipeline under the current fast-path mode: fresh machine,
-// workload prep, synthesized program, defense pass (domain techniques),
-// MemSentry protection, optional fault injection. Everything is derived from
-// `seed`, so two calls with equal arguments build bit-identical initial
-// states — which is exactly what the snapshot restore protocol requires of
-// the process it loads into.
-struct BuiltPipeline {
+// One fully built pipeline under the current fast-path mode, run to
+// `max_instructions`: fresh machine, workload prep, synthesized program,
+// defense pass (domain techniques), MemSentry protection, optional fault
+// injection. Everything is derived from `seed`, so two calls with equal
+// arguments start from bit-identical states.
+Outcome RunPipeline(TechniqueKind kind, const SpecProfile& profile, uint64_t seed,
+                    uint64_t max_instructions, std::optional<FaultSite> site) {
   sim::Machine machine;
-  std::unique_ptr<sim::Process> process;
-  std::unique_ptr<core::MemSentry> ms;
-  ir::Module module;
-  bool injected = false;
-};
-
-std::unique_ptr<BuiltPipeline> BuildPipeline(TechniqueKind kind, const SpecProfile& profile,
-                                             uint64_t seed, std::optional<FaultSite> site) {
-  auto p = std::make_unique<BuiltPipeline>();
-  p->process = std::make_unique<sim::Process>(&p->machine);
+  sim::Process process(&machine);
   if (kind == TechniqueKind::kVmfunc) {
-    (void)p->process->EnableDune();
+    (void)process.EnableDune();
   }
-  EXPECT_TRUE(workloads::PrepareWorkloadProcess(*p->process, profile).ok());
+  EXPECT_TRUE(workloads::PrepareWorkloadProcess(process, profile).ok());
   core::MemSentryConfig config;
   config.technique = kind;
   config.options.mode = core::ProtectMode::kReadWrite;
-  p->ms = std::make_unique<core::MemSentry>(p->process.get(), config);
+  core::MemSentry ms(&process, config);
   const uint64_t region_bytes = kind == TechniqueKind::kCrypt ? 16 : 4096;
-  auto region = p->ms->allocator().Alloc("secret", region_bytes);
+  auto region = ms.allocator().Alloc("secret", region_bytes);
   EXPECT_TRUE(region.ok());
   const VirtAddr base = region.ok() ? region.value()->base : 0;
   workloads::SynthOptions synth;
   synth.target_instructions = 120'000;
   synth.seed = seed;
-  p->module = workloads::SynthesizeSpecProgram(profile, synth);
+  ir::Module module = workloads::SynthesizeSpecProgram(profile, synth);
   if (NeedsDomainDefense(kind)) {
     defenses::ShadowStackPass pass(base);
-    EXPECT_TRUE(pass.Run(p->module).ok());
+    EXPECT_TRUE(pass.Run(module).ok());
   }
-  EXPECT_TRUE(p->ms->Protect(p->module).ok());
+  EXPECT_TRUE(ms.Protect(module).ok());
+  Outcome out;
   if (site.has_value()) {
-    sim::FaultInjector injector(p->process.get(), seed);
-    p->injected = injector.Inject(*site).ok();
+    sim::FaultInjector injector(&process, seed);
+    out.injected = injector.Inject(*site).ok();
   }
-  return p;
-}
-
-void ReadStats(const BuiltPipeline& p, Snapshot& snap) {
-  snap.tlb = p.process->mmu().tlb().stats();
-  snap.cache = p.process->mmu().dcache().stats();
-  snap.mmu = p.process->mmu().stats();
-}
-
-Snapshot RunPipeline(TechniqueKind kind, const SpecProfile& profile, uint64_t seed,
-                     uint64_t max_instructions, std::optional<FaultSite> site) {
-  auto p = BuildPipeline(kind, profile, seed, site);
-  Snapshot snap;
-  snap.injected = p->injected;
-  sim::Executor executor(p->process.get(), &p->module);
+  sim::Executor executor(&process, &module);
   sim::RunConfig rc;
   rc.max_instructions = max_instructions;
   rc.record_safe_accesses = true;
-  snap.result = executor.Run(rc);
-  ReadStats(*p, snap);
-  return snap;
-}
-
-// The same execution interrupted at `midpoint` instructions: the whole
-// simulation is serialized, restored into a freshly built twin pipeline (the
-// twin does NOT re-inject — the injected state travels inside the snapshot),
-// and resumed there to the full budget. The tentpole guarantee under test:
-// run(N+M) is bit-identical to run(N); save; load; run(M).
-Snapshot RunPipelineWithRoundTrip(TechniqueKind kind, const SpecProfile& profile, uint64_t seed,
-                                  uint64_t max_instructions, uint64_t midpoint,
-                                  std::optional<FaultSite> site, FastPathMode save_mode,
-                                  FastPathMode resume_mode) {
-  Snapshot snap;
-  std::string blob;
-  {
-    FastPathModeGuard guard(save_mode);
-    auto first = BuildPipeline(kind, profile, seed, site);
-    snap.injected = first->injected;
-    sim::Executor executor(first->process.get(), &first->module);
-    sim::RunConfig rc;
-    rc.max_instructions = midpoint;
-    rc.record_safe_accesses = true;
-    const sim::RunResult partial = executor.Run(rc);
-    if (!partial.hit_instruction_limit || !partial.cursor.valid) {
-      // The workload finished (or faulted) before the midpoint; nothing to
-      // round-trip, the straight result is the answer.
-      snap.result = partial;
-      ReadStats(*first, snap);
-      return snap;
-    }
-    blob = sim::SaveSnapshot(*first->process, &partial, nullptr, nullptr, "differential");
-    // `first` dies here: the restored twin must not alias anything from the
-    // donor pipeline.
-  }
-
-  FastPathModeGuard guard(resume_mode);
-  auto second = BuildPipeline(kind, profile, seed, std::nullopt);
-  sim::RunResult partial;
-  const Status loaded = sim::LoadSnapshot(blob, second->process.get(), &partial, nullptr, nullptr);
-  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
-  sim::Executor executor(second->process.get(), &second->module);
-  sim::RunConfig rc;
-  rc.max_instructions = max_instructions;
-  rc.record_safe_accesses = true;
-  snap.result = executor.Resume(rc, partial);
-  ReadStats(*second, snap);
-  return snap;
+  out.result = executor.Run(rc);
+  out.tlb = process.mmu().tlb().stats();
+  out.cache = process.mmu().dcache().stats();
+  out.mmu = process.mmu().stats();
+  return out;
 }
 
 // Bitwise equality of everything the simulator models. Cycle totals are
 // doubles compared with ==: the fast paths promise the identical sequence
 // of additions, not just a close sum. Grant-cache counters are deliberately
 // absent — they are fast-path observability, not modeled state.
-void ExpectBitIdentical(const Snapshot& ref, const Snapshot& fast, const std::string& label) {
+void ExpectBitIdentical(const Outcome& ref, const Outcome& fast, const std::string& label) {
   SCOPED_TRACE(label);
   const sim::RunResult& a = ref.result;
   const sim::RunResult& b = fast.result;
@@ -224,7 +156,7 @@ void ExpectBitIdentical(const Snapshot& ref, const Snapshot& fast, const std::st
   EXPECT_EQ(ref.mmu.walk_memory_touches, fast.mmu.walk_memory_touches);
 }
 
-Snapshot RunWithMode(FastPathMode mode, TechniqueKind kind, const SpecProfile& profile,
+Outcome RunWithMode(FastPathMode mode, TechniqueKind kind, const SpecProfile& profile,
                      uint64_t seed, uint64_t max_instructions,
                      std::optional<FaultSite> site = std::nullopt) {
   FastPathModeGuard guard(mode);
@@ -238,8 +170,8 @@ TEST(FastPathDifferential, EveryTechniqueBitIdentical) {
     for (size_t p = 0; p < 2; ++p) {
       const SpecProfile& profile = profiles[p];
       const uint64_t seed = 0x1234 + p;
-      const Snapshot ref = RunWithMode(FastPathMode::kOff, kind, profile, seed, 500'000'000);
-      const Snapshot fast = RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000);
+      const Outcome ref = RunWithMode(FastPathMode::kOff, kind, profile, seed, 500'000'000);
+      const Outcome fast = RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000);
       ExpectBitIdentical(ref, fast,
                          "technique=" + std::to_string(static_cast<int>(kind)) +
                              " profile=" + profile.name);
@@ -257,8 +189,8 @@ TEST(FastPathDifferential, RandomizedSeedsBitIdentical) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     const TechniqueKind kind = kAllTechniques[seed % std::size(kAllTechniques)];
     const SpecProfile& profile = profiles[seed % profiles.size()];
-    const Snapshot ref = RunWithMode(FastPathMode::kOff, kind, profile, seed, 500'000'000);
-    const Snapshot fast = RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000);
+    const Outcome ref = RunWithMode(FastPathMode::kOff, kind, profile, seed, 500'000'000);
+    const Outcome fast = RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000);
     ExpectBitIdentical(ref, fast, "seed=" + std::to_string(seed));
   }
 }
@@ -269,9 +201,9 @@ TEST(FastPathDifferential, InstructionLimitCutsMidFusedRun) {
   // state feeding the final counters) as the reference interpreter.
   const SpecProfile& profile = workloads::SpecCpu2006()[0];
   for (uint64_t limit : {1ull, 7ull, 997ull, 54'321ull, 111'111ull}) {
-    const Snapshot ref =
+    const Outcome ref =
         RunWithMode(FastPathMode::kOff, TechniqueKind::kMpx, profile, 42, limit);
-    const Snapshot fast =
+    const Outcome fast =
         RunWithMode(FastPathMode::kOn, TechniqueKind::kMpx, profile, 42, limit);
     ExpectBitIdentical(ref, fast, "limit=" + std::to_string(limit));
     EXPECT_EQ(ref.result.hit_instruction_limit, limit <= ref.result.instructions);
@@ -290,79 +222,12 @@ TEST(FastPathDifferential, FaultInjectionSitesBitIdentical) {
     const auto site = static_cast<FaultSite>(s);
     for (TechniqueKind kind : kinds) {
       const uint64_t seed = 7'000 + static_cast<uint64_t>(s);
-      const Snapshot ref =
+      const Outcome ref =
           RunWithMode(FastPathMode::kOff, kind, profile, seed, 500'000'000, site);
-      const Snapshot fast =
+      const Outcome fast =
           RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000, site);
       ExpectBitIdentical(ref, fast, std::string("site=") + sim::FaultSiteName(site));
     }
-  }
-}
-
-TEST(FastPathDifferential, SnapshotRoundTripEveryTechnique) {
-  // Save/load/resume at a midpoint must be invisible: the resumed run's
-  // result, stats and safe-access profile equal an uninterrupted run's bit
-  // for bit, for every technique. Midpoints vary per technique so the cut
-  // lands at different µop/fused-run offsets.
-  const auto profiles = workloads::SpecCpu2006();
-  for (size_t t = 0; t < std::size(kAllTechniques); ++t) {
-    const TechniqueKind kind = kAllTechniques[t];
-    const SpecProfile& profile = profiles[t % profiles.size()];
-    const uint64_t seed = 0x5eed00 + t;
-    const uint64_t midpoint = 20'011 + 7'777 * t;
-    const Snapshot straight = RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000);
-    const Snapshot trip =
-        RunPipelineWithRoundTrip(kind, profile, seed, 500'000'000, midpoint, std::nullopt,
-                                 FastPathMode::kOn, FastPathMode::kOn);
-    ExpectBitIdentical(straight, trip,
-                       "roundtrip technique=" + std::to_string(static_cast<int>(kind)));
-    EXPECT_GT(straight.result.instructions, midpoint);  // the cut actually happened
-  }
-}
-
-TEST(FastPathDifferential, SnapshotRoundTripAcrossFastPathModes) {
-  // The snapshot format is mode-portable: state saved under one fast-path
-  // mode resumes under any other with a bit-identical outcome. The check
-  // mode leg additionally validates every resumed µop and grant in lockstep.
-  const SpecProfile& profile = workloads::SpecCpu2006()[0];
-  constexpr uint64_t kSeed = 0xab1e;
-  constexpr uint64_t kMidpoint = 31'337;
-  const Snapshot ref = RunWithMode(FastPathMode::kOff, TechniqueKind::kMpx, profile, kSeed,
-                                   500'000'000);
-  const std::pair<FastPathMode, FastPathMode> legs[] = {
-      {FastPathMode::kOn, FastPathMode::kOff},
-      {FastPathMode::kOff, FastPathMode::kOn},
-      {FastPathMode::kOn, FastPathMode::kCheck},
-  };
-  for (const auto& [save_mode, resume_mode] : legs) {
-    const Snapshot trip =
-        RunPipelineWithRoundTrip(TechniqueKind::kMpx, profile, kSeed, 500'000'000, kMidpoint,
-                                 std::nullopt, save_mode, resume_mode);
-    ExpectBitIdentical(ref, trip,
-                       std::string("save=") + base::FastPathModeName(save_mode) +
-                           " resume=" + base::FastPathModeName(resume_mode));
-  }
-}
-
-TEST(FastPathDifferential, SnapshotRoundTripUnderInjectedFaults) {
-  // Injected protection-state corruption (PKRU desync, clobbered round keys,
-  // dropped EPT mappings) must travel inside the snapshot: the twin pipeline
-  // never re-injects, yet resumes to the same outcome as the straight
-  // injected run.
-  const SpecProfile& profile = workloads::SpecCpu2006()[1];
-  const std::pair<TechniqueKind, FaultSite> cells[] = {
-      {TechniqueKind::kMpk, FaultSite::kPkruDesync},
-      {TechniqueKind::kCrypt, FaultSite::kAesRoundKeyClobber},
-      {TechniqueKind::kVmfunc, FaultSite::kEptMappingDrop},
-      {TechniqueKind::kMpx, FaultSite::kBndRegisterClobber},
-  };
-  for (const auto& [kind, site] : cells) {
-    const uint64_t seed = 0xfa117 + static_cast<uint64_t>(site);
-    const Snapshot straight =
-        RunWithMode(FastPathMode::kOn, kind, profile, seed, 500'000'000, site);
-    const Snapshot trip = RunPipelineWithRoundTrip(kind, profile, seed, 500'000'000, 24'683,
-                                                   site, FastPathMode::kOn, FastPathMode::kOn);
-    ExpectBitIdentical(straight, trip, std::string("injected site=") + sim::FaultSiteName(site));
   }
 }
 
@@ -374,8 +239,8 @@ TEST(FastPathDifferential, CheckModeMatchesReference) {
   for (TechniqueKind kind :
        {TechniqueKind::kSfi, TechniqueKind::kMpk, TechniqueKind::kCrypt}) {
     const SpecProfile& profile = profiles[2];
-    const Snapshot ref = RunWithMode(FastPathMode::kOff, kind, profile, 99, 500'000'000);
-    const Snapshot checked = RunWithMode(FastPathMode::kCheck, kind, profile, 99, 500'000'000);
+    const Outcome ref = RunWithMode(FastPathMode::kOff, kind, profile, 99, 500'000'000);
+    const Outcome checked = RunWithMode(FastPathMode::kCheck, kind, profile, 99, 500'000'000);
     ExpectBitIdentical(ref, checked,
                        "check technique=" + std::to_string(static_cast<int>(kind)));
   }

@@ -285,7 +285,7 @@ TEST(FusedMemory, PkruFaultInsideFusedRunBitIdentical) {
 
 TEST(FusedMemory, BudgetCutoffMidFusedRunBitIdentical) {
   // Odd limits land the clamp between a fused run's memory ops; the partial
-  // run (and its mode-portable cursor) must match the reference exactly.
+  // run must match the reference exactly.
   // Eight sweeps keep the largest limit well inside the run (~1500 instrs).
   const Module m = PageStridingModule(64, 8);
   for (uint64_t limit : {1ull, 5ull, 97ull, 333ull, 1001ull}) {
@@ -293,48 +293,6 @@ TEST(FusedMemory, BudgetCutoffMidFusedRunBitIdentical) {
     ExpectAllModesIdentical(m, limit, 64, "limit=" + std::to_string(limit), &ref);
     EXPECT_TRUE(ref.result.hit_instruction_limit);
     EXPECT_EQ(ref.result.instructions, limit);
-  }
-}
-
-TEST(FusedMemory, CutoffResumeAcrossModesBitIdentical) {
-  // Cut under the fast path mid-fused-run, resume under the reference
-  // interpreter (and vice versa): run(N)+resume == uninterrupted run, bit
-  // for bit, across mode boundaries.
-  const Module m = PageStridingModule(64, 4);
-  const Snapshot whole = RunModule(m, FastPathMode::kOff, 500'000'000, 64);
-  ASSERT_TRUE(whole.result.halted);
-  const std::pair<FastPathMode, FastPathMode> legs[] = {
-      {FastPathMode::kOn, FastPathMode::kOff},
-      {FastPathMode::kOff, FastPathMode::kOn},
-      {FastPathMode::kOn, FastPathMode::kCheck},
-  };
-  for (const auto& [cut_mode, resume_mode] : legs) {
-    sim::Machine machine;
-    sim::Process process(&machine);
-    ASSERT_TRUE(process.SetupStack().ok());
-    ASSERT_TRUE(process.MapRange(sim::kWorkingSetBase, 64, machine::PageFlags::Data()).ok());
-    Module local = m;
-    sim::Executor executor(&process, &local);
-    sim::RunConfig rc;
-    rc.max_instructions = 333;  // lands inside a fused run
-    rc.record_safe_accesses = true;
-    sim::RunResult partial;
-    {
-      FastPathModeGuard guard(cut_mode);
-      partial = executor.Run(rc);
-    }
-    ASSERT_TRUE(partial.hit_instruction_limit);
-    ASSERT_TRUE(partial.cursor.valid);
-    FastPathModeGuard guard(resume_mode);
-    rc.max_instructions = 500'000'000;
-    Snapshot resumed;
-    resumed.result = executor.Resume(rc, partial);
-    resumed.tlb = process.mmu().tlb().stats();
-    resumed.cache = process.mmu().dcache().stats();
-    resumed.mmu = process.mmu().stats();
-    ExpectBitIdentical(whole, resumed,
-                       std::string("cut=") + base::FastPathModeName(cut_mode) +
-                           " resume=" + base::FastPathModeName(resume_mode));
   }
 }
 
