@@ -1,7 +1,7 @@
 // google-benchmark microbenchmarks of the substrates themselves (host-side
 // performance of the simulator, not simulated cycles): page walks, TLB,
-// cache tags, AES, the crypt domain-switch toggle, EPT translation, executor
-// throughput.
+// cache tags, AES, the crypt domain-switch toggle, EPT translation, address
+// space set-up, executor throughput.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -85,6 +85,32 @@ void BM_EptTranslate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EptTranslate);
+
+// A cell's machine set-up: construct a process, map its stack, table page
+// and a state.range(0)-KiB working set, then tear it all down.
+void BM_PrepareWorkloadProcess(benchmark::State& state) {
+  workloads::SpecProfile profile = workloads::SpecCpu2006()[0];
+  profile.ws_kb = static_cast<uint64_t>(state.range(0));
+  for (auto _ : state) {
+    sim::Machine machine;
+    sim::Process process(&machine);
+    benchmark::DoNotOptimize(workloads::PrepareWorkloadProcess(process, profile));
+  }
+}
+BENCHMARK(BM_PrepareWorkloadProcess)->Arg(256)->Arg(65536)->Unit(benchmark::kMicrosecond);
+
+// The 4 GiB hidden region of attack_matrix's crash-scan cell: 1,048,576
+// pages mapped in one MapRange, then the process torn down.
+void BM_MapRange4GiB(benchmark::State& state) {
+  const uint64_t pages = (uint64_t{4} << 30) >> kPageShift;
+  for (auto _ : state) {
+    sim::Machine machine;
+    sim::Process process(&machine);
+    benchmark::DoNotOptimize(
+        process.MapRange(sim::kSafeRegionBase, pages, machine::PageFlags::Data()));
+  }
+}
+BENCHMARK(BM_MapRange4GiB)->Unit(benchmark::kMillisecond);
 
 void BM_ExecutorThroughput(benchmark::State& state) {
   const auto& profile = workloads::SpecCpu2006()[0];

@@ -22,14 +22,7 @@ StatusOr<sim::SafeRegion*> SafeRegionAllocator::Alloc(const std::string& name, u
       // mappings, below the canonical boundary.
       base = PageAlignDown(rng_.Range(sim::kStackTop + kPageSize,
                                       kAddressSpaceEnd - PageAlignUp(rounded) - kPageSize));
-      bool clash = false;
-      for (uint64_t p = 0; p < PageAlignUp(rounded) >> kPageShift; ++p) {
-        if (process_->IsMapped(base + p * kPageSize)) {
-          clash = true;
-          break;
-        }
-      }
-      if (!clash) {
+      if (!process_->page_table().AnyMapped(base, PageAlignUp(rounded) >> kPageShift)) {
         break;
       }
     }

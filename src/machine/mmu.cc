@@ -28,9 +28,10 @@ FaultOr<AccessResult> Mmu::AccessSlow(VirtAddr va, AccessType access, const Pkru
     pte = tlb_entry->pte;
   } else {
     result.tlb_hit = false;
-    auto walk = page_table_->Walk(va);
-    // Each walk level is a real memory touch priced through the data cache.
-    const int guest_levels = walk.ok() ? walk.value().levels_touched : 1;
+    const WalkResult walk = page_table_->Probe(va);
+    // Each walk level is a real memory touch priced through the data cache;
+    // a miss is charged one level wherever the walk stopped.
+    const int guest_levels = walk.present ? walk.levels_touched : 1;
     for (int i = 0; i < guest_levels; ++i) {
       // Page-table entries cluster, so model them as hitting near the root
       // frame; pricing uses the cache level the touch lands in.
@@ -38,11 +39,11 @@ FaultOr<AccessResult> Mmu::AccessSlow(VirtAddr va, AccessType access, const Pkru
       result.cycles += cost_->MemLatency(level);
       ++stats_.walk_memory_touches;
     }
-    if (!walk.ok()) {
+    if (!walk.present) {
       ++stats_.faults;
       return Fault{FaultType::kPageNotPresent, va, access};
     }
-    pte = walk.value().pte;
+    pte = walk.pte;
 
     if (second_ != nullptr) {
       // Nested translation: the guest frame is guest-physical; run it through

@@ -1,5 +1,6 @@
 #include "src/machine/page_table.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace memsentry::machine {
@@ -64,6 +65,25 @@ StatusOr<PhysAddr> PageTable::MapNew(VirtAddr virt, PageFlags flags) {
   MEMSENTRY_ASSIGN_OR_RETURN(PhysAddr frame, pmem_->AllocFrame());
   MEMSENTRY_RETURN_IF_ERROR(Map(virt, frame, flags));
   return frame;
+}
+
+Status PageTable::MapNewRange(VirtAddr base, uint64_t pages, PageFlags flags) {
+  if (PageOffset(base) != 0) {
+    return InvalidArgument("Map requires page-aligned addresses");
+  }
+  PhysAddr slot = 0;
+  for (uint64_t p = 0; p < pages; ++p) {
+    const VirtAddr virt = base + p * kPageSize;
+    MEMSENTRY_ASSIGN_OR_RETURN(PhysAddr frame, pmem_->AllocFrame());
+    // Only a page that opens a leaf table can need new levels, and they are
+    // allocated after its data frame, as in MapNew.
+    slot = (p == 0 || IndexAt(virt, 0) == 0) ? PteSlot(virt, /*create=*/true) : slot + 8;
+    if ((pmem_->Read64(slot) & kPtePresent) != 0) {
+      return AlreadyExists("virtual page already mapped");
+    }
+    pmem_->Write64(slot, MakePte(frame, flags));
+  }
+  return OkStatus();
 }
 
 Status PageTable::Unmap(VirtAddr virt) {
@@ -133,32 +153,47 @@ Status PageTable::WritePteRaw(VirtAddr virt, uint64_t pte) {
   return OkStatus();
 }
 
-bool PageTable::IsMapped(VirtAddr virt) const {
-  // Same loads as Walk(), without building a NotFound status per miss (the
-  // safe-region allocator probes many unmapped pages).
-  const PhysAddr slot = FindPteSlot(virt);
-  return slot != 0 && (pmem_->Read64(slot) & kPtePresent) != 0;
+bool PageTable::IsMapped(VirtAddr virt) const { return Probe(virt).present; }
+
+bool PageTable::AnyMapped(VirtAddr base, uint64_t pages) const {
+  const VirtAddr end = base + pages * kPageSize;
+  VirtAddr virt = base;
+  while (virt < end) {
+    PhysAddr table = root_;
+    int level = 3;
+    for (; level >= 1; --level) {
+      const uint64_t entry = pmem_->Read64(table + IndexAt(virt, level) * 8);
+      if ((entry & kPtePresent) == 0) {
+        break;
+      }
+      table = entry & kPteFrameMask;
+    }
+    // level 0: `table` is the leaf table covering virt, which spans what
+    // one PD entry does; otherwise nothing under the absent level-`level`
+    // entry is mapped. Either way, resume at the next span.
+    const uint64_t span = uint64_t{1} << (kPageShift + 9 * std::max(level, 1));
+    const VirtAddr span_end = std::min(end, (virt & ~(span - 1)) + span);
+    if (level == 0) {
+      for (; virt < span_end; virt += kPageSize) {
+        if ((pmem_->Read64(table + IndexAt(virt, 0) * 8) & kPtePresent) != 0) {
+          return true;
+        }
+      }
+    }
+    virt = span_end;
+  }
+  return false;
 }
 
 StatusOr<WalkResult> PageTable::Walk(VirtAddr virt) const {
-  PhysAddr table = root_;
-  int touched = 0;
-  for (int level = 3; level >= 1; --level) {
-    const uint64_t entry = pmem_->Read64(table + IndexAt(virt, level) * 8);
-    ++touched;
-    if ((entry & kPtePresent) == 0) {
-      return NotFound("not present at level " + std::to_string(level));
+  const WalkResult result = Probe(virt);
+  if (!result.present) {
+    if (result.levels_touched == 4) {
+      return NotFound("leaf not present");
     }
-    table = entry & kPteFrameMask;
+    return NotFound("not present at level " + std::to_string(4 - result.levels_touched));
   }
-  const uint64_t pte = pmem_->Read64(table + IndexAt(virt, 0) * 8);
-  ++touched;
-  if ((pte & kPtePresent) == 0) {
-    return NotFound("leaf not present");
-  }
-  return WalkResult{.phys = (pte & kPteFrameMask) | PageOffset(virt),
-                    .pte = pte,
-                    .levels_touched = touched};
+  return result;
 }
 
 }  // namespace memsentry::machine

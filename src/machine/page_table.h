@@ -40,7 +40,8 @@ struct PageFlags {
 struct WalkResult {
   PhysAddr phys = 0;       // translated physical address (frame | offset)
   uint64_t pte = 0;        // leaf entry, for permission evaluation
-  int levels_touched = 4;  // memory accesses the walk performed
+  int levels_touched = 0;  // memory accesses the walk performed
+  bool present = false;    // false: some level (or the leaf) is not present
 };
 
 // A 4-level page table. The root (PML4) and all intermediate tables are
@@ -58,6 +59,11 @@ class PageTable {
   Status Map(VirtAddr virt, PhysAddr phys, PageFlags flags);
   // Allocates a fresh frame and maps it; returns the frame address.
   StatusOr<PhysAddr> MapNew(VirtAddr virt, PageFlags flags);
+  // MapNew for `pages` consecutive pages from `base`, walking from the root
+  // once per leaf table. Allocates frames in the same order as a MapNew loop
+  // (each data frame, then any new table levels) and stops with the same
+  // AlreadyExists at the first page already mapped.
+  Status MapNewRange(VirtAddr base, uint64_t pages, PageFlags flags);
   Status Unmap(VirtAddr virt);
   // Rewrites permissions of an existing mapping (mprotect).
   Status Protect(VirtAddr virt, PageFlags flags);
@@ -65,10 +71,19 @@ class PageTable {
   Status SetKey(VirtAddr virt, uint8_t pkey);
 
   bool IsMapped(VirtAddr virt) const;
+  // Whether any of `pages` pages from the page-aligned `base` is mapped, as
+  // a per-page IsMapped loop would answer; skips whole spans under absent
+  // PML4, PDPT and PD entries.
+  bool AnyMapped(VirtAddr base, uint64_t pages) const;
 
   // Hardware-style walk: loads one entry per level from physical memory.
   // Returns nullopt-equivalent via ok()==false when a level is not present.
   StatusOr<WalkResult> Walk(VirtAddr virt) const;
+  // The same loads without building a Status on a miss (TLB-miss paths that
+  // probe unmapped pages): `present` says whether the walk translated, and
+  // levels_touched counts the loads made either way. `pte` is the leaf
+  // entry when the walk reached it, else 0.
+  WalkResult Probe(VirtAddr virt) const;
 
   // Raw leaf-PTE access for fault injection and containment audits. Reads
   // and overwrites the leaf entry verbatim — including non-present entries —
@@ -99,6 +114,27 @@ class PageTable {
   PhysicalMemory* pmem_;
   PhysAddr root_;
 };
+
+// Inline: every TLB miss walks, and Walk() wraps it.
+inline WalkResult PageTable::Probe(VirtAddr virt) const {
+  WalkResult result;
+  PhysAddr table = root_;
+  for (int level = 3; level >= 1; --level) {
+    const uint64_t entry = pmem_->Read64(table + IndexAt(virt, level) * 8);
+    ++result.levels_touched;
+    if ((entry & kPtePresent) == 0) {
+      return result;
+    }
+    table = entry & kPteFrameMask;
+  }
+  result.pte = pmem_->Read64(table + IndexAt(virt, 0) * 8);
+  ++result.levels_touched;
+  result.present = (result.pte & kPtePresent) != 0;
+  if (result.present) {
+    result.phys = (result.pte & kPteFrameMask) | PageOffset(virt);
+  }
+  return result;
+}
 
 }  // namespace memsentry::machine
 

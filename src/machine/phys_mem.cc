@@ -7,38 +7,54 @@ namespace memsentry::machine {
 PhysicalMemory::PhysicalMemory(uint64_t total_frames) : total_frames_(total_frames) {}
 
 StatusOr<PhysAddr> PhysicalMemory::AllocFrame() {
-  if (next_frame_ >= total_frames_) {
-    // Linear scan for a freed frame; allocation is not on the simulated hot
-    // path so simplicity wins over a free list.
-    for (uint64_t f = 1; f < total_frames_; ++f) {
-      if (frames_.find(f) == frames_.end()) {
-        frames_.emplace(f, nullptr);  // materialized lazily on first touch
-        return PhysAddr{f << kPageShift};
-      }
+  uint64_t f = next_frame_;
+  if (f < total_frames_) {
+    ++next_frame_;
+  } else {
+    // Lowest free frame first; allocation is not on the simulated hot path
+    // so simplicity wins over a free list.
+    f = 1;
+    while (f < allocated_.size() && allocated_[f] != 0) {
+      ++f;
     }
-    return ResourceExhausted("physical memory exhausted");
+    if (f >= total_frames_) {
+      return ResourceExhausted("physical memory exhausted");
+    }
   }
-  const uint64_t f = next_frame_++;
-  frames_.emplace(f, nullptr);  // materialized lazily on first touch
+  MarkAllocated(f);  // materialized lazily on first write
   return PhysAddr{f << kPageShift};
 }
 
 Status PhysicalMemory::FreeFrame(PhysAddr frame) {
   const uint64_t f = PageNumber(frame);
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
+  if (!IsAllocated(frame)) {
     return NotFound("freeing unallocated frame");
   }
   CachedFrame& slot = frame_cache_[f & (kFrameCacheSlots - 1)];
   if (slot.number == f) {
     slot = CachedFrame{};
   }
-  frames_.erase(it);
+  frames_[f].reset();  // drops the bytes: a reused frame reads zero
+  allocated_[f] = 0;
+  --allocated_count_;
   return OkStatus();
 }
 
 bool PhysicalMemory::IsAllocated(PhysAddr frame) const {
-  return frames_.find(PageNumber(frame)) != frames_.end();
+  const uint64_t f = PageNumber(frame);
+  return f < allocated_.size() && allocated_[f] != 0;
+}
+
+void PhysicalMemory::MarkAllocated(uint64_t f) {
+  if (f >= frames_.size()) {
+    // Amortized: vector growth is geometric.
+    frames_.resize(f + 1);
+    allocated_.resize(f + 1);
+  }
+  if (allocated_[f] == 0) {
+    allocated_[f] = 1;
+    ++allocated_count_;
+  }
 }
 
 PhysicalMemory::Frame* PhysicalMemory::FrameFor(PhysAddr addr) {
@@ -48,16 +64,13 @@ PhysicalMemory::Frame* PhysicalMemory::FrameFor(PhysAddr addr) {
   if (slot.number == f) {
     return slot.frame;
   }
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
-    it = frames_.emplace(f, nullptr).first;
+  MarkAllocated(f);  // a direct poke at a never-allocated frame allocates it
+  std::unique_ptr<Frame>& frame = frames_[f];
+  if (frame == nullptr) {
+    frame = std::make_unique<Frame>();  // value-initialized: zeroed
   }
-  if (it->second == nullptr) {
-    it->second = std::make_unique<Frame>();
-    it->second->fill(0);
-  }
-  slot = CachedFrame{f, it->second.get()};
-  return it->second.get();
+  slot = CachedFrame{f, frame.get()};
+  return frame.get();
 }
 
 const PhysicalMemory::Frame* PhysicalMemory::FrameForConst(PhysAddr addr) const {
@@ -67,14 +80,14 @@ const PhysicalMemory::Frame* PhysicalMemory::FrameForConst(PhysAddr addr) const 
   if (slot.number == f) {
     return slot.frame;
   }
-  auto it = frames_.find(f);
-  if (it == frames_.end()) {
+  if (f >= frames_.size()) {
     return nullptr;
   }
-  if (it->second != nullptr) {
-    slot = CachedFrame{f, it->second.get()};
+  Frame* frame = frames_[f].get();
+  if (frame != nullptr) {
+    slot = CachedFrame{f, frame};
   }
-  return it->second.get();
+  return frame;
 }
 
 uint64_t PhysicalMemory::Read64Slow(PhysAddr addr) const {

@@ -28,14 +28,13 @@ Status Process::MapRange(VirtAddr base, uint64_t pages, machine::PageFlags flags
   if (PageOffset(base) != 0) {
     return InvalidArgument("MapRange requires a page-aligned base");
   }
-  for (uint64_t p = 0; p < pages; ++p) {
-    const VirtAddr va = base + p * kPageSize;
-    if (dune_ != nullptr) {
+  if (dune_ != nullptr) {
+    for (uint64_t p = 0; p < pages; ++p) {
       MEMSENTRY_ASSIGN_OR_RETURN(GuestPhysAddr gpa, dune_->AllocGuestFrame());
-      MEMSENTRY_RETURN_IF_ERROR(page_table_.Map(va, gpa, flags));
-    } else {
-      MEMSENTRY_RETURN_IF_ERROR(page_table_.MapNew(va, flags).status());
+      MEMSENTRY_RETURN_IF_ERROR(page_table_.Map(base + p * kPageSize, gpa, flags));
     }
+  } else {
+    MEMSENTRY_RETURN_IF_ERROR(page_table_.MapNewRange(base, pages, flags));
   }
   mappings_.push_back(Mapping{base, pages});
   return OkStatus();

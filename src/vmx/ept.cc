@@ -13,18 +13,18 @@ Status Ept::Map(GuestPhysAddr gpa, PhysAddr hpa, EptPerms perms) {
 Status Ept::Unmap(GuestPhysAddr gpa) { return table_.Unmap(gpa); }
 
 machine::FaultOr<PhysAddr> Ept::Translate(GuestPhysAddr gpa, machine::AccessType access) const {
-  auto walk = table_.Walk(gpa);
-  if (!walk.ok()) {
+  const machine::WalkResult walk = table_.Probe(gpa);
+  if (!walk.present) {
     return machine::Fault{machine::FaultType::kEptViolation, gpa, access};
   }
-  const uint64_t pte = walk.value().pte;
+  const uint64_t pte = walk.pte;
   if (access == machine::AccessType::kWrite && !machine::PageTable::PteWritable(pte)) {
     return machine::Fault{machine::FaultType::kEptViolation, gpa, access};
   }
   if (access == machine::AccessType::kExecute && machine::PageTable::PteNx(pte)) {
     return machine::Fault{machine::FaultType::kEptViolation, gpa, access};
   }
-  return walk.value().phys;
+  return walk.phys;
 }
 
 StatusOr<int> VmxContext::CreateEpt() {

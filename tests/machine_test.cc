@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <vector>
+
 #include "src/machine/cache.h"
 #include "src/machine/mmu.h"
 #include "src/machine/page_table.h"
@@ -30,16 +34,18 @@ TEST(PhysicalMemoryTest, ReadBackWrites) {
 }
 
 TEST(PhysicalMemoryTest, FreeAndReuse) {
-  PhysicalMemory pmem(4);  // frames 1..3 usable
-  auto a = pmem.AllocFrame();
-  auto b = pmem.AllocFrame();
-  auto c = pmem.AllocFrame();
-  ASSERT_TRUE(c.ok());
-  EXPECT_FALSE(pmem.AllocFrame().ok());  // exhausted
-  ASSERT_TRUE(pmem.FreeFrame(b.value()).ok());
-  auto d = pmem.AllocFrame();
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(d.value(), a.value() + kPageSize);  // reused the freed frame
+  PhysicalMemory pmem(8);  // frames 1..7 usable
+  for (uint64_t f = 1; f < 8; ++f) {
+    auto frame = pmem.AllocFrame();
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ(frame.value(), f << kPageShift);
+  }
+  EXPECT_FALSE(pmem.AllocFrame().ok());
+  ASSERT_TRUE(pmem.FreeFrame(5 << kPageShift).ok());
+  ASSERT_TRUE(pmem.FreeFrame(2 << kPageShift).ok());
+  EXPECT_EQ(pmem.AllocFrame().value(), PhysAddr{2} << kPageShift);
+  EXPECT_EQ(pmem.AllocFrame().value(), PhysAddr{5} << kPageShift);
+  EXPECT_FALSE(pmem.AllocFrame().ok());
 }
 
 TEST(PhysicalMemoryTest, DoubleFreeFails) {
@@ -47,6 +53,71 @@ TEST(PhysicalMemoryTest, DoubleFreeFails) {
   auto a = pmem.AllocFrame();
   ASSERT_TRUE(pmem.FreeFrame(a.value()).ok());
   EXPECT_FALSE(pmem.FreeFrame(a.value()).ok());
+}
+
+TEST(PhysicalMemoryTest, ReusedFrameReadsZero) {
+  PhysicalMemory pmem(2);  // only frame 1: a reuse must hand it back
+  const PhysAddr frame = pmem.AllocFrame().value();
+  pmem.Write64(frame + 64, 0x1122334455667788ULL);
+  pmem.Write8(frame + 7, 0x5a);
+  ASSERT_TRUE(pmem.FreeFrame(frame).ok());
+  ASSERT_EQ(pmem.AllocFrame().value(), frame);
+  EXPECT_EQ(pmem.Read64(frame + 64), 0u);
+  EXPECT_EQ(pmem.Read8(frame + 7), 0u);
+  uint8_t bytes[16];
+  pmem.ReadBytes(frame + 60, bytes, sizeof(bytes));
+  for (uint8_t b : bytes) {
+    EXPECT_EQ(b, 0u);
+  }
+}
+
+TEST(PhysicalMemoryTest, AllocatedCountAcrossAllocFreeAndPoke) {
+  PhysicalMemory pmem(64);
+  EXPECT_EQ(pmem.allocated_frames(), 0u);
+  const PhysAddr a = pmem.AllocFrame().value();  // frame 1
+  EXPECT_EQ(pmem.allocated_frames(), 1u);
+  EXPECT_TRUE(pmem.IsAllocated(a));
+  // Reading a never-allocated frame yields zero and allocates nothing.
+  EXPECT_EQ(pmem.Read64(PhysAddr{40} << kPageShift), 0u);
+  EXPECT_FALSE(pmem.IsAllocated(PhysAddr{40} << kPageShift));
+  EXPECT_EQ(pmem.allocated_frames(), 1u);
+  // A direct poke at frame 3 (never allocated) allocates it.
+  const PhysAddr poked = PhysAddr{3} << kPageShift;
+  pmem.Write64(poked + 8, 99);
+  EXPECT_TRUE(pmem.IsAllocated(poked));
+  EXPECT_EQ(pmem.allocated_frames(), 2u);
+  EXPECT_EQ(pmem.AllocFrame().value(), PhysAddr{2} << kPageShift);
+  EXPECT_EQ(pmem.allocated_frames(), 3u);
+  // The in-order allocator still hands out the poked frame, counted once.
+  EXPECT_EQ(pmem.AllocFrame().value(), poked);
+  EXPECT_EQ(pmem.allocated_frames(), 3u);
+  EXPECT_EQ(pmem.Read64(poked + 8), 99u);
+  ASSERT_TRUE(pmem.FreeFrame(a).ok());
+  EXPECT_FALSE(pmem.IsAllocated(a));
+  EXPECT_EQ(pmem.allocated_frames(), 2u);
+  EXPECT_FALSE(pmem.FreeFrame(PhysAddr{50} << kPageShift).ok());
+  EXPECT_EQ(pmem.allocated_frames(), 2u);
+}
+
+TEST(PhysicalMemoryTest, FreedFrameIsNeverServedFromTheFrameCache) {
+  PhysicalMemory pmem(256);
+  const PhysAddr a = pmem.AllocFrame().value();
+  pmem.Write64(a, 0xfeedULL);  // materializes and caches frame a
+  EXPECT_EQ(pmem.Read64(a), 0xfeedULL);
+  ASSERT_TRUE(pmem.FreeFrame(a).ok());
+  EXPECT_EQ(pmem.Read64(a), 0u);
+  EXPECT_EQ(pmem.Read8(a), 0u);
+  EXPECT_FALSE(pmem.IsAllocated(a));
+  // A poke after the free materializes a fresh zeroed frame.
+  pmem.Write8(a + 1, 7);
+  EXPECT_EQ(pmem.Read64(a), uint64_t{7} << 8);
+  // Frames 64 apart share a cache slot: a free must not leave the slot
+  // pointing at the freed frame's bytes for its neighbour either.
+  const PhysAddr b = a + (PhysAddr{64} << kPageShift);
+  pmem.Write64(b, 0xb0b0ULL);
+  ASSERT_TRUE(pmem.FreeFrame(b).ok());
+  EXPECT_EQ(pmem.Read64(a), uint64_t{7} << 8);
+  EXPECT_EQ(pmem.Read64(b), 0u);
 }
 
 class PageTableTest : public ::testing::Test {
@@ -109,20 +180,144 @@ TEST_F(PageTableTest, IsMappedAgreesWithWalk) {
   const VirtAddr mapped = 0x123456789000ULL;
   ASSERT_TRUE(pt_.MapNew(mapped, PageFlags::Data()).ok());
   const VirtAddr cases[] = {
-      mapped,               // mapped leaf
-      mapped + 0xfff,       // mapped leaf, unaligned
-      mapped + kPageSize,   // unmapped leaf in a live page table
-      0x7f0000000000ULL,    // no PDPT below this PML4 slot
-      mapped + (1ULL << 30) // PDPT present, no page directory
+      mapped,                // mapped leaf
+      mapped + 0xfff,        // mapped leaf, unaligned
+      mapped + kPageSize,    // unmapped leaf in a live page table
+      0x7f0000000000ULL,     // no PDPT below this PML4 slot
+      mapped + (1ULL << 30), // PDPT present, no page directory
+      mapped + (1ULL << 21), // page directory present, no page table
   };
-  for (VirtAddr va : cases) {
-    EXPECT_EQ(pt_.IsMapped(va), pt_.Walk(va).ok()) << std::hex << va;
+  const int levels_touched[] = {4, 4, 4, 1, 2, 3};
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    const VirtAddr va = cases[i];
+    auto walk = pt_.Walk(va);
+    EXPECT_EQ(pt_.IsMapped(va), walk.ok()) << std::hex << va;
+    // Probe makes the same loads without a Status.
+    const WalkResult probe = pt_.Probe(va);
+    EXPECT_EQ(probe.present, walk.ok()) << std::hex << va;
+    EXPECT_EQ(probe.levels_touched, levels_touched[i]) << std::hex << va;
+    if (walk.ok()) {
+      EXPECT_EQ(probe.phys, walk.value().phys);
+      EXPECT_EQ(probe.pte, walk.value().pte);
+    }
   }
   EXPECT_TRUE(pt_.IsMapped(mapped));
   EXPECT_FALSE(pt_.IsMapped(mapped + kPageSize));
   ASSERT_TRUE(pt_.Unmap(mapped).ok());
   EXPECT_EQ(pt_.IsMapped(mapped), pt_.Walk(mapped).ok());
   EXPECT_FALSE(pt_.IsMapped(mapped));
+}
+
+// Every allocated frame's bytes: frame numbers, table layout and PTE bits.
+std::vector<uint8_t> Dump(const PhysicalMemory& pmem) {
+  std::vector<uint8_t> out;
+  for (uint64_t f = 1; f < pmem.total_frames(); ++f) {
+    if (!pmem.IsAllocated(f << kPageShift)) {
+      continue;
+    }
+    const size_t at = out.size();
+    out.resize(at + 8 + kPageSize);
+    std::memcpy(out.data() + at, &f, 8);
+    pmem.ReadBytes(f << kPageShift, out.data() + at + 8, kPageSize);
+  }
+  return out;
+}
+
+// pt_ maps each range in one MapNewRange; a second table maps the same pages
+// one MapNew at a time. Both must build the same memory, frame for frame.
+TEST_F(PageTableTest, MapRangeMatchesPerPageMapping) {
+  PhysicalMemory page_mem{1 << 16};
+  PageTable page_pt{&page_mem};
+  struct Case {
+    VirtAddr base;
+    uint64_t pages;
+  };
+  const Case cases[] = {
+      {0x1fe000, 4},                      // crosses a leaf table
+      {(1ULL << 30) - 3 * kPageSize, 6},  // crosses a page directory
+      {(1ULL << 39) - kPageSize, 2},      // crosses a PML4 entry
+      {0x40000000000ULL + 0x5000, 1100},  // several leaf tables
+      {0x9000, 1},
+      {0xa000, 0},
+  };
+  PageFlags flags = PageFlags::Data();
+  flags.pkey = 5;
+  for (const Case& c : cases) {
+    // A prior mapping nearby, so the range finds some levels present.
+    ASSERT_TRUE(pt_.MapNew(c.base + (1ULL << 23), PageFlags::Code()).ok());
+    ASSERT_TRUE(page_pt.MapNew(c.base + (1ULL << 23), PageFlags::Code()).ok());
+    ASSERT_TRUE(pt_.MapNewRange(c.base, c.pages, flags).ok()) << std::hex << c.base;
+    for (uint64_t p = 0; p < c.pages; ++p) {
+      ASSERT_TRUE(page_pt.MapNew(c.base + p * kPageSize, flags).ok());
+    }
+    EXPECT_EQ(pmem_.allocated_frames(), page_mem.allocated_frames()) << std::hex << c.base;
+    EXPECT_EQ(Dump(pmem_), Dump(page_mem)) << std::hex << c.base;
+  }
+  // A page already mapped mid-range, past a leaf-table boundary: both stop
+  // there with the same error, having allocated the same frames.
+  const VirtAddr base = 0x3f0000;
+  const VirtAddr clash = base + 30 * kPageSize;
+  ASSERT_TRUE(pt_.MapNew(clash, PageFlags::Code()).ok());
+  ASSERT_TRUE(page_pt.MapNew(clash, PageFlags::Code()).ok());
+  const Status range_status = pt_.MapNewRange(base, 40, flags);
+  Status page_status = OkStatus();
+  for (uint64_t p = 0; p < 40 && page_status.ok(); ++p) {
+    page_status = page_pt.MapNew(base + p * kPageSize, flags).status();
+  }
+  EXPECT_EQ(range_status.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(range_status.code(), page_status.code());
+  EXPECT_EQ(range_status.message(), page_status.message());
+  EXPECT_EQ(pmem_.allocated_frames(), page_mem.allocated_frames());
+  EXPECT_EQ(Dump(pmem_), Dump(page_mem));
+  EXPECT_TRUE(pt_.IsMapped(clash - kPageSize));
+  EXPECT_FALSE(pt_.IsMapped(clash + kPageSize));
+}
+
+TEST_F(PageTableTest, AnyMappedAgreesWithPerPageIsMapped) {
+  const VirtAddr gb = 1ULL << 30;
+  const VirtAddr pml4_span = 1ULL << 39;
+  const VirtAddr mapped[] = {
+      0x200000,              // first page of a leaf table
+      0x3ff000,              // last page of a leaf table
+      2 * gb - kPageSize,    // last page of a PDPT entry's span
+      5 * gb + 0x7000,       // alone under its page directory
+      pml4_span + 0x3000,    // under the second PML4 entry
+  };
+  for (VirtAddr va : mapped) {
+    ASSERT_TRUE(pt_.MapNew(va, PageFlags::Data()).ok());
+  }
+  ASSERT_TRUE(pt_.MapNew(0x250000, PageFlags::Data()).ok());
+  ASSERT_TRUE(pt_.Unmap(0x250000).ok());  // a hole in a live leaf table
+  const uint64_t gb_pages = gb / kPageSize;
+  struct Window {
+    VirtAddr base;
+    uint64_t pages;
+  };
+  const Window windows[] = {
+      {0x0, 0x200},                                   // ends just before 0x200000
+      {0x0, 0x201},                                   // ends on it
+      {0x201000, 0x1fe},                              // between two mapped pages
+      {0x201000, 0x1ff},                              // reaches 0x3ff000
+      {0x250000, 1},                                  // the unmapped hole
+      {0x400000, 2 * gb_pages - 1024 - 1},            // stops before 2 GiB - 4 KiB
+      {0x400000, 2 * gb_pages - 1024},                // includes it
+      {2 * gb, 3 * gb_pages + 7},                     // empty PDs, then stops short
+      {2 * gb, 3 * gb_pages + 8},                     // reaches 5 GiB + 0x7000
+      {5 * gb + 0x8000, 1 << 20},                     // absent page directories
+      {pml4_span - 4 * gb, (1 << 20) + 3},            // absent PDPT entries, then
+      {pml4_span - 4 * gb, (1 << 20) + 4},            // across a PML4 boundary
+      {pml4_span + 0x4000, 1 << 20},
+      {0x7f0000000000ULL, 1 << 20},                   // no PDPT at all
+      {0x3ff000, 0},
+  };
+  for (const Window& w : windows) {
+    bool oracle = false;
+    for (uint64_t p = 0; p < w.pages && !oracle; ++p) {
+      oracle = pt_.IsMapped(w.base + p * kPageSize);
+    }
+    EXPECT_EQ(pt_.AnyMapped(w.base, w.pages), oracle)
+        << std::hex << w.base << " +" << w.pages << " pages";
+  }
 }
 
 TEST_F(PageTableTest, SetKeyRejectsBadKeyAndMissingPage) {
