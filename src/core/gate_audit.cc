@@ -26,6 +26,11 @@ GateKind Classify(const ir::Instr& instr) {
   }
 }
 
+// The opcodes Classify can call a gate.
+constexpr uint64_t kGateOpcodes = ir::OpcodeMask(
+    {ir::Opcode::kWrpkru, ir::Opcode::kVmFunc, ir::Opcode::kEnclaveEnter,
+     ir::Opcode::kEnclaveExit, ir::Opcode::kMprotect, ir::Opcode::kAesCryptRegion});
+
 }  // namespace
 
 GateAuditResult AuditDomainGates(const ir::Module& module) {
@@ -38,6 +43,9 @@ GateAuditResult AuditDomainGates(const ir::Module& module) {
       int crypt_toggles = 0;
       for (int ii = 0; ii < static_cast<int>(instrs.size()); ++ii) {
         const ir::Instr& instr = instrs[static_cast<size_t>(ii)];
+        if (!ir::InOpcodeMask(kGateOpcodes, instr.op)) {
+          continue;
+        }
         const GateKind kind = Classify(instr);
         if (kind == GateKind::kNotAGate) {
           continue;

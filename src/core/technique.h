@@ -85,7 +85,9 @@ class Technique {
   // Instrumentation side (used by core/instrument.h). Address-based
   // techniques emit a per-access check sequence; domain-based techniques
   // emit open/close sequences around safe-access runs. Default
-  // implementations return empty sequences.
+  // implementations return empty sequences. Each sequence must depend only
+  // on its arguments: MemSentryPass builds it once per run and reuses it at
+  // every instrumentation point.
   virtual std::vector<ir::Instr> MakeAccessCheck(machine::Gpr addr_reg, bool is_load,
                                                  const InstrumentOptions& opts) const;
   virtual std::vector<ir::Instr> MakeDomainOpen(const sim::Process& process,

@@ -6,15 +6,25 @@ namespace memsentry::defenses {
 
 Status EventAnnotatorPass::Run(ir::Module& module) {
   events_ = 0;
+  const auto match = [this](const ir::Instr& instr) {
+    return (kind_ == EventKind::kIndirectBranch && instr.op == ir::Opcode::kIndirectCall) ||
+           (kind_ == EventKind::kSyscall && instr.op == ir::Opcode::kSyscall);
+  };
   for (auto& func : module.functions) {
     for (auto& block : func.blocks) {
-      std::vector<ir::Instr> out;
-      out.reserve(block.instrs.size());
+      // Count first: a block without events stays as it is, and the others
+      // are rebuilt once, at their final size.
+      size_t events = 0;
       for (const ir::Instr& instr : block.instrs) {
-        const bool match =
-            (kind_ == EventKind::kIndirectBranch && instr.op == ir::Opcode::kIndirectCall) ||
-            (kind_ == EventKind::kSyscall && instr.op == ir::Opcode::kSyscall);
-        if (match) {
+        events += match(instr);
+      }
+      if (events == 0) {
+        continue;
+      }
+      std::vector<ir::Instr> out;
+      out.reserve(block.instrs.size() + 2 * events);
+      for (const ir::Instr& instr : block.instrs) {
+        if (match(instr)) {
           // Consult the defense's metadata: one read of the safe region.
           out.push_back(ir::Instr{.op = ir::Opcode::kMovImm,
                                   .dst = workloads::kRegDefScratch,
@@ -24,10 +34,10 @@ Status EventAnnotatorPass::Run(ir::Module& module) {
                                   .dst = workloads::kRegDefScratch,
                                   .src = workloads::kRegDefScratch,
                                   .flags = ir::kFlagDefense | ir::kFlagSafeAccess});
-          ++events_;
         }
         out.push_back(instr);
       }
+      events_ += events;
       block.instrs = std::move(out);
     }
   }

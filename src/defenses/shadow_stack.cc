@@ -46,10 +46,18 @@ Status ShadowStackPass::Run(ir::Module& module) {
                                                   .imm = shadow_base_}));
     }
     // Epilogues: before every ret, pop the shadow entry and compare it with
-    // the in-memory return address the ret is about to consume.
+    // the in-memory return address the ret is about to consume. Rets are
+    // counted first: a block without one stays as it is.
     for (auto& block : func.blocks) {
+      size_t rets = 0;
+      for (const ir::Instr& instr : block.instrs) {
+        rets += instr.op == ir::Opcode::kRet;
+      }
+      if (rets == 0) {
+        continue;
+      }
       std::vector<ir::Instr> out;
-      out.reserve(block.instrs.size());
+      out.reserve(block.instrs.size() + 5 * rets);
       for (const ir::Instr& instr : block.instrs) {
         if (instr.op == ir::Opcode::kRet) {
           const std::vector<ir::Instr> epilogue = {

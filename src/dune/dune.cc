@@ -1,5 +1,7 @@
 #include "src/dune/dune.h"
 
+#include <vector>
+
 namespace memsentry::dune {
 
 DuneVm::DuneVm(machine::PhysicalMemory* pmem) : pmem_(pmem), vmx_(pmem) {
@@ -22,11 +24,34 @@ StatusOr<GuestPhysAddr> DuneVm::AllocGuestFrame() {
   return gpa;
 }
 
+Status DuneVm::MapNewGuestRange(machine::PageTable& guest, VirtAddr base, uint64_t pages,
+                                machine::PageFlags flags) {
+  const int epts = vmx_.ept_count();
+  // Data frames, plus about one leaf table per 512 pages (and the levels
+  // above the first) in the guest table and in every EPT.
+  pmem_->ReserveFrames(pages + static_cast<uint64_t>(epts + 1) * (pages / 512 + 4));
+  std::vector<machine::PageTable::Cursor> ept_cursors(static_cast<size_t>(epts));
+  machine::PageTable::Cursor guest_cursor;
+  for (uint64_t p = 0; p < pages; ++p) {
+    MEMSENTRY_ASSIGN_OR_RETURN(PhysAddr host, pmem_->AllocFrame());
+    const GuestPhysAddr gpa = next_gpa_;
+    next_gpa_ += kPageSize;
+    frames_[PageNumber(gpa)] = GuestFrame{.host = host, .private_to = -1};
+    for (int i = 0; i < epts; ++i) {
+      MEMSENTRY_RETURN_IF_ERROR(
+          vmx_.ept(i).MapNext(ept_cursors[static_cast<size_t>(i)], gpa, host));
+    }
+    MEMSENTRY_RETURN_IF_ERROR(guest.MapNext(guest_cursor, base + p * kPageSize, gpa, flags));
+  }
+  return OkStatus();
+}
+
 StatusOr<int> DuneVm::CreateEpt() {
   MEMSENTRY_ASSIGN_OR_RETURN(int index, vmx_.CreateEpt());
+  machine::PageTable::Cursor cursor;
   for (const auto& [gpn, frame] : frames_) {
     if (frame.private_to == -1 || frame.private_to == index) {
-      MEMSENTRY_RETURN_IF_ERROR(vmx_.ept(index).Map(gpn << kPageShift, frame.host));
+      MEMSENTRY_RETURN_IF_ERROR(vmx_.ept(index).MapNext(cursor, gpn << kPageShift, frame.host));
     }
   }
   return index;

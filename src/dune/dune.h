@@ -12,6 +12,7 @@
 
 #include "src/base/status.h"
 #include "src/base/types.h"
+#include "src/machine/page_table.h"
 #include "src/machine/phys_mem.h"
 #include "src/vmx/ept.h"
 
@@ -36,6 +37,15 @@ class DuneVm {
   // it into every EPT (Dune fills EPTs on demand; we map eagerly — the guest
   // observes the same thing without modeling EPT-fault replay).
   StatusOr<GuestPhysAddr> AllocGuestFrame();
+
+  // Maps `pages` consecutive guest-virtual pages from `base` in `guest`
+  // (the process's guest page table), each backed by a fresh guest frame:
+  // the same frames, EPT entries and guest PTEs, allocated in the same
+  // order, as an AllocGuestFrame + guest Map loop, but with one frame-table
+  // growth and one walk per leaf table in each EPT and in `guest`. The
+  // caller checks that no page in the range is mapped.
+  Status MapNewGuestRange(machine::PageTable& guest, VirtAddr base, uint64_t pages,
+                          machine::PageFlags flags);
 
   // Creates an additional EPT pre-populated with all current *shared*
   // mappings. Returns its EPTP index.

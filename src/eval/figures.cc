@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 
 #include "src/base/stats_util.h"
@@ -10,6 +11,7 @@
 #include "src/defenses/event_annotator.h"
 #include "src/defenses/shadow_stack.h"
 #include "src/eval/run_memo.h"
+#include "src/ir/verifier.h"
 #include "src/sim/executor.h"
 #include "src/workloads/synth.h"
 
@@ -33,7 +35,8 @@ Run Execute(sim::Process& process, const ir::Module& module) {
   return Run{result.halted && !result.fault.has_value(), result.cycles, result.instructions};
 }
 
-ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synth);
+std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
+                                                   const SynthOptions& synth);
 
 // Baseline: the synthesized program plus (for domain scenarios) the defense
 // pass, but no isolation. The paper's SafeStack observation holds here too:
@@ -42,7 +45,11 @@ struct Pipeline {
   sim::Machine machine;
   std::unique_ptr<sim::Process> process;
   std::unique_ptr<core::MemSentry> memsentry;
-  ir::Module module;
+  // The cached synthesized module, shared read-only: a pipeline that runs
+  // no pass (the address-based baseline) executes it as it is.
+  std::shared_ptr<const ir::Module> synthesized;
+  // This pipeline's own copy, made before the first pass rewrites it.
+  std::optional<ir::Module> rewritten;
   VirtAddr region_base = 0;
 
   Pipeline(const SpecProfile& profile, core::TechniqueKind kind,
@@ -70,25 +77,39 @@ struct Pipeline {
     SynthOptions synth;
     synth.target_instructions = options.target_instructions;
     synth.seed = options.seed;
-    module = CachedSynthesize(profile, synth);
+    synthesized = CachedSynthesize(profile, synth);
   }
 
-  Status Protect() { return memsentry->Protect(module); }
+  const ir::Module& module() const { return rewritten ? *rewritten : *synthesized; }
+  ir::Module& MutableModule() {
+    if (!rewritten) {
+      rewritten.emplace(*synthesized);
+    }
+    return *rewritten;
+  }
+
+  Status Protect() { return memsentry->Protect(MutableModule()); }
 };
+
+Status RunDefensePass(ir::ModulePass& pass, ir::Module& module) {
+  MEMSENTRY_RETURN_IF_ERROR(pass.Run(module));
+  module.Touch();  // a new module state: Protect verifies it before its pass
+  return OkStatus();
+}
 
 Status ApplyDefense(Pipeline& p, DomainScenario scenario) {
   switch (scenario) {
     case DomainScenario::kCallRet: {
       defenses::ShadowStackPass pass(p.region_base);
-      return pass.Run(p.module);
+      return RunDefensePass(pass, p.MutableModule());
     }
     case DomainScenario::kIndirectBranch: {
       defenses::EventAnnotatorPass pass(defenses::EventKind::kIndirectBranch, p.region_base);
-      return pass.Run(p.module);
+      return RunDefensePass(pass, p.MutableModule());
     }
     case DomainScenario::kSyscall: {
       defenses::EventAnnotatorPass pass(defenses::EventKind::kSyscall, p.region_base);
-      return pass.Run(p.module);
+      return RunDefensePass(pass, p.MutableModule());
     }
   }
   return OkStatus();
@@ -127,18 +148,21 @@ RunMemo::Key BaselineRecipeKey(const SpecProfile& profile, core::TechniqueKind k
 // One synthesized program per (profile, synthesis options): synthesis reads
 // neither the technique nor the isolation flag, so the engine's cells
 // re-derive byte-identical modules dozens of times per profile. Entries are
-// returned by value — every pipeline rewrites its own copy through defense
-// and MemSentry passes. The key covers every SpecProfile and SynthOptions
-// field, so a hit is exactly the module synthesis would return; entries
-// stay valid across engine runs in one process (serve mode reuses them).
-ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synth) {
+// immutable and shared: a pipeline copies one only before a pass rewrites
+// it. Each is verified once, when cached, and copies carry that memo. The
+// key covers every SpecProfile and SynthOptions field, so a hit is exactly
+// the module synthesis would return; entries stay valid across engine runs
+// in one process (serve mode reuses them).
+std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
+                                                   const SynthOptions& synth) {
   struct KeyHash {
     size_t operator()(const RunMemo::Key& k) const {
       return static_cast<size_t>(k.lo ^ (k.hi * 0x9e3779b97f4a7c15ULL));
     }
   };
   static std::mutex* mutex = new std::mutex();
-  static auto* cache = new std::unordered_map<RunMemo::Key, ir::Module, KeyHash>();
+  static auto* cache =
+      new std::unordered_map<RunMemo::Key, std::shared_ptr<const ir::Module>, KeyHash>();
   RunKeyHasher h;
   HashSpecProfile(h, profile);
   h.U64(synth.target_instructions);
@@ -151,7 +175,11 @@ ir::Module CachedSynthesize(const SpecProfile& profile, const SynthOptions& synt
   std::lock_guard<std::mutex> lock(*mutex);
   auto it = cache->find(key);
   if (it == cache->end()) {
-    it = cache->emplace(key, SynthesizeSpecProgram(profile, synth)).first;
+    auto module = std::make_shared<ir::Module>(SynthesizeSpecProgram(profile, synth));
+    if (ir::Verify(*module).ok()) {
+      module->MarkVerified();
+    }
+    it = cache->emplace(key, std::move(module)).first;
   }
   return it->second;
 }
@@ -194,7 +222,7 @@ ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
   const Run base =
       MemoizedBaseline(BaselineRecipeKey(profile, kind, /*scenario_tag=*/-1, options, 0), [&] {
         Pipeline baseline(profile, kind, options, /*with_isolation=*/false);
-        return Execute(*baseline.process, baseline.module);
+        return Execute(*baseline.process, baseline.module());
       });
   if (!base.ok) {
     return {};
@@ -206,7 +234,7 @@ ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
   if (!protected_run.Protect().ok()) {
     return {};
   }
-  const Run isolated = Execute(*protected_run.process, protected_run.module);
+  const Run isolated = Execute(*protected_run.process, protected_run.module());
   if (!isolated.ok) {
     return {};
   }
@@ -230,7 +258,7 @@ ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
         if (!ApplyDefense(baseline, scenario).ok()) {
           return Run{};
         }
-        return Execute(*baseline.process, baseline.module);
+        return Execute(*baseline.process, baseline.module());
       });
   if (!base.ok) {
     return {};
@@ -243,7 +271,7 @@ ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
   if (!protected_run.Protect().ok()) {
     return {};
   }
-  const Run isolated = Execute(*protected_run.process, protected_run.module);
+  const Run isolated = Execute(*protected_run.process, protected_run.module());
   if (!isolated.ok) {
     return {};
   }
@@ -380,7 +408,7 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
               if (!ApplyDefense(base_pipeline, DomainScenario::kCallRet).ok()) {
                 return {};
               }
-              return Execute(*base_pipeline.process, base_pipeline.module);
+              return Execute(*base_pipeline.process, base_pipeline.module());
             });
         // Protected with the resized region.
         Pipeline prot(profile, core::TechniqueKind::kCrypt, options, true);
@@ -399,7 +427,7 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
         if (!prot.Protect().ok()) {
           return {};
         }
-        const Run isolated = Execute(*prot.process, prot.module);
+        const Run isolated = Execute(*prot.process, prot.module());
         if (!base.ok || !isolated.ok) {
           return {};
         }
@@ -436,6 +464,11 @@ void HashSpecProfile(RunKeyHasher& h, const SpecProfile& profile) {
 }
 
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile, const SynthOptions& synth) {
+  return *CachedSynthesize(profile, synth);
+}
+
+std::shared_ptr<const ir::Module> SharedSpecProgram(const SpecProfile& profile,
+                                                    const SynthOptions& synth) {
   return CachedSynthesize(profile, synth);
 }
 

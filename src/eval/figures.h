@@ -7,6 +7,7 @@
 #ifndef MEMSENTRY_SRC_EVAL_FIGURES_H_
 #define MEMSENTRY_SRC_EVAL_FIGURES_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -128,10 +129,15 @@ double RunMprotectBaseline(const SpecProfile& profile, const ExperimentOptions& 
 // suite's cells re-derive byte-identical modules dozens of times per
 // profile. This returns a copy of a cached module, keyed on every
 // SpecProfile and SynthOptions field, so it always equals what
-// workloads::SynthesizeSpecProgram would build. Shared with the suite
-// workloads (e.g. the SafeStack case study).
+// workloads::SynthesizeSpecProgram would build. The cached module was
+// verified once and the copy carries that memo (ir::Module::verified()).
+// Shared with the suite workloads (e.g. the SafeStack case study).
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile,
                                        const workloads::SynthOptions& synth);
+
+// The same cached module without the copy, for runs that never rewrite it.
+std::shared_ptr<const ir::Module> SharedSpecProgram(const SpecProfile& profile,
+                                                    const workloads::SynthOptions& synth);
 
 // Feeds every SpecProfile field into a recipe hasher, for memo keys built
 // outside figures.cc.

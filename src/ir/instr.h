@@ -7,6 +7,7 @@
 #define MEMSENTRY_SRC_IR_INSTR_H_
 
 #include <cstdint>
+#include <initializer_list>
 
 #include "src/machine/registers.h"
 
@@ -57,6 +58,21 @@ enum class Opcode : uint8_t {
 };
 
 const char* OpcodeName(Opcode op);
+
+// A set of opcodes as one bit mask, for scans that must skip the common
+// opcodes with one predictable test rather than a switch per instruction.
+constexpr uint64_t OpcodeMask(std::initializer_list<Opcode> ops) {
+  uint64_t mask = 0;
+  for (Opcode op : ops) {
+    mask |= uint64_t{1} << static_cast<uint8_t>(op);
+  }
+  return mask;
+}
+constexpr bool InOpcodeMask(uint64_t mask, Opcode op) {
+  const auto bit = static_cast<uint8_t>(op);
+  return bit < 64 && ((mask >> bit) & 1) != 0;
+}
+static_assert(static_cast<uint8_t>(Opcode::kTrapIf) < 64, "opcode masks are 64 bits wide");
 
 // Instruction flags.
 inline constexpr uint8_t kFlagInstrumentation = 1 << 0;  // inserted by a MemSentry pass

@@ -34,28 +34,38 @@ struct Module {
   int entry = 0;  // index of the entry function
 
   // The digest memo below is atomic (not copyable), so spell out the value
-  // operations. Copies and moves drop the memo — they are setup-time
-  // operations and the memo re-fills on the next decode-cache lookup. Every
-  // construction, copy, move (both sides) and assignment also takes a fresh
-  // id(), so no two module states ever share one.
+  // operations. Copies and moves drop the digest memo — they are setup-time
+  // operations and the memo re-fills on the next decode-cache lookup — but
+  // carry the verify memo, since they carry `version` with the content.
+  // Every construction, copy, move (both sides) and assignment also takes a
+  // fresh id(), so no two module states ever share one.
   Module() = default;
-  Module(const Module& o) : functions(o.functions), entry(o.entry), version(o.version) {}
+  Module(const Module& o)
+      : functions(o.functions),
+        entry(o.entry),
+        version(o.version),
+        verified_version_(o.verified_version_) {}
   Module& operator=(const Module& o) {
     functions = o.functions;
     entry = o.entry;
     version = o.version;
+    verified_version_ = o.verified_version_;
     id_ = NextId();
     digest_version_.store(~uint64_t{0}, std::memory_order_release);
     return *this;
   }
   Module(Module&& o) noexcept
-      : functions(std::move(o.functions)), entry(o.entry), version(o.version) {
+      : functions(std::move(o.functions)),
+        entry(o.entry),
+        version(o.version),
+        verified_version_(o.verified_version_) {
     o.id_ = NextId();
   }
   Module& operator=(Module&& o) noexcept {
     functions = std::move(o.functions);
     entry = o.entry;
     version = o.version;
+    verified_version_ = o.verified_version_;
     id_ = NextId();
     o.id_ = NextId();
     digest_version_.store(~uint64_t{0}, std::memory_order_release);
@@ -67,6 +77,14 @@ struct Module {
   uint64_t version = 0;
 
   void Touch() { ++version; }
+
+  // Verify memo: ir::Verify passed while the module was at its current
+  // version. PassManager records it and skips re-verifying an unchanged
+  // module; Touch() drops it, so an edit followed by Touch() is verified
+  // again. Only a non-const module records it, so a module shared
+  // read-only across threads never writes it.
+  bool verified() const { return verified_version_ == version; }
+  void MarkVerified() { verified_version_ = version; }
 
   // Process-unique identity of this module instance. Unlike its address, an
   // id is never reused: a module constructed where a freed one lived (or
@@ -130,6 +148,8 @@ struct Module {
   }
 
   uint64_t id_ = NextId();
+  // ~0 marks "never verified".
+  uint64_t verified_version_ = ~uint64_t{0};
   // ~0 marks "never digested" — version 0 modules digest on first ask.
   mutable std::atomic<uint64_t> digest_version_{~uint64_t{0}};
   mutable std::atomic<uint64_t> digest_{0};

@@ -5,7 +5,10 @@
 namespace memsentry::ir {
 
 Status PassManager::Run(Module& module) {
-  MEMSENTRY_RETURN_IF_ERROR(Verify(module));
+  if (!module.verified()) {
+    MEMSENTRY_RETURN_IF_ERROR(Verify(module));
+    module.MarkVerified();
+  }
   for (auto& pass : passes_) {
     MEMSENTRY_RETURN_IF_ERROR(pass->Run(module));
     module.Touch();  // invalidate any cached decoded form
@@ -13,6 +16,7 @@ Status PassManager::Run(Module& module) {
     if (!verified.ok()) {
       return InternalError("pass " + pass->name() + " broke the module: " + verified.ToString());
     }
+    module.MarkVerified();
     executed_.push_back(pass->name());
   }
   return OkStatus();

@@ -24,7 +24,9 @@ class PassManager {
  public:
   void Add(std::unique_ptr<ModulePass> pass) { passes_.push_back(std::move(pass)); }
 
-  // Runs every pass in order; verifies the module after each one.
+  // Runs every pass in order; verifies the module after each one. The
+  // module is verified before the first pass unless it was already verified
+  // at its current version (Module::verified()).
   Status Run(Module& module);
 
   const std::vector<std::string>& executed() const { return executed_; }

@@ -11,6 +11,11 @@ std::string Where(const Function& f, int block, int index) {
 
 }  // namespace
 
+// Terminators, plus every opcode whose operands the switch below checks.
+constexpr uint64_t kChecked =
+    OpcodeMask({Opcode::kJmp, Opcode::kCondBr, Opcode::kRet, Opcode::kHalt, Opcode::kCall,
+                Opcode::kWrpkru, Opcode::kBndcu, Opcode::kBndcl});
+
 Status Verify(const Module& module) {
   if (module.functions.empty()) {
     return InvalidArgument("module has no functions");
@@ -32,6 +37,9 @@ Status Verify(const Module& module) {
       for (int i = 0; i < static_cast<int>(instrs.size()); ++i) {
         const Instr& instr = instrs[static_cast<size_t>(i)];
         const bool last = i == static_cast<int>(instrs.size()) - 1;
+        if (!last && !InOpcodeMask(kChecked, instr.op)) {
+          continue;  // neither a terminator nor an operand to check
+        }
         if (instr.IsTerminator() != last) {
           return InvalidArgument(std::string(instr.IsTerminator() ? "terminator not at block end "
                                                                   : "block does not end in terminator ") +

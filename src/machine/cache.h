@@ -6,8 +6,6 @@
 #define MEMSENTRY_SRC_MACHINE_CACHE_H_
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 
 #include "src/base/status.h"
 #include "src/base/types.h"
@@ -28,6 +26,10 @@ struct CacheStats {
 class CacheArray {
  public:
   CacheArray(uint64_t size_bytes, int ways, int line_bytes);
+  ~CacheArray();
+
+  CacheArray(const CacheArray&) = delete;
+  CacheArray& operator=(const CacheArray&) = delete;
 
   // Returns true on hit; on miss, fills the line (allocate-on-miss).
   // Inline: this runs once per simulated memory touch per level, the
@@ -38,11 +40,11 @@ class CacheArray {
     const uint64_t tag = block >> tag_shift_;
     Line* base = &lines_[set * static_cast<uint64_t>(ways_)];
     // Hit scan first — the common case wants no victim bookkeeping. An
-    // invalid line (lru == 0) can't false-match: a zero tag with lru == 0
-    // is rejected by the lru check.
+    // invalid line can't false-match, whatever tag it holds: the lru check
+    // rejects it.
     for (int w = 0; w < ways_; ++w) {
       Line& line = base[w];
-      if (line.tag == tag && line.valid()) {
+      if (line.tag == tag && Valid(line)) {
         line.lru = ++tick_;
         return true;
       }
@@ -51,24 +53,37 @@ class CacheArray {
     return false;
   }
 
-  void Flush();
+  // Invalidates every line in O(1): lines stamped so far fall to or below
+  // the validity floor.
+  void Flush() { floor_ = tick_; }
+
+  // Whether addr's line is cached, without touching its LRU stamp.
+  bool Contains(PhysAddr addr) const;
 
  private:
-  // lru == 0 means invalid: tick_ starts at 0 and every touch stamps
-  // ++tick_, so a valid line always has lru >= 1. This packs a line into 16
-  // bytes and lets the backing array come from calloc — the OS hands out
-  // zero pages lazily, so the mostly-untouched L3 tag array costs nothing to
-  // "initialize" per simulated machine.
+  // Every touch stamps lru = ++tick_, and a line is valid only if stamped
+  // above floor_: lines at or below it (zeroed storage, flushed lines, or
+  // lines a destroyed array left behind) are invalid. This packs a line
+  // into 16 bytes and lets tag storage be reused without clearing it.
   struct Line {
     uint64_t tag;
     uint64_t lru;
-
-    bool valid() const { return lru != 0; }
   };
+  bool Valid(const Line& line) const { return line.lru > floor_; }
 
-  struct FreeDeleter {
-    void operator()(Line* p) const { std::free(p); }
+  // Tag storage is recycled through a process-wide pool of spare arrays:
+  // a destroyed array returns its lines with the last stamp it issued, and
+  // the next array of the same size starts stamping above it, so a new
+  // simulated machine neither allocates nor zeroes its 2 MiB L3 tags.
+  struct Storage {
+    Line* lines = nullptr;
+    uint64_t count = 0;  // lines
+    uint64_t tick = 0;   // the highest stamp any line holds
   };
+  struct StoragePool;
+  static StoragePool& Pool();
+  static Storage TakeStorage(uint64_t count);
+  static void ReturnStorage(const Storage& storage);
 
   // Miss path: picks the victim way and installs the line (out of line to
   // keep the inlined hit scan small).
@@ -79,7 +94,8 @@ class CacheArray {
   int tag_shift_;  // log2(num_sets_), precomputed off the per-access path
   uint64_t num_sets_;
   uint64_t tick_ = 0;
-  std::unique_ptr<Line[], FreeDeleter> lines_;  // num_sets * ways, row-major by set
+  uint64_t floor_ = 0;  // lines stamped at or below this are invalid
+  Line* lines_ = nullptr;  // num_sets * ways, row-major by set; pooled
 };
 
 class CacheHierarchy {

@@ -29,15 +29,12 @@ PageTable::PageTable(PhysicalMemory* pmem) : pmem_(pmem) {
   root_ = root.value();
 }
 
-PhysAddr PageTable::PteSlot(VirtAddr virt, bool create) {
+PhysAddr PageTable::PteSlot(VirtAddr virt) {
   PhysAddr table = root_;
   for (int level = 3; level >= 1; --level) {
     const PhysAddr slot = table + IndexAt(virt, level) * 8;
     uint64_t entry = pmem_->Read64(slot);
     if ((entry & kPtePresent) == 0) {
-      if (!create) {
-        return 0;
-      }
       auto frame = pmem_->AllocFrame();
       assert(frame.ok() && "cannot allocate page-table level");
       // Intermediate entries are maximally permissive; leaves carry policy.
@@ -50,10 +47,22 @@ PhysAddr PageTable::PteSlot(VirtAddr virt, bool create) {
 }
 
 Status PageTable::Map(VirtAddr virt, PhysAddr phys, PageFlags flags) {
+  Cursor cursor;
+  return MapNext(cursor, virt, phys, flags);
+}
+
+Status PageTable::MapNext(Cursor& cursor, VirtAddr virt, PhysAddr phys, PageFlags flags) {
   if (PageOffset(virt) != 0 || PageOffset(phys) != 0) {
     return InvalidArgument("Map requires page-aligned addresses");
   }
-  const PhysAddr slot = PteSlot(virt, /*create=*/true);
+  // One leaf table maps what one PD entry spans. Only a page outside the
+  // cursor's span can need new levels, so walking just for those allocates
+  // the same levels, in the same order, as walking for every page.
+  const VirtAddr span = virt & ~((uint64_t{1} << (kPageShift + 9)) - 1);
+  if (span != cursor.span) {
+    cursor = Cursor{.span = span, .leaf_table = PteSlot(virt) - IndexAt(virt, 0) * 8};
+  }
+  const PhysAddr slot = cursor.leaf_table + IndexAt(virt, 0) * 8;
   if ((pmem_->Read64(slot) & kPtePresent) != 0) {
     return AlreadyExists("virtual page already mapped");
   }
@@ -71,23 +80,19 @@ Status PageTable::MapNewRange(VirtAddr base, uint64_t pages, PageFlags flags) {
   if (PageOffset(base) != 0) {
     return InvalidArgument("Map requires page-aligned addresses");
   }
-  PhysAddr slot = 0;
+  // Data frames plus at most one leaf table per 512 pages and the levels
+  // above the first and last.
+  pmem_->ReserveFrames(pages + pages / 512 + 4);
+  Cursor cursor;
   for (uint64_t p = 0; p < pages; ++p) {
-    const VirtAddr virt = base + p * kPageSize;
     MEMSENTRY_ASSIGN_OR_RETURN(PhysAddr frame, pmem_->AllocFrame());
-    // Only a page that opens a leaf table can need new levels, and they are
-    // allocated after its data frame, as in MapNew.
-    slot = (p == 0 || IndexAt(virt, 0) == 0) ? PteSlot(virt, /*create=*/true) : slot + 8;
-    if ((pmem_->Read64(slot) & kPtePresent) != 0) {
-      return AlreadyExists("virtual page already mapped");
-    }
-    pmem_->Write64(slot, MakePte(frame, flags));
+    MEMSENTRY_RETURN_IF_ERROR(MapNext(cursor, base + p * kPageSize, frame, flags));
   }
   return OkStatus();
 }
 
 Status PageTable::Unmap(VirtAddr virt) {
-  const PhysAddr slot = PteSlot(virt, /*create=*/false);
+  const PhysAddr slot = FindPteSlot(virt);
   if (slot == 0 || (pmem_->Read64(slot) & kPtePresent) == 0) {
     return NotFound("virtual page not mapped");
   }
@@ -96,7 +101,7 @@ Status PageTable::Unmap(VirtAddr virt) {
 }
 
 Status PageTable::Protect(VirtAddr virt, PageFlags flags) {
-  const PhysAddr slot = PteSlot(virt, /*create=*/false);
+  const PhysAddr slot = FindPteSlot(virt);
   if (slot == 0) {
     return NotFound("virtual page not mapped");
   }
@@ -112,7 +117,7 @@ Status PageTable::SetKey(VirtAddr virt, uint8_t pkey) {
   if (pkey >= 16) {
     return InvalidArgument("protection key must be 0..15");
   }
-  const PhysAddr slot = PteSlot(virt, /*create=*/false);
+  const PhysAddr slot = FindPteSlot(virt);
   if (slot == 0) {
     return NotFound("virtual page not mapped");
   }

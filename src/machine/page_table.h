@@ -57,12 +57,26 @@ class PageTable {
 
   // Maps one page. Fails if already mapped (use Protect/SetKey to modify).
   Status Map(VirtAddr virt, PhysAddr phys, PageFlags flags);
+
+  // The leaf table MapNext used last, for a run of mappings into one table
+  // (start each run with a fresh cursor; tables are never freed, so the
+  // cached one stays valid while the run lasts).
+  struct Cursor {
+    VirtAddr span = 1;      // the leaf-table-aligned span it covers (1: none)
+    PhysAddr leaf_table = 0;
+  };
+  // Map for one page of a run: a page in the cursor's span takes its slot
+  // from the cached leaf table without a walk; any other page walks from
+  // the root, creating absent levels, and moves the cursor there. Map is
+  // MapNext with a fresh cursor.
+  Status MapNext(Cursor& cursor, VirtAddr virt, PhysAddr phys, PageFlags flags);
   // Allocates a fresh frame and maps it; returns the frame address.
   StatusOr<PhysAddr> MapNew(VirtAddr virt, PageFlags flags);
   // MapNew for `pages` consecutive pages from `base`, walking from the root
-  // once per leaf table. Allocates frames in the same order as a MapNew loop
-  // (each data frame, then any new table levels) and stops with the same
-  // AlreadyExists at the first page already mapped.
+  // once per leaf table and growing the frame table once. Allocates frames
+  // in the same order as a MapNew loop (each data frame, then any new table
+  // levels) and stops with the same AlreadyExists at the first page already
+  // mapped.
   Status MapNewRange(VirtAddr base, uint64_t pages, PageFlags flags);
   Status Unmap(VirtAddr virt);
   // Rewrites permissions of an existing mapping (mprotect).
@@ -101,9 +115,10 @@ class PageTable {
 
  private:
   // Returns the physical address of the leaf PTE slot for virt, creating
-  // intermediate tables when create==true; 0 when absent and create==false.
-  PhysAddr PteSlot(VirtAddr virt, bool create);
-  // Non-creating slot lookup usable from const methods.
+  // absent intermediate tables.
+  PhysAddr PteSlot(VirtAddr virt);
+  // The leaf PTE slot for virt without creating anything; 0 when an
+  // intermediate level is absent.
   PhysAddr FindPteSlot(VirtAddr virt) const;
 
   static uint64_t IndexAt(VirtAddr virt, int level) {

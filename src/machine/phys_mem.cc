@@ -1,5 +1,6 @@
 #include "src/machine/phys_mem.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace memsentry::machine {
@@ -23,6 +24,25 @@ StatusOr<PhysAddr> PhysicalMemory::AllocFrame() {
   }
   MarkAllocated(f);  // materialized lazily on first write
   return PhysAddr{f << kPageShift};
+}
+
+void PhysicalMemory::ReserveFrames(uint64_t count) {
+  const uint64_t end = std::min(total_frames_, next_frame_ + count);
+  if (end <= frames_.size()) {
+    return;
+  }
+  if (end > frames_.capacity()) {
+    // Double, as growing frame by frame does: an exact fit would make the
+    // next small mapping copy the whole table again.
+    uint64_t capacity = std::max<uint64_t>(frames_.capacity(), 1);
+    while (capacity < end) {
+      capacity *= 2;
+    }
+    frames_.reserve(capacity);
+    allocated_.reserve(capacity);
+  }
+  frames_.resize(end);
+  allocated_.resize(end);
 }
 
 Status PhysicalMemory::FreeFrame(PhysAddr frame) {

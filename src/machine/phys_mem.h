@@ -27,6 +27,10 @@ class PhysicalMemory {
 
   // Allocates a zeroed frame; returns its physical address.
   StatusOr<PhysAddr> AllocFrame();
+  // Grows the frame table once to cover the next `count` in-order
+  // allocations, so a ranged mapping does not grow it frame by frame.
+  // Allocates nothing: frame numbers and IsAllocated() are unaffected.
+  void ReserveFrames(uint64_t count);
   Status FreeFrame(PhysAddr frame);
 
   bool IsAllocated(PhysAddr frame) const;
@@ -114,8 +118,8 @@ class PhysicalMemory {
   uint64_t next_frame_ = 1;  // frame 0 reserved: phys 0 is never handed out
   uint64_t allocated_count_ = 0;
   // The frame table, indexed by frame number and sized to the highest frame
-  // allocated or touched; AllocFrame hands frames out in order, so it stays
-  // dense. An allocated frame's bytes stay null until its first write
+  // allocated, touched or reserved; AllocFrame hands frames out in order, so
+  // it stays dense. An allocated frame's bytes stay null until its first write
   // (unmaterialized frames read as zero). Two arrays rather than one of
   // (pointer, flag) pairs: 9 bytes a frame instead of 16, which nearly
   // halves the table a 4 GiB mapping builds and the copy made when it

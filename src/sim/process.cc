@@ -28,11 +28,14 @@ Status Process::MapRange(VirtAddr base, uint64_t pages, machine::PageFlags flags
   if (PageOffset(base) != 0) {
     return InvalidArgument("MapRange requires a page-aligned base");
   }
+  // All or nothing: a range overlapping a mapped page fails before any
+  // frame is taken, leaving the page table, the frames and mappings() as
+  // they were.
+  if (page_table_.AnyMapped(base, pages)) {
+    return AlreadyExists("virtual page already mapped");
+  }
   if (dune_ != nullptr) {
-    for (uint64_t p = 0; p < pages; ++p) {
-      MEMSENTRY_ASSIGN_OR_RETURN(GuestPhysAddr gpa, dune_->AllocGuestFrame());
-      MEMSENTRY_RETURN_IF_ERROR(page_table_.Map(base + p * kPageSize, gpa, flags));
-    }
+    MEMSENTRY_RETURN_IF_ERROR(dune_->MapNewGuestRange(page_table_, base, pages, flags));
   } else {
     MEMSENTRY_RETURN_IF_ERROR(page_table_.MapNewRange(base, pages, flags));
   }

@@ -76,7 +76,8 @@ class Process {
   bool dune_enabled() const { return dune_ != nullptr; }
   dune::DuneVm* dune() { return dune_.get(); }
 
-  // Maps `pages` fresh zeroed pages at `base`.
+  // Maps `pages` fresh zeroed pages at `base`. Fails with AlreadyExists,
+  // changing nothing, when any page in the range is already mapped.
   Status MapRange(VirtAddr base, uint64_t pages, machine::PageFlags flags);
   Status Unmap(VirtAddr base, uint64_t pages);
   bool IsMapped(VirtAddr va) const { return page_table_.IsMapped(PageAlignDown(va)); }

@@ -269,8 +269,8 @@ double RunSafeStack(const workloads::SpecProfile& profile, core::TechniqueKind k
       (void)workloads::PrepareWorkloadProcess(process, profile);
       workloads::SynthOptions synth;
       synth.target_instructions = options.target_instructions;
-      ir::Module module = eval::SynthesizeSpecProgramCached(profile, synth);
-      sim::Executor executor(&process, &module);
+      const std::shared_ptr<const ir::Module> module = eval::SharedSpecProgram(profile, synth);
+      sim::Executor executor(&process, module.get());
       auto result = executor.Run();
       if (eval::RunMemo::Enabled()) {
         eval::RunMemo::Global().Insert(

@@ -2,12 +2,25 @@
 
 namespace memsentry::vmx {
 
-Status Ept::Map(GuestPhysAddr gpa, PhysAddr hpa, EptPerms perms) {
+namespace {
+
+machine::PageFlags EptFlags(EptPerms perms) {
   machine::PageFlags flags;
   flags.writable = perms.write;
   flags.executable = perms.execute;
   flags.user = true;
-  return table_.Map(gpa, hpa, flags);
+  return flags;
+}
+
+}  // namespace
+
+Status Ept::Map(GuestPhysAddr gpa, PhysAddr hpa, EptPerms perms) {
+  return table_.Map(gpa, hpa, EptFlags(perms));
+}
+
+Status Ept::MapNext(machine::PageTable::Cursor& cursor, GuestPhysAddr gpa, PhysAddr hpa,
+                    EptPerms perms) {
+  return table_.MapNext(cursor, gpa, hpa, EptFlags(perms));
 }
 
 Status Ept::Unmap(GuestPhysAddr gpa) { return table_.Unmap(gpa); }

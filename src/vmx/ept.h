@@ -32,6 +32,9 @@ class Ept {
   explicit Ept(machine::PhysicalMemory* pmem) : table_(pmem) {}
 
   Status Map(GuestPhysAddr gpa, PhysAddr hpa, EptPerms perms = {});
+  // Map for one frame of a run of mappings (see machine::PageTable::MapNext).
+  Status MapNext(machine::PageTable::Cursor& cursor, GuestPhysAddr gpa, PhysAddr hpa,
+                 EptPerms perms = {});
   Status Unmap(GuestPhysAddr gpa);
   bool IsMapped(GuestPhysAddr gpa) const { return table_.IsMapped(gpa); }
 

@@ -1,11 +1,15 @@
 // Tests for the per-feature substrates: MPX, MPK, SGX, VMX/EPT, Dune.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "src/dune/dune.h"
 #include "src/machine/phys_mem.h"
 #include "src/mpk/mpk.h"
 #include "src/mpx/mpx.h"
 #include "src/sgx/enclave.h"
+#include "src/sim/process.h"
 #include "src/vmx/ept.h"
 
 namespace memsentry {
@@ -287,6 +291,127 @@ TEST(DuneTest, HostFrameLookup) {
   ASSERT_TRUE(host.ok());
   EXPECT_EQ(PageOffset(host.value()), 0x24u);
   EXPECT_FALSE(vm.HostFrame(0xffff000).ok());
+}
+
+// ---- Process::MapRange ----
+
+// What a mapping can change: the frame count, the recorded mappings, and
+// per page of a window the leaf PTE (absent slot: nullopt) and, under
+// Dune, where every EPT sends a present page's guest frame.
+struct AddressSpaceImage {
+  uint64_t frames = 0;
+  std::vector<std::pair<VirtAddr, uint64_t>> mappings;
+  std::vector<std::optional<uint64_t>> ptes;
+  std::vector<std::optional<PhysAddr>> ept_hosts;
+
+  bool operator==(const AddressSpaceImage&) const = default;
+};
+
+AddressSpaceImage Image(sim::Process& process, VirtAddr lo, uint64_t pages) {
+  AddressSpaceImage image;
+  image.frames = process.machine().pmem.allocated_frames();
+  for (const auto& m : process.mappings()) {
+    image.mappings.emplace_back(m.base, m.pages);
+  }
+  for (uint64_t p = 0; p < pages; ++p) {
+    auto pte = process.page_table().ReadPte(lo + p * kPageSize);
+    image.ptes.push_back(pte.ok() ? std::optional<uint64_t>(pte.value()) : std::nullopt);
+    if (process.dune_enabled() && pte.ok() && (pte.value() & machine::kPtePresent) != 0) {
+      const GuestPhysAddr gpa = pte.value() & machine::kPteFrameMask;
+      for (int i = 0; i < process.dune()->vmx().ept_count(); ++i) {
+        auto host = process.dune()->vmx().ept(i).Translate(gpa, AccessType::kRead);
+        image.ept_hosts.push_back(host.ok() ? std::optional<PhysAddr>(host.value())
+                                            : std::nullopt);
+      }
+    }
+  }
+  return image;
+}
+
+class ProcessMapRangeTest : public ::testing::TestWithParam<bool> {};
+
+INSTANTIATE_TEST_SUITE_P(DuneOffOn, ProcessMapRangeTest, ::testing::Values(false, true),
+                         [](const auto& info) { return info.param ? "Dune" : "Native"; });
+
+TEST_P(ProcessMapRangeTest, OverlappingRangeFailsWithoutSideEffects) {
+  sim::Machine machine;
+  sim::Process process(&machine);
+  if (GetParam()) {
+    ASSERT_TRUE(process.EnableDune().ok());
+  }
+  // Pages 510..521 of a leaf-table-aligned window: the mapping crosses a
+  // leaf-table boundary.
+  const VirtAddr window = 0x100000000000ULL;
+  const VirtAddr base = window + 510 * kPageSize;
+  ASSERT_TRUE(process.MapRange(base, 12, machine::PageFlags::Data()).ok());
+  if (GetParam()) {
+    ASSERT_TRUE(process.dune()->CreateEpt().ok());  // a second EPT to keep equal
+  }
+  const AddressSpaceImage before = Image(process, window, 1024);
+  // Ranges whose first, middle or last page is mapped, one that starts
+  // before the mapping in a fresh leaf table, and one covering it.
+  const struct {
+    uint64_t first_page;
+    uint64_t pages;
+  } overlaps[] = {{510, 4}, {500, 20}, {520, 40}, {0, 511}, {400, 300}};
+  for (const auto& o : overlaps) {
+    const Status status = process.MapRange(window + o.first_page * kPageSize, o.pages,
+                                           machine::PageFlags::Data());
+    EXPECT_EQ(status.code(), StatusCode::kAlreadyExists) << o.first_page << "+" << o.pages;
+    EXPECT_TRUE(Image(process, window, 1024) == before) << o.first_page << "+" << o.pages;
+  }
+  // A free run next to the mapping still maps, and FindFreeRun never hands
+  // out the mapped pages.
+  ASSERT_TRUE(process.MapRange(window + 522 * kPageSize, 3, machine::PageFlags::Data()).ok());
+  const auto run = process.FindFreeRun(window + 500 * kPageSize, window + 1024 * kPageSize, 50);
+  ASSERT_TRUE(run.has_value());
+  EXPECT_EQ(*run, window + 525 * kPageSize);
+}
+
+// The ranged Dune path against an AllocGuestFrame + guest Map loop on a
+// second machine: the same frame numbers, guest PTEs and EPT entries, and
+// physical memory equal word for word (so every table sits in the same
+// frame), for ranges crossing guest and EPT leaf tables, with one and with
+// two EPTs.
+TEST(ProcessMapRangeDuneTest, MatchesPerPageGuestFrameLoop) {
+  sim::Machine ranged_machine;
+  sim::Machine looped_machine;
+  sim::Process ranged(&ranged_machine);
+  sim::Process looped(&looped_machine);
+  ASSERT_TRUE(ranged.EnableDune().ok());
+  ASSERT_TRUE(looped.EnableDune().ok());
+  const VirtAddr window = 0x200000000000ULL - 600 * kPageSize;  // crosses a PD boundary
+  const auto map_both = [&](uint64_t first_page, uint64_t pages) {
+    const VirtAddr base = window + first_page * kPageSize;
+    ASSERT_TRUE(ranged.MapRange(base, pages, machine::PageFlags::Data()).ok());
+    for (uint64_t p = 0; p < pages; ++p) {
+      auto gpa = looped.dune()->AllocGuestFrame();
+      ASSERT_TRUE(gpa.ok());
+      ASSERT_TRUE(looped.page_table()
+                      .Map(base + p * kPageSize, gpa.value(), machine::PageFlags::Data())
+                      .ok());
+    }
+  };
+  map_both(0, 700);
+  ASSERT_TRUE(ranged.dune()->CreateEpt().ok());
+  ASSERT_TRUE(looped.dune()->CreateEpt().ok());
+  map_both(700, 530);
+  map_both(1300, 1);
+  AddressSpaceImage a = Image(ranged, window, 1400);
+  AddressSpaceImage b = Image(looped, window, 1400);
+  a.mappings.clear();  // the loop records no mappings
+  EXPECT_EQ(a.frames, b.frames);
+  EXPECT_TRUE(a.ptes == b.ptes);
+  EXPECT_TRUE(a.ept_hosts == b.ept_hosts);
+  EXPECT_EQ(a.ept_hosts.size(), 2u * 1231u);
+  ASSERT_EQ(ranged_machine.pmem.allocated_frames(), looped_machine.pmem.allocated_frames());
+  for (uint64_t f = 1; f <= ranged_machine.pmem.allocated_frames(); ++f) {
+    for (uint64_t off = 0; off < kPageSize; off += 8) {
+      const PhysAddr addr = (f << kPageShift) + off;
+      ASSERT_EQ(ranged_machine.pmem.Read64(addr), looped_machine.pmem.Read64(addr))
+          << "frame " << f << " offset " << off;
+    }
+  }
 }
 
 }  // namespace

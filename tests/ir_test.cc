@@ -144,6 +144,56 @@ TEST(PassManagerTest, CatchesPassBreakingModule) {
   EXPECT_EQ(s.code(), StatusCode::kInternal);
 }
 
+TEST(PassManagerTest, VerifyMemoFollowsVersion) {
+  Module m = TinyValidModule();
+  EXPECT_FALSE(m.verified());
+  int count = 0;
+  PassManager pm;
+  pm.Add(std::make_unique<CountingPass>(&count));
+  ASSERT_TRUE(pm.Run(m).ok());
+  EXPECT_TRUE(m.verified());  // recorded after the pass's verify
+  const Module copy = m;
+  EXPECT_TRUE(copy.verified());  // carried with the content and version
+  m.Touch();
+  EXPECT_FALSE(m.verified());  // dropped by Touch()
+  EXPECT_TRUE(copy.verified());
+}
+
+TEST(PassManagerTest, ReverifiesModuleTouchedAfterItsLastVerify) {
+  Module m = TinyValidModule();
+  int count = 0;
+  {
+    PassManager pm;
+    pm.Add(std::make_unique<CountingPass>(&count));
+    ASSERT_TRUE(pm.Run(m).ok());
+  }
+  ASSERT_TRUE(m.verified());
+  // An edit that breaks the module, announced with Touch(): the next run
+  // must verify again and reject it before any pass sees it.
+  m.functions[0].blocks[0].instrs.pop_back();  // drops the terminator
+  m.Touch();
+  PassManager pm;
+  pm.Add(std::make_unique<CountingPass>(&count));
+  const Status s = pm.Run(m);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(count, 1);  // only the first run's pass ran
+  EXPECT_FALSE(m.verified());
+}
+
+TEST(PassManagerTest, CatchesPassBreakingAlreadyVerifiedModule) {
+  Module m = TinyValidModule();
+  ASSERT_TRUE(Verify(m).ok());
+  m.MarkVerified();  // the pre-pass verify is skipped...
+  int count = 0;
+  PassManager pm;
+  pm.Add(std::make_unique<CountingPass>(&count, /*corrupt=*/true));
+  const Status s = pm.Run(m);
+  EXPECT_FALSE(s.ok());  // ...but the verify after the pass still runs
+  EXPECT_EQ(s.code(), StatusCode::kInternal);
+  EXPECT_FALSE(m.verified());
+}
+
 // ---- points-to ----
 
 Module PointsToFixture(VirtAddr safe_base) {

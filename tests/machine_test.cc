@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <iterator>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "src/machine/cache.h"
@@ -388,6 +390,118 @@ TEST(CacheTest, L1EvictionFallsBackToL2) {
   const auto& stats = cache.stats();
   EXPECT_GT(stats.l2_hits, 0u);
   EXPECT_EQ(stats.accesses, 2048u);
+}
+
+// A reference LRU cache: per set, the cached lines from most to least
+// recently used. A miss in a full set evicts the last one.
+class ReferenceLru {
+ public:
+  ReferenceLru(uint64_t size_bytes, int ways, int line_bytes)
+      : ways_(static_cast<size_t>(ways)),
+        line_bytes_(static_cast<uint64_t>(line_bytes)),
+        sets_(size_bytes / (static_cast<uint64_t>(ways) * line_bytes)) {}
+
+  // Returns hit/miss; on a miss in a full set, *evicted gets the victim.
+  bool Access(PhysAddr addr, std::optional<uint64_t>* evicted) {
+    const uint64_t line = addr / line_bytes_;
+    std::vector<uint64_t>& set = sets_[line % sets_.size()];
+    evicted->reset();
+    for (size_t i = 0; i < set.size(); ++i) {
+      if (set[i] == line) {
+        set.erase(set.begin() + static_cast<ptrdiff_t>(i));
+        set.insert(set.begin(), line);
+        return true;
+      }
+    }
+    if (set.size() == ways_) {
+      *evicted = set.back();
+      set.pop_back();
+    }
+    set.insert(set.begin(), line);
+    return false;
+  }
+  void Flush() {
+    for (auto& set : sets_) {
+      set.clear();
+    }
+  }
+  const std::vector<uint64_t>& SetOf(PhysAddr addr) const {
+    return sets_[(addr / line_bytes_) % sets_.size()];
+  }
+  uint64_t line_bytes() const { return line_bytes_; }
+
+ private:
+  size_t ways_;
+  uint64_t line_bytes_;
+  std::vector<std::vector<uint64_t>> sets_;
+};
+
+// Each CacheHierarchy level against the reference LRU on seeded random
+// traces: hits and misses, the line each miss evicts, and the full contents
+// of the touched set must agree after every access. Traces mix addresses
+// that collide on one set (more tags than ways), a small hot pool, uniform
+// addresses, and Flush(). Every trace runs twice, each time on a new
+// array: the second array runs on the tag storage the first left behind,
+// full of lines the trace is about to touch, and must treat them all as
+// invalid.
+TEST(CacheTest, ArraysMatchReferenceLruOnRandomTraces) {
+  struct Geometry {
+    uint64_t size_bytes;
+    int ways;
+  };
+  const Geometry geometries[] = {{32 * 1024, 8}, {256 * 1024, 4}, {8 * 1024 * 1024, 16}};
+  constexpr int kLineBytes = 64;
+  for (const Geometry& g : geometries) {
+    const uint64_t sets = g.size_bytes / (static_cast<uint64_t>(g.ways) * kLineBytes);
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(testing::Message() << g.size_bytes << " B, " << g.ways << "-way, seed "
+                                        << seed << ", round " << round);
+        std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + g.size_bytes);
+        CacheArray cache(g.size_bytes, g.ways, kLineBytes);
+        ReferenceLru reference(g.size_bytes, g.ways, kLineBytes);
+        const uint64_t hot_set = rng() % sets;
+        std::vector<PhysAddr> hot;
+        for (int i = 0; i < 64; ++i) {
+          hot.push_back((rng() % (1u << 20)) * kLineBytes);
+        }
+        uint64_t hits = 0;
+        uint64_t evictions = 0;
+        for (int op = 0; op < 20000; ++op) {
+          const uint64_t pick = rng() % 100;
+          if (pick == 0) {
+            cache.Flush();
+            reference.Flush();
+            continue;
+          }
+          PhysAddr addr;
+          if (pick < 40) {
+            // One set, 3x as many distinct tags as ways.
+            const uint64_t tag = rng() % (3 * static_cast<uint64_t>(g.ways));
+            addr = (tag * sets + hot_set) * kLineBytes + rng() % kLineBytes;
+          } else if (pick < 75) {
+            addr = hot[rng() % hot.size()] + rng() % kLineBytes;
+          } else {
+            addr = rng() % (uint64_t{1} << 34);
+          }
+          std::optional<uint64_t> evicted;
+          const bool expect_hit = reference.Access(addr, &evicted);
+          ASSERT_EQ(cache.Access(addr), expect_hit) << "op " << op << " addr " << addr;
+          hits += expect_hit;
+          if (evicted.has_value()) {
+            ++evictions;
+            ASSERT_FALSE(cache.Contains(*evicted * kLineBytes)) << "op " << op;
+          }
+          for (uint64_t line : reference.SetOf(addr)) {
+            ASSERT_TRUE(cache.Contains(line * kLineBytes)) << "op " << op;
+          }
+        }
+        // The trace exercised both outcomes and real evictions.
+        EXPECT_GT(hits, 1000u);
+        EXPECT_GT(evictions, 1000u);
+      }
+    }
+  }
 }
 
 class MmuTest : public ::testing::Test {
