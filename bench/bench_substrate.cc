@@ -1,11 +1,15 @@
 // google-benchmark microbenchmarks of the substrates themselves (host-side
 // performance of the simulator, not simulated cycles): page walks, TLB,
 // cache tags, AES, the crypt domain-switch toggle, EPT translation, address
-// space set-up, executor throughput.
+// space set-up, executor throughput (unprotected, SFI, MPK + shadow stack).
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "bench/bench_util.h"
 #include "src/aes/aes128.h"
+#include "src/core/memsentry.h"
+#include "src/defenses/shadow_stack.h"
 #include "src/ir/builder.h"
 #include "src/machine/mmu.h"
 #include "src/sim/executor.h"
@@ -26,6 +30,9 @@ void BM_PageTableWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PageTableWalk);
 
+// A translated, cached load as the interpreter performs it: the inline
+// grant-hit path with the fast-path mode hoisted (TLB hit bookkeeping plus
+// an L1 hit).
 void BM_MmuTlbHit(benchmark::State& state) {
   machine::PhysicalMemory pmem(1 << 16);
   machine::CostModel cost;
@@ -34,12 +41,37 @@ void BM_MmuTlbHit(benchmark::State& state) {
   mmu.SetPageTable(&pt);
   (void)pt.MapNew(0x4000, machine::PageFlags::Data());
   machine::Pkru pkru;
-  (void)mmu.Access(0x4000, machine::AccessType::kRead, pkru);
+  (void)mmu.Access(0x4000, machine::AccessType::kRead, pkru, base::FastPathMode::kOn);
+  machine::Mmu::GrantedAccess granted;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mmu.Access(0x4000, machine::AccessType::kRead, pkru));
+    benchmark::DoNotOptimize(mmu.GrantHit(0x4000, machine::AccessType::kRead, pkru,
+                                          base::FastPathMode::kOn, &granted));
+    benchmark::DoNotOptimize(granted);
   }
 }
 BENCHMARK(BM_MmuTlbHit);
+
+// Data-cache pricing alone, over a fixed pseudo-random line trace (so the
+// way that hits varies as it does in a simulated run). Arg 0: an
+// L1-hit-heavy trace (lines of a 16 KiB block, half of L1). Arg 1: an
+// L1/L2-miss trace (lines of a 1 MiB block, 4x L2, inside L3), so nearly
+// every access runs the out-of-line L2 and L3 probes and fills.
+void BM_CacheHierarchyAccess(benchmark::State& state) {
+  const uint64_t lines = (state.range(0) == 0 ? uint64_t{16} << 10 : uint64_t{1} << 20) / 64;
+  std::vector<PhysAddr> trace(4096);
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (PhysAddr& addr : trace) {
+    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    addr = ((x >> 33) % lines) * 64;
+  }
+  machine::CacheHierarchy cache;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Access(trace[i]));
+    i = (i + 1) & (trace.size() - 1);
+  }
+}
+BENCHMARK(BM_CacheHierarchyAccess)->Arg(0)->Arg(1);
 
 void BM_AesEncryptBlock(benchmark::State& state) {
   const aes::KeySchedule keys = aes::ExpandKey(aes::Block{1, 2, 3, 4});
@@ -112,19 +144,43 @@ void BM_MapRange4GiB(benchmark::State& state) {
 }
 BENCHMARK(BM_MapRange4GiB)->Unit(benchmark::kMillisecond);
 
-void BM_ExecutorThroughput(benchmark::State& state) {
+// Steady-state interpreter throughput on SpecCpu2006()[0] (unprotected,
+// SFI-protected, or MPK-protected behind a shadow stack).
+enum class ThroughputConfig { kBaseline, kSfi, kMpkShadowStack };
+
+void ExecutorThroughput(benchmark::State& state, ThroughputConfig config) {
   const auto& profile = workloads::SpecCpu2006()[0];
   workloads::SynthOptions synth;
   synth.target_instructions = 100'000;
-  const ir::Module module = workloads::SynthesizeSpecProgram(profile, synth);
+  ir::Module module = workloads::SynthesizeSpecProgram(profile, synth);
   // Decode once and share: the executor validates the decode against the
   // live (module, cost model) state each Run, so this measures steady-state
-  // interpreter throughput rather than per-iteration decode cost.
+  // interpreter throughput rather than per-iteration decode cost. A
+  // protected module is instrumented on the first iteration's process;
+  // every process is prepared identically, so it fits them all.
   std::shared_ptr<const sim::DecodedModule> decoded;
   for (auto _ : state) {
     sim::Machine machine;
     sim::Process process(&machine);
     (void)workloads::PrepareWorkloadProcess(process, profile);
+    std::optional<core::MemSentry> memsentry;
+    if (config != ThroughputConfig::kBaseline) {
+      core::MemSentryConfig ms_config;
+      ms_config.technique = config == ThroughputConfig::kSfi ? core::TechniqueKind::kSfi
+                                                             : core::TechniqueKind::kMpk;
+      memsentry.emplace(&process, ms_config);
+      auto region = memsentry->allocator().Alloc("bench-secret", 4096);
+      if (decoded != nullptr) {
+        (void)memsentry->PrepareRuntime();
+      } else {
+        if (config == ThroughputConfig::kMpkShadowStack && region.ok()) {
+          defenses::ShadowStackPass pass(region.value()->base);
+          (void)pass.Run(module);
+          module.Touch();
+        }
+        (void)memsentry->Protect(module);
+      }
+    }
     sim::Executor executor(&process, &module);
     if (decoded == nullptr) {
       decoded = sim::DecodedModule::Build(module, process);
@@ -136,7 +192,18 @@ void BM_ExecutorThroughput(benchmark::State& state) {
                             static_cast<int64_t>(result.instructions));
   }
 }
+void BM_ExecutorThroughput(benchmark::State& state) {
+  ExecutorThroughput(state, ThroughputConfig::kBaseline);
+}
+void BM_ExecutorThroughputSfi(benchmark::State& state) {
+  ExecutorThroughput(state, ThroughputConfig::kSfi);
+}
+void BM_ExecutorThroughputMpkShadowStack(benchmark::State& state) {
+  ExecutorThroughput(state, ThroughputConfig::kMpkShadowStack);
+}
 BENCHMARK(BM_ExecutorThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExecutorThroughputSfi)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExecutorThroughputMpkShadowStack)->Unit(benchmark::kMillisecond);
 
 // Forwards console output unchanged while mirroring each run's host-side
 // real time into the machine-readable report. Host wall clock is

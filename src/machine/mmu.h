@@ -92,11 +92,10 @@ class Mmu {
   void SetVpid(uint16_t vpid) { vpid_ = vpid; }
 
   // Translates + prices one access. `pkru` is the current thread's PKRU.
-  // Inline so the grant-probe fast path (one compare against a memoized
-  // verdict) fuses into the interpreter's load/store handling; everything
-  // that misses falls into the out-of-line slow path. The interpreter hoists
-  // the mode lookup out of its dispatch loop and uses the explicit-mode
-  // overload; everyone else pays the (relaxed atomic) load per access.
+  // A grant hit is answered inline by GrantHit(); everything that misses
+  // falls into the out-of-line slow path. The interpreter hoists the mode
+  // lookup out of its dispatch loop and uses the explicit-mode overload;
+  // everyone else pays the (relaxed atomic) load per access.
   FaultOr<AccessResult> Access(VirtAddr va, AccessType access, const Pkru& pkru) {
     return Access(va, access, pkru, base::GetFastPathMode());
   }
@@ -106,25 +105,11 @@ class Mmu {
     if (mode == base::FastPathMode::kOff) {
       return AccessSlow(va, access, pkru, /*fill_grant=*/false);
     }
-    // Non-canonical addresses can never match (grants are only minted for
-    // successful accesses), so the probe needs no range check.
-    const uint64_t vpn = PageNumber(va);
-    Grant& grant = grants_[GrantIndex(vpn, access)];
-    if (grant.vpn == vpn && grant.access == static_cast<uint8_t>(access) &&
-        grant.pkru == pkru.value && grant.tlb_version == tlb_.version() &&
-        grant.asid == EffectiveAsid()) {
-      if (mode == base::FastPathMode::kCheck) {
-        CheckGrant(grant, va, access, pkru);
-      }
-      ++grant_stats_.hits;
-      // Replay the slow path's observable effects exactly: the access
-      // count, the TLB hit bookkeeping (LRU bump + hit counter), and the
-      // stateful data-cache touch that prices the access.
-      ++stats_.accesses;
-      tlb_.RecordHit(grant.entry);
+    GrantedAccess granted;
+    if (GrantHit(va, access, pkru, mode, &granted)) {
       AccessResult result;
-      result.phys = (grant.pte & kPteFrameMask) | PageOffset(va);
-      result.level = dcache_.Access(result.phys);
+      result.phys = granted.phys;
+      result.level = granted.level;
       if (access == AccessType::kRead) {
         result.cycles += cost_->LoadCost(result.level);
       }
@@ -132,6 +117,43 @@ class Mmu {
     }
     ++grant_stats_.misses;
     return AccessSlow(va, access, pkru, /*fill_grant=*/true);
+  }
+
+  // What a grant hit resolved: the physical address and the cache level
+  // that served it. A read costs cost.LoadCost(level); a write costs 0.
+  struct GrantedAccess {
+    PhysAddr phys = 0;
+    CacheLevel level = CacheLevel::kL1;
+  };
+
+  // The grant-hit path of Access() (mode kOn or kCheck), and its only copy.
+  // On a hit it replays the slow path's observable effects exactly: the
+  // grant hit and access counts, the TLB hit bookkeeping (LRU bump and hit
+  // counter), and the stateful data-cache touch that prices the access. It
+  // then fills *out and returns true. On a miss it changes nothing and
+  // returns false: the caller goes through Access(), which probes again and
+  // counts the miss. The interpreter calls this directly on every load and
+  // store, so it is forced inline.
+  [[gnu::always_inline]] bool GrantHit(VirtAddr va, AccessType access, const Pkru& pkru,
+                                       base::FastPathMode mode, GrantedAccess* out) {
+    // Non-canonical addresses can never match (grants are only minted for
+    // successful accesses), so the probe needs no range check.
+    const uint64_t vpn = PageNumber(va);
+    Grant& grant = grants_[GrantIndex(vpn, access)];
+    if (grant.vpn != vpn || grant.access != static_cast<uint8_t>(access) ||
+        grant.pkru != pkru.value || grant.tlb_version != tlb_.version() ||
+        grant.asid != EffectiveAsid()) {
+      return false;
+    }
+    if (mode == base::FastPathMode::kCheck) {
+      CheckGrant(grant, va, access, pkru);
+    }
+    ++grant_stats_.hits;
+    ++stats_.accesses;
+    tlb_.RecordHit(grant.entry);
+    out->phys = (grant.pte & kPteFrameMask) | PageOffset(va);
+    out->level = dcache_.Access(out->phys);
+    return true;
   }
 
   // Data helpers on top of Access(). 64-bit accesses must not cross a page.
@@ -211,8 +233,7 @@ class Mmu {
   //     when the grant was minted (every Insert/InvalidatePage/Flush* —
   //     including every FaultInjector site that touches translation state —
   //     bumps the version and thereby drops all grants).
-  // A hit replays the slow path's observable effects (access count, TLB hit
-  // bookkeeping, the stateful data-cache touch and its load cost) so all
+  // A hit replays the slow path's observable effects (see GrantHit) so all
   // modeled results stay bit-identical.
   struct Grant {
     uint64_t vpn = ~uint64_t{0};

@@ -44,7 +44,7 @@ class PhysicalMemory {
   // table lookup / lazy materialization out of line.
   uint64_t Read64(PhysAddr addr) const {
     assert(PageOffset(addr) + 8 <= kPageSize && "64-bit read crosses a frame boundary");
-    if (const Frame* frame = CachedFrameLookup(addr)) {
+    if (const Frame* frame = CachedFrameLookup(addr)) [[likely]] {
       uint64_t v;
       std::memcpy(&v, frame->data() + PageOffset(addr), sizeof(v));
       return v;
@@ -53,7 +53,7 @@ class PhysicalMemory {
   }
   void Write64(PhysAddr addr, uint64_t value) {
     assert(PageOffset(addr) + 8 <= kPageSize && "64-bit write crosses a frame boundary");
-    if (Frame* frame = CachedFrameLookup(addr)) {
+    if (Frame* frame = CachedFrameLookup(addr)) [[likely]] {
       std::memcpy(frame->data() + PageOffset(addr), &value, sizeof(value));
       return;
     }

@@ -23,12 +23,15 @@
 #define MEMSENTRY_USE_THREADED_DISPATCH 0
 #endif
 
-// Forces the per-access helper lambdas into their call sites; they sit on
-// the hottest path (once per modeled load/store).
+// Forces the per-access helpers into their call sites; they sit on the
+// hottest path (once per modeled load/store). The fused-run kernel is kept
+// out of line instead (see RunFusedOps).
 #if defined(__GNUC__) || defined(__clang__)
 #define MEMSENTRY_HOT_INLINE __attribute__((always_inline))
+#define MEMSENTRY_NOINLINE __attribute__((noinline))
 #else
 #define MEMSENTRY_HOT_INLINE
+#define MEMSENTRY_NOINLINE
 #endif
 
 namespace memsentry::sim {
@@ -62,6 +65,261 @@ struct Position {
   int index = 0;
 };
 
+// What ended a fused run: its last op, a memory op that left the grant-hit
+// path (the rest of the run is re-admitted from the dispatch loop), or a
+// fault.
+enum class FusedExit : uint8_t { kEnd, kBail, kFault };
+
+struct FusedOutcome {
+  FusedExit exit;
+  uint64_t executed;  // ops completed, counting a bailing or faulting op
+};
+
+// What the decoded interpreter's memory path and fused-run kernel read that
+// is fixed for one RunDecoded call.
+struct DecodedEnv {
+  const ir::Module& module;
+  const DecodedModule& dec;
+  Process& process;
+  machine::RegisterFile& regs;
+  machine::Mmu& mmu;
+  machine::PhysicalMemory& pmem;
+  const machine::CostModel& cost;
+  bool record_safe_accesses;
+};
+
+// The grant-miss half of DecodedAccess: Mmu::Read64/Write64, which probe
+// the grant again, count the miss and take the slow path. Out of line, as
+// is RecordSafeAccess, so the callers' frames hold no FaultOr and no
+// exception cleanup: with only plain calls on its cold paths, GCC keeps a
+// caller's double accumulators in registers and saves them around those
+// calls alone.
+template <base::FastPathMode kMode>
+MEMSENTRY_NOINLINE bool MissedAccess(const DecodedEnv& env, VirtAddr va,
+                                     machine::AccessType access, uint64_t* value,
+                                     Cycles* access_cycles, machine::Fault* fault) {
+  if (access == machine::AccessType::kRead) {
+    auto r = env.mmu.Read64(va, env.regs.pkru, access_cycles, kMode);
+    if (!r.ok()) {
+      *fault = r.fault();
+      return false;
+    }
+    *value = r.value();
+    return true;
+  }
+  auto w = env.mmu.Write64(va, *value, env.regs.pkru, access_cycles, kMode);
+  if (!w.ok()) {
+    *fault = w.fault();
+    return false;
+  }
+  return true;
+}
+
+// Safe-access profiling (RunConfig::record_safe_accesses) of one access.
+MEMSENTRY_NOINLINE void RecordSafeAccess(const DecodedEnv& env, VirtAddr va, RunResult& result,
+                                         uint64_t ref) {
+  if (env.process.InSafeRegion(va)) {
+    result.safe_access_refs.insert(ref);
+  }
+}
+
+// Validates, prices (into `cycles`) and performs one data access of the
+// decoded interpreter, with the same effects, additions and fault payloads
+// as RunReference's data_access. A grant hit is served inline: a read adds
+// LoadCost(level), a write adds nothing (the reference adds the write's
+// access cycles, +0.0, which is exact to drop: see DESIGN.md §9). A miss
+// goes through MissedAccess; *missed tells the caller. `enclave` is the
+// process's enclave; `ref` the access's PackRef position for safe-access
+// profiling. The branch hints keep every call off the likely path.
+template <base::FastPathMode kMode>
+MEMSENTRY_HOT_INLINE inline bool DecodedAccess(const DecodedEnv& env,
+                                               const sgx::Enclave* enclave, VirtAddr va,
+                                               machine::AccessType access, uint64_t* value,
+                                               Cycles& cycles, bool* missed,
+                                               machine::Fault* fault, RunResult& result,
+                                               uint64_t ref) {
+  if (enclave != nullptr) [[unlikely]] {
+    if (!enclave->AccessAllowed(va)) {
+      *fault = machine::Fault{machine::FaultType::kEnclaveAccess, va, access};
+      return false;
+    }
+  }
+  machine::Mmu::GrantedAccess granted;
+  if (env.mmu.GrantHit(va, access, env.regs.pkru, kMode, &granted)) [[likely]] {
+    if (access == machine::AccessType::kRead) {
+      cycles += env.cost.LoadCost(granted.level);
+      *value = env.pmem.Read64(granted.phys);
+    } else {
+      env.pmem.Write64(granted.phys, *value);
+    }
+  } else {
+    *missed = true;
+    // 0.0 + x == x, so adding the access's own total afterwards is the
+    // reference's single addition.
+    Cycles access_cycles = 0;
+    if (!MissedAccess<kMode>(env, va, access, value, &access_cycles, fault)) {
+      return false;
+    }
+    cycles += access_cycles;
+  }
+  if (env.record_safe_accesses) [[unlikely]] {
+    RecordSafeAccess(env, va, result, ref);
+  }
+  return true;
+}
+
+// The fused-run kernel: replays ops[0, run) of one fused µop in function
+// `func`, where ops[n] is source instruction (block, first_index + n).
+// `cycles`, `instrumentation_cycles`, `instrumentation_instrs`, `loads` and
+// `stores` live in locals for the whole run and are written back to
+// `result` at every exit, so the double-add chain stays in a register; the
+// additions themselves are the reference interpreter's, operand for
+// operand and in order. Adds the completed ops to result.instructions.
+//
+// Grant-stability admission: fused memory ops ride the MMU grant cache.
+// The moment an op's verdict misses (which is also the only way the TLB
+// version can tick inside a run), the run bails back to the dispatch loop:
+// the op that broke stability has already completed through the full slow
+// path with reference bookkeeping, and dispatch re-admits the remainder as
+// a fresh run against the updated translation state. Out of line so the
+// accumulators get the kernel's registers, not the dispatch loop's.
+template <bool kCheck>
+MEMSENTRY_NOINLINE FusedOutcome RunFusedOps(const DecodedEnv& env, int func,
+                                            const DecodedFunction& df, const RegOp* ops,
+                                            uint64_t run, int32_t block, int32_t first_index,
+                                            RunResult& result, machine::Fault* fault) {
+  constexpr base::FastPathMode kMode =
+      kCheck ? base::FastPathMode::kCheck : base::FastPathMode::kOn;
+  machine::RegisterFile& regs = env.regs;
+  const machine::CostModel& cost = env.cost;
+  const UopCost* const costs = env.dec.costs.data();
+  const uint64_t* const wide = df.wide_imms.data();
+  const bool ymm_reserved = env.dec.ymm_reserved;
+  // Hoisted per run: no fused op creates, enters or leaves an enclave.
+  const sgx::Enclave* const enclave = env.process.enclave();
+
+  Cycles cycles = result.cycles;
+  Cycles instrumentation_cycles = result.instrumentation_cycles;
+  uint64_t instrumentation_instrs = result.instrumentation_instrs;
+  uint64_t loads = result.loads;
+  uint64_t stores = result.stores;
+  FusedExit exit = FusedExit::kEnd;
+  uint64_t n = 0;
+  for (; n < run; ++n) {
+    const RegOp& r = ops[n];
+    // This op's source index; only checks and safe-access profiling read it.
+    const int32_t index = first_index + static_cast<int32_t>(n);
+    if constexpr (kCheck) {
+      CheckRegOp(env.module, func, env.dec, df, r, block, index, cost,
+                 env.process.ymm_reserved());
+    }
+    const UopCost& c = costs[r.cost];
+    const Cycles cycles_before = cycles;
+    // Static cost first (slot, then extra): the same additions the
+    // reference interpreter performs, in the same order. Memory ops then
+    // append their MMU pricing, also reference-order.
+    cycles += c.cost;
+    if (c.has_extra) {
+      cycles += c.extra;
+    }
+    bool missed = false;
+    switch (r.op) {
+      case ir::Opcode::kNop:
+        break;
+      case ir::Opcode::kVecOp:
+        // The ymm-reserve penalty scales with the immediate, so it is
+        // charged here rather than pre-resolved: still the second
+        // addition, as in the reference.
+        if (ymm_reserved) {
+          cycles += static_cast<double>(RegOpImm(r, c, wide)) * cost.ymm_reserve_vec_penalty;
+        }
+        break;
+      case ir::Opcode::kMovImm:
+        regs[static_cast<machine::Gpr>(r.dst)] = RegOpImm(r, c, wide);
+        break;
+      case ir::Opcode::kAddImm: {
+        uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
+        dst += static_cast<int64_t>(RegOpImm(r, c, wide));
+        regs.zero_flag = dst == 0;
+        break;
+      }
+      case ir::Opcode::kAndImm:
+        regs[static_cast<machine::Gpr>(r.dst)] &= RegOpImm(r, c, wide);
+        break;
+      case ir::Opcode::kAluRR: {
+        uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
+        const uint64_t src = regs[static_cast<machine::Gpr>(r.src)];
+        // The ALU kind is imm & 3; an inline immediate keeps its low bits.
+        switch (RegOpImm(r, c, wide) & 3) {
+          case 0:
+            dst += src;
+            break;
+          case 1:
+            dst -= src;
+            break;
+          case 2:
+            dst ^= src;
+            break;
+          case 3:
+            dst *= src;
+            break;
+        }
+        regs.zero_flag = dst == 0;
+        break;
+      }
+      case ir::Opcode::kLea:
+        regs[static_cast<machine::Gpr>(r.dst)] =
+            regs[static_cast<machine::Gpr>(r.src)] + static_cast<int64_t>(RegOpImm(r, c, wide));
+        break;
+      case ir::Opcode::kLoad: {
+        ++loads;
+        uint64_t value = 0;
+        if (!DecodedAccess<kMode>(env, enclave, regs[static_cast<machine::Gpr>(r.src)],
+                                  machine::AccessType::kRead, &value, cycles, &missed, fault,
+                                  result, PackRef(func, block, index))) {
+          exit = FusedExit::kFault;
+        } else {
+          regs[static_cast<machine::Gpr>(r.dst)] = value;
+        }
+        break;
+      }
+      case ir::Opcode::kStore: {
+        ++stores;
+        uint64_t value = regs[static_cast<machine::Gpr>(r.src)];
+        if (!DecodedAccess<kMode>(env, enclave, regs[static_cast<machine::Gpr>(r.dst)],
+                                  machine::AccessType::kWrite, &value, cycles, &missed, fault,
+                                  result, PackRef(func, block, index))) {
+          exit = FusedExit::kFault;
+        }
+        break;
+      }
+      default:
+        assert(false && "non-fusible op inside a fused run");
+        std::abort();
+    }
+    if (exit == FusedExit::kFault) {
+      ++n;  // the faulting op counts, as in the reference; it is not attributed
+      break;
+    }
+    if (c.instrumentation) {
+      ++instrumentation_instrs;
+      instrumentation_cycles += cycles - cycles_before;
+    }
+    if (missed && n + 1 < run) {
+      ++n;  // this op completed (via the slow path); count it and bail
+      exit = FusedExit::kBail;
+      break;
+    }
+  }
+  result.cycles = cycles;
+  result.instrumentation_cycles = instrumentation_cycles;
+  result.instrumentation_instrs = instrumentation_instrs;
+  result.loads = loads;
+  result.stores = stores;
+  result.instructions += n;
+  return {exit, n};
+}
+
 }  // namespace
 
 RunResult Executor::Run(const RunConfig& config) {
@@ -70,7 +328,7 @@ RunResult Executor::Run(const RunConfig& config) {
     return RunReference(config);
   }
   EnsureDecoded();
-  return RunDecoded(config, /*check=*/mode == base::FastPathMode::kCheck);
+  return mode == base::FastPathMode::kCheck ? RunDecoded<true>(config) : RunDecoded<false>(config);
 }
 
 void Executor::EnsureDecoded() {
@@ -504,9 +762,10 @@ RunResult Executor::RunReference(const RunConfig& config) {
 // the same payload — so all modeled results are bit-identical. Only dispatch
 // changes: flat µop indices replace (block, index) walking, fused runs of
 // straight-line ops — pure-register ops plus grant-stable loads/stores —
-// execute back-to-back without re-entering the dispatch loop, and every µop
-// carries a pre-resolved handler index that drives either the computed-goto
-// table or the portable switch.
+// execute back-to-back in RunFusedOps without re-entering the dispatch
+// loop, and every µop carries a pre-resolved handler index that drives
+// either the computed-goto table or the portable switch. Templated on the
+// check mode, so the kOn instantiation carries no kCheck tests.
 //
 // The OP()/DISPATCH() macros select the dispatch flavour at compile time:
 //   threaded: OP(X) is a label, DISPATCH() is `goto *kDispatch[handler]`
@@ -534,7 +793,7 @@ RunResult Executor::RunReference(const RunConfig& config) {
 // attribute. Handlers that redirect control set `ui` themselves and end
 // with END_UOP_JMP(); straight-line handlers end with END_UOP_ADV().
 #define BEGIN_UOP()                           \
-  if (check) {                                \
+  if constexpr (kCheck) {                     \
     CheckUop(*module_, func, dec, *u, cost);  \
   }                                           \
   ++result.instructions;                      \
@@ -556,14 +815,24 @@ RunResult Executor::RunReference(const RunConfig& config) {
   END_UOP_COMMON();   \
   DISPATCH()
 
-RunResult Executor::RunDecoded(const RunConfig& config, bool check) {
+template <bool kCheck>
+RunResult Executor::RunDecoded(const RunConfig& config) {
+  constexpr base::FastPathMode kMode =
+      kCheck ? base::FastPathMode::kCheck : base::FastPathMode::kOn;
   RunResult result;
   auto& regs = process_->regs();
-  auto& mmu = process_->mmu();
   const auto& functions = module_->functions;
   const DecodedModule& dec = *decoded_;
   const UopCost* const costs = dec.costs.data();
   const machine::CostModel& cost = *cost_;
+  const DecodedEnv env{.module = *module_,
+                       .dec = dec,
+                       .process = *process_,
+                       .regs = regs,
+                       .mmu = process_->mmu(),
+                       .pmem = process_->mmu().pmem(),
+                       .cost = cost,
+                       .record_safe_accesses = config.record_safe_accesses};
 
   int func = module_->entry;
   const DecodedFunction* df = &dec.functions[static_cast<size_t>(func)];
@@ -576,42 +845,13 @@ RunResult Executor::RunDecoded(const RunConfig& config, bool check) {
     return result;
   };
 
-  const bool record_safe_accesses = config.record_safe_accesses;
-  // Hoisted out of the loop: the mode can't change mid-run, and the MMU's
-  // explicit-mode overloads skip the per-access atomic load.
-  const base::FastPathMode mode =
-      check ? base::FastPathMode::kCheck : base::FastPathMode::kOn;
-
-  // Identical to RunReference's data_access, with the instruction position
-  // passed in (a singleton µop's own block/index, or a fused op's position
-  // derived from its run) for PackRef.
-  // always_inline: GCC's size heuristic otherwise leaves this as an
-  // out-of-line call on every modeled load/store.
+  // A singleton µop's data access, at its own (block, index).
   auto data_access = [&](VirtAddr va, machine::AccessType access, uint64_t* value,
                          machine::Fault* fault, int32_t block,
                          int32_t index) MEMSENTRY_HOT_INLINE -> bool {
-    if (process_->enclave() != nullptr && !process_->enclave()->AccessAllowed(va)) {
-      *fault = machine::Fault{machine::FaultType::kEnclaveAccess, va, access};
-      return false;
-    }
-    if (access == machine::AccessType::kRead) {
-      auto r = mmu.Read64(va, regs.pkru, &result.cycles, mode);
-      if (!r.ok()) {
-        *fault = r.fault();
-        return false;
-      }
-      *value = r.value();
-    } else {
-      auto w = mmu.Write64(va, *value, regs.pkru, &result.cycles, mode);
-      if (!w.ok()) {
-        *fault = w.fault();
-        return false;
-      }
-    }
-    if (record_safe_accesses && process_->InSafeRegion(va)) {
-      result.safe_access_refs.insert(PackRef(func, block, index));
-    }
-    return true;
+    bool missed = false;
+    return DecodedAccess<kMode>(env, process_->enclave(), va, access, value, result.cycles,
+                                &missed, fault, result, PackRef(func, block, index));
   };
 
   const Uop* u = nullptr;
@@ -645,141 +885,25 @@ dispatch:
     // when a ret landed mid-run or a bail-out re-enters it; the budget
     // clamp makes the instruction limit hit at exactly the same op as the
     // reference loop.
-    if (check) {
+    if constexpr (kCheck) {
       CheckUop(*module_, func, dec, *u, cost);
     }
     const uint64_t want = u->fuse_count() - skip;
     const uint64_t budget = config.max_instructions - result.instructions;
     const uint64_t run = want < budget ? want : budget;
-    const RegOp* ops = df->regops.data() + u->fuse_start() + skip;
     const uint32_t entered_skip = skip;
-    // Source position of ops[0]; ops[n] is (block, first_index + n).
-    const int32_t block = u->block;
-    const int32_t first_index = u->index + static_cast<int32_t>(skip);
     skip = 0;
-    // Grant-stability admission: fused memory ops ride the MMU grant cache.
-    // Each op is admitted under the (VPN, access, PKRU, TLB-version, ASID)
-    // verdict its probe validates; the moment a verdict misses or the TLB
-    // version ticks, the run bails back to the dispatch loop — the op that
-    // broke stability has already completed through the full slow path with
-    // reference bookkeeping, and dispatch re-admits the remainder as a
-    // fresh run against the updated translation state.
-    const uint64_t tlb_version_at_entry = mmu.tlb().version();
-    const uint64_t grant_misses_at_entry = mmu.grant_stats().misses;
-    // Loop invariants, so the op bodies below read registers, not memory.
-    const uint64_t* const wide = df->wide_imms.data();
-    const bool ymm_reserved = dec.ymm_reserved;
-    bool bailed = false;
-    uint64_t n = 0;
-    for (; n < run; ++n) {
-      const RegOp& r = ops[n];
-      const int32_t index = first_index + static_cast<int32_t>(n);
-      if (check) {
-        CheckRegOp(*module_, func, dec, *df, r, block, index, cost, process_->ymm_reserved());
-      }
-      const UopCost& c = costs[r.cost];
-      const Cycles cycles_before = result.cycles;
-      // Static cost first (slot, then extra): the same additions the
-      // reference interpreter performs, in the same order. Memory ops then
-      // append their MMU pricing inside data_access, also reference-order.
-      result.cycles += c.cost;
-      if (c.has_extra) {
-        result.cycles += c.extra;
-      }
-      switch (r.op) {
-        case ir::Opcode::kNop:
-          break;
-        case ir::Opcode::kVecOp:
-          // The ymm-reserve penalty scales with the immediate, so it is
-          // charged here rather than pre-resolved: still the second
-          // addition, as in the reference.
-          if (ymm_reserved) {
-            result.cycles +=
-                static_cast<double>(RegOpImm(r, c, wide)) * cost.ymm_reserve_vec_penalty;
-          }
-          break;
-        case ir::Opcode::kMovImm:
-          regs[static_cast<machine::Gpr>(r.dst)] = RegOpImm(r, c, wide);
-          break;
-        case ir::Opcode::kAddImm: {
-          uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
-          dst += static_cast<int64_t>(RegOpImm(r, c, wide));
-          regs.zero_flag = dst == 0;
-          break;
-        }
-        case ir::Opcode::kAndImm:
-          regs[static_cast<machine::Gpr>(r.dst)] &= RegOpImm(r, c, wide);
-          break;
-        case ir::Opcode::kAluRR: {
-          uint64_t& dst = regs[static_cast<machine::Gpr>(r.dst)];
-          const uint64_t src = regs[static_cast<machine::Gpr>(r.src)];
-          // The ALU kind is imm & 3; an inline immediate keeps its low bits.
-          switch (RegOpImm(r, c, wide) & 3) {
-            case 0:
-              dst += src;
-              break;
-            case 1:
-              dst -= src;
-              break;
-            case 2:
-              dst ^= src;
-              break;
-            case 3:
-              dst *= src;
-              break;
-          }
-          regs.zero_flag = dst == 0;
-          break;
-        }
-        case ir::Opcode::kLea:
-          regs[static_cast<machine::Gpr>(r.dst)] =
-              regs[static_cast<machine::Gpr>(r.src)] + static_cast<int64_t>(RegOpImm(r, c, wide));
-          break;
-        case ir::Opcode::kLoad: {
-          ++result.loads;
-          uint64_t value = 0;
-          machine::Fault fault;
-          if (!data_access(regs[static_cast<machine::Gpr>(r.src)], machine::AccessType::kRead,
-                           &value, &fault, block, index)) {
-            result.instructions += n + 1;  // the faulting op counts, as in the reference
-            return fault_out(fault);
-          }
-          regs[static_cast<machine::Gpr>(r.dst)] = value;
-          break;
-        }
-        case ir::Opcode::kStore: {
-          ++result.stores;
-          uint64_t value = regs[static_cast<machine::Gpr>(r.src)];
-          machine::Fault fault;
-          if (!data_access(regs[static_cast<machine::Gpr>(r.dst)], machine::AccessType::kWrite,
-                           &value, &fault, block, index)) {
-            result.instructions += n + 1;
-            return fault_out(fault);
-          }
-          break;
-        }
-        default:
-          assert(false && "non-fusible op inside a fused run");
-          std::abort();
-      }
-      if (c.instrumentation) {
-        ++result.instrumentation_instrs;
-        result.instrumentation_cycles += result.cycles - cycles_before;
-      }
-      const bool memory = r.op == ir::Opcode::kLoad || r.op == ir::Opcode::kStore;
-      if (memory && n + 1 < run &&
-          (mmu.grant_stats().misses != grant_misses_at_entry ||
-           mmu.tlb().version() != tlb_version_at_entry)) {
-        ++n;  // this op completed (via the slow path); count it and bail
-        bailed = true;
-        break;
-      }
+    machine::Fault fault;
+    const FusedOutcome outcome = RunFusedOps<kCheck>(
+        env, func, *df, df->regops.data() + u->fuse_start() + entered_skip, run, u->block,
+        u->index + static_cast<int32_t>(entered_skip), result, &fault);
+    if (outcome.exit == FusedExit::kFault) {
+      return fault_out(fault);
     }
-    result.instructions += n;
-    if (bailed) {
+    if (outcome.exit == FusedExit::kBail) {
       // Re-enter this µop at the next unexecuted op without advancing `ui`;
       // the re-admission probe sees the refilled grant / new TLB version.
-      skip = entered_skip + static_cast<uint32_t>(n);
+      skip = entered_skip + static_cast<uint32_t>(outcome.executed);
       DISPATCH();
     }
     if (run < want) {
@@ -794,7 +918,7 @@ dispatch:
   OP(Guard) {
     // Synthetic block-end guard: the reference loop faults here when it
     // fetches past an unterminated block, before counting an instruction.
-    if (check) {
+    if constexpr (kCheck) {
       CheckUop(*module_, func, dec, *u, cost);
     }
     return fault_out({machine::FaultType::kGeneralProtection, 0, machine::AccessType::kExecute});
@@ -1096,7 +1220,7 @@ dispatch:
                      static_cast<double>(u->target) * cost.xmm_spill;
     // Crypt cells fire this on every domain switch: XOR in place from the
     // region's reused keystream (recomputed and compared under kCheck).
-    if (!process_->CryptToggle(*region, size, mode).ok()) {
+    if (!process_->CryptToggle(*region, size, kMode).ok()) {
       return fault_out({machine::FaultType::kPageNotPresent, region->base,
                         machine::AccessType::kRead});
     }

@@ -91,7 +91,9 @@ class Executor {
 
  private:
   RunResult RunReference(const RunConfig& config);
-  RunResult RunDecoded(const RunConfig& config, bool check);
+  // kCheck: re-derive every dispatched µop and RegOp (FastPathMode::kCheck).
+  template <bool kCheck>
+  RunResult RunDecoded(const RunConfig& config);
 
   // Makes decoded_ valid for the live (module, cost model, ymm) state,
   // consulting the shared DecodeCache (content-keyed, so concurrent cells

@@ -436,72 +436,138 @@ class ReferenceLru {
   std::vector<std::vector<uint64_t>> sets_;
 };
 
+struct CacheGeometry {
+  uint64_t size_bytes;
+  int ways;
+};
+constexpr CacheGeometry kCacheGeometries[] = {
+    {32 * 1024, 8}, {256 * 1024, 4}, {8 * 1024 * 1024, 16}};
+constexpr int kCacheLineBytes = 64;
+
+// Drives `cache` and a fresh reference LRU of geometry `g` through 20,000
+// seeded random operations: hits and misses, the line each miss evicts, and
+// the full contents of the touched set must agree after every access.
+// Traces mix addresses that collide on one set (more tags than ways), a
+// small hot pool, uniform addresses, and Flush().
+void ExpectMatchesReferenceLru(CacheArray& cache, const CacheGeometry& g, uint64_t seed) {
+  const uint64_t sets = g.size_bytes / (static_cast<uint64_t>(g.ways) * kCacheLineBytes);
+  std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + g.size_bytes);
+  ReferenceLru reference(g.size_bytes, g.ways, kCacheLineBytes);
+  const uint64_t hot_set = rng() % sets;
+  std::vector<PhysAddr> hot;
+  for (int i = 0; i < 64; ++i) {
+    hot.push_back((rng() % (1u << 20)) * kCacheLineBytes);
+  }
+  uint64_t hits = 0;
+  uint64_t evictions = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const uint64_t pick = rng() % 100;
+    if (pick == 0) {
+      cache.Flush();
+      reference.Flush();
+      continue;
+    }
+    PhysAddr addr;
+    if (pick < 40) {
+      // One set, 3x as many distinct tags as ways.
+      const uint64_t tag = rng() % (3 * static_cast<uint64_t>(g.ways));
+      addr = (tag * sets + hot_set) * kCacheLineBytes + rng() % kCacheLineBytes;
+    } else if (pick < 75) {
+      addr = hot[rng() % hot.size()] + rng() % kCacheLineBytes;
+    } else {
+      addr = rng() % (uint64_t{1} << 34);
+    }
+    std::optional<uint64_t> evicted;
+    const bool expect_hit = reference.Access(addr, &evicted);
+    ASSERT_EQ(cache.Access(addr), expect_hit) << "op " << op << " addr " << addr;
+    hits += expect_hit;
+    if (evicted.has_value()) {
+      ++evictions;
+      ASSERT_FALSE(cache.Contains(*evicted * kCacheLineBytes)) << "op " << op;
+    }
+    for (uint64_t line : reference.SetOf(addr)) {
+      ASSERT_TRUE(cache.Contains(line * kCacheLineBytes)) << "op " << op;
+    }
+  }
+  // The trace exercised both outcomes and real evictions.
+  EXPECT_GT(hits, 1000u);
+  EXPECT_GT(evictions, 1000u);
+}
+
 // Each CacheHierarchy level against the reference LRU on seeded random
-// traces: hits and misses, the line each miss evicts, and the full contents
-// of the touched set must agree after every access. Traces mix addresses
-// that collide on one set (more tags than ways), a small hot pool, uniform
-// addresses, and Flush(). Every trace runs twice, each time on a new
-// array: the second array runs on the tag storage the first left behind,
-// full of lines the trace is about to touch, and must treat them all as
-// invalid.
+// traces. Every trace runs twice, each time on a new array: the second
+// array runs on the tag storage the first left behind, full of lines the
+// trace is about to touch, and must treat them all as invalid.
 TEST(CacheTest, ArraysMatchReferenceLruOnRandomTraces) {
-  struct Geometry {
-    uint64_t size_bytes;
-    int ways;
-  };
-  const Geometry geometries[] = {{32 * 1024, 8}, {256 * 1024, 4}, {8 * 1024 * 1024, 16}};
-  constexpr int kLineBytes = 64;
-  for (const Geometry& g : geometries) {
-    const uint64_t sets = g.size_bytes / (static_cast<uint64_t>(g.ways) * kLineBytes);
+  for (const CacheGeometry& g : kCacheGeometries) {
     for (uint64_t seed = 1; seed <= 3; ++seed) {
       for (int round = 0; round < 2; ++round) {
         SCOPED_TRACE(testing::Message() << g.size_bytes << " B, " << g.ways << "-way, seed "
                                         << seed << ", round " << round);
-        std::mt19937_64 rng(seed * 0x9e3779b97f4a7c15ULL + g.size_bytes);
-        CacheArray cache(g.size_bytes, g.ways, kLineBytes);
-        ReferenceLru reference(g.size_bytes, g.ways, kLineBytes);
-        const uint64_t hot_set = rng() % sets;
-        std::vector<PhysAddr> hot;
-        for (int i = 0; i < 64; ++i) {
-          hot.push_back((rng() % (1u << 20)) * kLineBytes);
-        }
-        uint64_t hits = 0;
-        uint64_t evictions = 0;
-        for (int op = 0; op < 20000; ++op) {
-          const uint64_t pick = rng() % 100;
-          if (pick == 0) {
-            cache.Flush();
-            reference.Flush();
-            continue;
-          }
-          PhysAddr addr;
-          if (pick < 40) {
-            // One set, 3x as many distinct tags as ways.
-            const uint64_t tag = rng() % (3 * static_cast<uint64_t>(g.ways));
-            addr = (tag * sets + hot_set) * kLineBytes + rng() % kLineBytes;
-          } else if (pick < 75) {
-            addr = hot[rng() % hot.size()] + rng() % kLineBytes;
-          } else {
-            addr = rng() % (uint64_t{1} << 34);
-          }
-          std::optional<uint64_t> evicted;
-          const bool expect_hit = reference.Access(addr, &evicted);
-          ASSERT_EQ(cache.Access(addr), expect_hit) << "op " << op << " addr " << addr;
-          hits += expect_hit;
-          if (evicted.has_value()) {
-            ++evictions;
-            ASSERT_FALSE(cache.Contains(*evicted * kLineBytes)) << "op " << op;
-          }
-          for (uint64_t line : reference.SetOf(addr)) {
-            ASSERT_TRUE(cache.Contains(line * kLineBytes)) << "op " << op;
-          }
-        }
-        // The trace exercised both outcomes and real evictions.
-        EXPECT_GT(hits, 1000u);
-        EXPECT_GT(evictions, 1000u);
+        CacheArray cache(g.size_bytes, g.ways, kCacheLineBytes);
+        ExpectMatchesReferenceLru(cache, g, seed);
       }
     }
   }
+}
+
+}  // namespace
+
+// Reaches into CacheArray's 32-bit stamp clock, so tests can start it just
+// below the wrap instead of running 2^32 accesses.
+class CacheArrayTestPeer {
+ public:
+  // Moves a fresh array's clock and validity floor to `tick`. Every stored
+  // stamp is at most the old tick, so every line stays invalid.
+  static void StartTickAt(CacheArray& cache, uint32_t tick) {
+    ASSERT_GE(tick, cache.tick_);
+    cache.tick_ = tick;
+    cache.floor_ = tick;
+  }
+  static uint32_t tick(const CacheArray& cache) { return cache.tick_; }
+};
+
+namespace {
+
+// The same traces with each array's clock started 5,000 stamps below 2^32,
+// so every trace renormalizes mid-way (with flushed, invalid and valid
+// lines in the sets) and must still agree with the reference at every
+// access. The array that inherits a renormalized array's storage must see
+// all of it as invalid, as round 1 of the test above requires.
+TEST(CacheTest, ArraysMatchReferenceLruAcrossTheStampWrap) {
+  constexpr uint32_t kStart = ~uint32_t{0} - 5000;
+  for (const CacheGeometry& g : kCacheGeometries) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(testing::Message() << g.size_bytes << " B, " << g.ways << "-way, seed "
+                                        << seed << ", round " << round);
+        CacheArray cache(g.size_bytes, g.ways, kCacheLineBytes);
+        if (round == 0) {
+          CacheArrayTestPeer::StartTickAt(cache, kStart);
+        }
+        ExpectMatchesReferenceLru(cache, g, seed);
+        if (round == 0) {
+          EXPECT_LT(CacheArrayTestPeer::tick(cache), kStart) << "the trace never wrapped";
+        }
+      }
+    }
+  }
+}
+
+// Storage an array hands back with its clock past 2^31 is zeroed when the
+// next array takes it, which then starts stamping from 0. The geometry is
+// one no other test uses, so the pool's only spare of that size is this
+// array's.
+TEST(CacheTest, StoragePastHalfTheStampRangeIsTakenZeroed) {
+  const CacheGeometry g{64 * 1024, 4};
+  {
+    CacheArray cache(g.size_bytes, g.ways, kCacheLineBytes);
+    CacheArrayTestPeer::StartTickAt(cache, (uint32_t{1} << 31) + 10);
+    ExpectMatchesReferenceLru(cache, g, 7);
+  }
+  CacheArray cache(g.size_bytes, g.ways, kCacheLineBytes);
+  EXPECT_EQ(CacheArrayTestPeer::tick(cache), 0u);
+  ExpectMatchesReferenceLru(cache, g, 7);
 }
 
 class MmuTest : public ::testing::Test {
