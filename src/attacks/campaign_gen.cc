@@ -13,7 +13,6 @@
 #include "src/attacks/primitives.h"
 #include "src/attacks/strategies.h"
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/mmap_policy.h"
 #include "src/eval/fault_campaign.h"
@@ -908,67 +907,6 @@ StatusOr<ParsedCampaign> CampaignFromJson(const json::Value& value) {
     parsed.expected = *expected;
   }
   return parsed;
-}
-
-CampaignSuiteResult RunCampaignSuite(const CampaignSuiteOptions& options) {
-  struct Row {
-    int technique = 0;
-    CampaignResult result;
-    bool anomaly = false;
-    CampaignSpec spec;
-    CampaignSpec shrunk;
-  };
-  const uint64_t per = options.campaigns_per_technique;
-  const size_t total = static_cast<size_t>(per) * core::kNumTechniques;
-  // Every campaign is a pure function of (suite seed, technique, index), and
-  // ParallelMap returns positionally — so tallies and anomaly order are
-  // byte-identical for every jobs value.
-  std::vector<Row> rows = ParallelMap(options.jobs, total, [&](size_t i) {
-    const auto kind = static_cast<core::TechniqueKind>(i / per);
-    const uint64_t index = i % per;
-    const uint64_t seed = CampaignSeed(options.seed, kind, index);
-    Row row;
-    row.technique = static_cast<int>(kind);
-    CampaignSpec spec = GenerateCampaign(kind, seed, index);
-    row.result = RunCampaign(spec, options.config);
-    if (row.result.outcome == CampaignOutcome::kEscaped ||
-        row.result.outcome == CampaignOutcome::kTimedOut) {
-      row.anomaly = true;
-      row.shrunk = options.shrink_anomalies ? ShrinkCampaign(spec, options.config)
-                                            : spec;
-      row.spec = std::move(spec);
-    }
-    return row;
-  });
-
-  CampaignSuiteResult suite;
-  for (Row& row : rows) {
-    CampaignTally& tally = suite.per_technique[static_cast<size_t>(row.technique)];
-    switch (row.result.outcome) {
-      case CampaignOutcome::kDetected:
-        ++tally.detected;
-        break;
-      case CampaignOutcome::kDegraded:
-        ++tally.degraded;
-        break;
-      case CampaignOutcome::kEscaped:
-        ++tally.escaped;
-        ++suite.total_escaped;
-        break;
-      case CampaignOutcome::kTimedOut:
-        ++tally.timed_out;
-        ++suite.total_timed_out;
-        break;
-    }
-    tally.steps_run += row.result.steps_run;
-    tally.probes += row.result.probes;
-    if (row.anomaly) {
-      suite.anomalies.push_back(CampaignAnomaly{std::move(row.spec),
-                                                std::move(row.shrunk),
-                                                std::move(row.result)});
-    }
-  }
-  return suite;
 }
 
 }  // namespace memsentry::attacks

@@ -8,8 +8,8 @@
 // Determinism contract: a campaign is a pure function of (seed, technique,
 // grammar). ALL randomness is drawn at generation time into the step
 // parameters; RunCampaign consumes parameters only, so any outcome replays
-// bit-for-bit from the serialized spec — standalone, under any --jobs value,
-// and after shrinking.
+// bit-for-bit from the serialized spec — alone, on any engine worker, and
+// after shrinking.
 //
 // Classification mirrors eval::fault_campaign:
 //   kDetected  — every probe was refused with a fault, a clean errno, a
@@ -25,7 +25,6 @@
 #ifndef MEMSENTRY_SRC_ATTACKS_CAMPAIGN_GEN_H_
 #define MEMSENTRY_SRC_ATTACKS_CAMPAIGN_GEN_H_
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -148,7 +147,7 @@ struct ParsedCampaign {
 
 StatusOr<ParsedCampaign> CampaignFromJson(const json::Value& value);
 
-// --- Suite driver ---
+// --- Suite parameters ---
 
 struct CampaignTally {
   uint64_t detected = 0;
@@ -159,31 +158,14 @@ struct CampaignTally {
   uint64_t probes = 0;
 };
 
-// One escaped or timed-out campaign, with its minimal reproducer.
-struct CampaignAnomaly {
-  CampaignSpec spec;
-  CampaignSpec shrunk;
-  CampaignResult result;
-};
-
+// The attack_campaigns workload's parameters (src/suite): the suite seed,
+// campaigns per technique, and the defense configuration they run under.
 struct CampaignSuiteOptions {
   uint64_t seed = 0xca3a16e5ULL;
   uint64_t campaigns_per_technique = 125;  // x8 techniques = 1000 campaigns
-  int jobs = 1;
   CampaignConfig config;
   bool shrink_anomalies = true;
 };
-
-struct CampaignSuiteResult {
-  std::array<CampaignTally, core::kNumTechniques> per_technique{};
-  // Escaped/timed-out campaigns in suite (technique, index) order —
-  // positionally identical for every --jobs value.
-  std::vector<CampaignAnomaly> anomalies;
-  uint64_t total_escaped = 0;
-  uint64_t total_timed_out = 0;
-};
-
-CampaignSuiteResult RunCampaignSuite(const CampaignSuiteOptions& options);
 
 }  // namespace memsentry::attacks
 

@@ -1,6 +1,7 @@
 #include "src/base/crash_handler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
@@ -24,17 +25,33 @@ namespace memsentry::base {
 namespace {
 
 // All handler-visible state lives in fixed buffers filled outside the
-// handler; the handler itself allocates nothing.
+// handler; the handler itself allocates nothing. The root and the process
+// default manifest are written once, by InstallCrashHandler, before any
+// worker thread exists. The staged cell is per thread: synchronous signals,
+// abort() and std::terminate all run on the thread that failed, so the
+// handler always reads the context of the cell that was running there, at
+// any number of engine workers. The thread_local buffers are trivially
+// constructible, so touching them from the handler allocates nothing.
 constexpr size_t kPathMax = 1024;
 constexpr size_t kManifestMax = 32768;
+constexpr size_t kNameMax = 256;
+
+struct StagedManifest {
+  char binary[kNameMax];
+  char cell[kNameMax];
+  char head[kManifestMax];  // complete manifest up to `"reason": "`
+  size_t head_len;
+};
 
 char g_root[kPathMax];
-char g_binary[128] = "unknown";
-char g_cell[256] = "idle";
-char g_manifest_head[kManifestMax];  // complete manifest up to `"reason": "`
-size_t g_manifest_head_len = 0;
-bool g_installed = false;
+StagedManifest g_process;  // what threads with no staged cell report
+std::atomic<bool> g_installed{false};
+thread_local StagedManifest t_cell;  // head_len == 0: nothing staged
 volatile sig_atomic_t g_fatal_handled = 0;
+
+const StagedManifest& CurrentManifest() {
+  return t_cell.head_len > 0 ? t_cell : g_process;
+}
 
 // --- async-signal-safe string building ---
 
@@ -89,9 +106,10 @@ void SanitizeComponent(const char* in, char* out, size_t cap) {
 // async-signal-safe end to end. Returns the bundle dir length (0 on failure)
 // and fills `dir`.
 size_t WriteBundleAt(const char* reason, char* dir, size_t dir_cap) {
-  if (!g_installed || g_root[0] == '\0') {
+  if (!g_installed.load(std::memory_order_acquire) || g_root[0] == '\0') {
     return 0;
   }
+  const StagedManifest& manifest = CurrentManifest();
   mkdir(g_root, 0755);  // EEXIST is fine
 
   size_t pos = SafeAppend(dir, 0, dir_cap, g_root);
@@ -101,10 +119,10 @@ size_t WriteBundleAt(const char* reason, char* dir, size_t dir_cap) {
   pos = SafeAppendNum(dir, pos, dir_cap, static_cast<uint64_t>(getpid()));
   pos = SafeAppend(dir, pos, dir_cap, "-");
   char clean[256];
-  SanitizeComponent(g_binary, clean, sizeof(clean));
+  SanitizeComponent(manifest.binary, clean, sizeof(clean));
   pos = SafeAppend(dir, pos, dir_cap, clean);
   pos = SafeAppend(dir, pos, dir_cap, "-");
-  SanitizeComponent(g_cell, clean, sizeof(clean));
+  SanitizeComponent(manifest.cell, clean, sizeof(clean));
   pos = SafeAppend(dir, pos, dir_cap, clean);
   if (mkdir(dir, 0755) != 0) {
     return 0;
@@ -115,7 +133,7 @@ size_t WriteBundleAt(const char* reason, char* dir, size_t dir_cap) {
   p = SafeAppend(path, p, sizeof(path), "/manifest.json");
   int fd = open(path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd >= 0) {
-    SafeWrite(fd, g_manifest_head, g_manifest_head_len);
+    SafeWrite(fd, manifest.head, manifest.head_len);
     // Escape the reason minimally: quotes/backslashes/control chars -> '_'.
     for (const char* c = reason; *c != '\0'; ++c) {
       const char out =
@@ -173,10 +191,10 @@ void TerminateHandler() {
   abort();
 }
 
-// Renders the manifest prefix for the current context. Runs outside the
+// Renders the manifest prefix for `context` into `out`. Runs outside the
 // handler, so normal string building is fine; the result is copied into the
-// static buffer the handler writes verbatim.
-void RenderManifestHead(const CrashContext& context) {
+// fixed buffer the handler writes verbatim.
+void RenderManifest(const CrashContext& context, StagedManifest& out) {
   std::string head = "{\n  \"binary\": \"";
   for (const char c : context.binary) {
     head += (c == '"' || c == '\\') ? '_' : c;
@@ -194,29 +212,31 @@ void RenderManifestHead(const CrashContext& context) {
   if (head.size() >= kManifestMax) {
     head.resize(kManifestMax - 1);
   }
-  memcpy(g_manifest_head, head.data(), head.size());
-  g_manifest_head[head.size()] = '\0';
-  g_manifest_head_len = head.size();
+  memcpy(out.head, head.data(), head.size());
+  out.head[head.size()] = '\0';
+  out.head_len = head.size();
 
-  strncpy(g_binary, context.binary.c_str(), sizeof(g_binary) - 1);
-  g_binary[sizeof(g_binary) - 1] = '\0';
-  strncpy(g_cell, context.cell.c_str(), sizeof(g_cell) - 1);
-  g_cell[sizeof(g_cell) - 1] = '\0';
+  strncpy(out.binary, context.binary.c_str(), sizeof(out.binary) - 1);
+  out.binary[sizeof(out.binary) - 1] = '\0';
+  strncpy(out.cell, context.cell.c_str(), sizeof(out.cell) - 1);
+  out.cell[sizeof(out.cell) - 1] = '\0';
 }
 
 }  // namespace
 
-void InstallCrashHandler(const std::string& bundle_root) {
-  if (g_installed) {
+void InstallCrashHandler(const std::string& bundle_root, const CrashContext& process) {
+  if (g_installed.load(std::memory_order_acquire)) {
     return;
   }
   strncpy(g_root, bundle_root.c_str(), sizeof(g_root) - 1);
   g_root[sizeof(g_root) - 1] = '\0';
-  // Default manifest before any cell context is staged.
-  RenderManifestHead(CrashContext{});
-  g_binary[0] = '\0';
-  strncpy(g_binary, "unknown", sizeof(g_binary) - 1);
-  strncpy(g_cell, "idle", sizeof(g_cell) - 1);
+  CrashContext idle = process;
+  if (idle.binary.empty()) {
+    idle.binary = "unknown";
+  }
+  idle.cell = "idle";
+  idle.replay_json.clear();
+  RenderManifest(idle, g_process);
 
   struct sigaction action;
   memset(&action, 0, sizeof(action));
@@ -229,17 +249,16 @@ void InstallCrashHandler(const std::string& bundle_root) {
   sigaction(SIGBUS, &action, nullptr);
   sigaction(SIGABRT, &action, nullptr);
   std::set_terminate(TerminateHandler);
-  g_installed = true;
+  g_installed.store(true, std::memory_order_release);
 }
 
-void SetCrashContext(const CrashContext& context) { RenderManifestHead(context); }
-
-void ClearCrashCell() {
-  CrashContext idle;
-  idle.binary = g_binary;
-  idle.cell = "idle";
-  RenderManifestHead(idle);
+void SetCrashContext(const CrashContext& context) {
+  if (g_installed.load(std::memory_order_acquire)) {
+    RenderManifest(context, t_cell);
+  }
 }
+
+void ClearCrashCell() { t_cell.head_len = 0; }
 
 std::string WriteCrashBundle(const char* reason) {
   char dir[kPathMax];

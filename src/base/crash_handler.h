@@ -1,4 +1,4 @@
-// Crash bundles: when a bench/campaign process dies — SIGSEGV/SIGABRT/SIGBUS,
+// Crash bundles: when a suite run dies — SIGSEGV/SIGABRT/SIGBUS,
 // an uncaught exception, or a programmatic trigger (fastpath check-mode
 // divergence, fault-matrix escape) — a handler writes a replayable bundle
 //
@@ -10,8 +10,11 @@
 // deterministically from the manifest's replay spec.
 //
 // Everything the signal handler touches is pre-rendered at SetCrashContext
-// time into static buffers; the handler itself only calls async-signal-safe
-// primitives (mkdir/open/write/time, backtrace_symbols_fd).
+// time into fixed buffers; the handler itself only calls async-signal-safe
+// primitives (mkdir/open/write/time, backtrace_symbols_fd). The staged cell
+// is per thread, so cells running concurrently on engine workers each
+// stage their own context and a crash bundles the cell of the thread that
+// failed.
 #ifndef MEMSENTRY_SRC_BASE_CRASH_HANDLER_H_
 #define MEMSENTRY_SRC_BASE_CRASH_HANDLER_H_
 
@@ -33,16 +36,20 @@ struct CrashContext {
 };
 
 // Installs the signal/terminate handlers (idempotent; first root wins).
-// Bundles land under `bundle_root` (created on demand).
-void InstallCrashHandler(const std::string& bundle_root);
+// Bundles land under `bundle_root` (created on demand). `process` describes
+// the run (binary, seed, config); a thread with no staged cell writes it
+// with cell="idle" and no replay spec. Call it before starting any thread
+// that stages cells.
+void InstallCrashHandler(const std::string& bundle_root, const CrashContext& process = {});
 
-// Stages the manifest for the cell about to run. Pre-renders everything the
-// handler will write, so a crash any time after this call produces a
-// complete bundle for this cell.
+// Stages the manifest for the cell about to run on the calling thread.
+// Pre-renders everything the handler will write, so a crash on this thread
+// any time after this call produces a complete bundle for this cell. Returns
+// at once, staging nothing, until InstallCrashHandler has run.
 void SetCrashContext(const CrashContext& context);
 
-// Marks cell completion: a crash between cells produces a bundle with
-// cell="idle" and no replay spec.
+// Marks the calling thread's cell complete: a crash between cells produces
+// the process's "idle" bundle.
 void ClearCrashCell();
 
 // Programmatic trigger for failures that are detected rather than trapped

@@ -1,16 +1,13 @@
-// A small dependency-free worker pool for the experiment engine. The suite's
-// parallelism is embarrassingly simple — every (profile, config) cell builds
-// its own machine from a deterministic seed — so all the pool provides is a
-// fixed set of workers, a futures-style Submit, and an ordered ParallelMap
-// whose output is positionally identical to a serial loop. Determinism rule:
-// tasks must not share mutable state; the pool guarantees nothing about
-// execution order, only about result placement.
+// A small dependency-free worker pool: a fixed set of workers and a
+// futures-style Submit. The campaign engine (src/eval/campaign_engine.h)
+// runs its workers on one and is the suite's only parallel layer; every cell
+// builds its own machine from a deterministic seed, so tasks share no
+// mutable state and the pool guarantees nothing about execution order.
 #ifndef MEMSENTRY_SRC_BASE_THREAD_POOL_H_
 #define MEMSENTRY_SRC_BASE_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -26,8 +23,8 @@ namespace memsentry {
 int HardwareJobs();
 
 // jobs > 0 passes through; jobs <= 0 resolves to HardwareJobs(). This is the
-// one place the `--jobs=N` / ExperimentOptions::jobs convention (0 = auto)
-// turns into a concrete worker count.
+// one place the `--jobs=N` convention (0 = auto) turns into a concrete
+// worker count.
 int ResolveJobs(int jobs);
 
 class ThreadPool {
@@ -63,47 +60,6 @@ class ThreadPool {
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
-
-// Applies fn(index) for index in [0, count) and returns the results in input
-// order — the parallel drop-in for `for (i...) out.push_back(fn(i))`. With
-// jobs <= 1 it runs inline on the calling thread (no pool, no reordering of
-// side effects), which is the degenerate case the determinism tests pin
-// against. The first exception any task throws is rethrown after all tasks
-// finish.
-template <typename Fn>
-auto ParallelMap(int jobs, size_t count, Fn fn)
-    -> std::vector<std::invoke_result_t<Fn, size_t>> {
-  using R = std::invoke_result_t<Fn, size_t>;
-  std::vector<R> results;
-  results.reserve(count);
-  jobs = ResolveJobs(jobs);
-  if (jobs <= 1 || count <= 1) {
-    for (size_t i = 0; i < count; ++i) {
-      results.push_back(fn(i));
-    }
-    return results;
-  }
-  ThreadPool pool(jobs < static_cast<int>(count) ? jobs : static_cast<int>(count));
-  std::vector<std::future<R>> futures;
-  futures.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    futures.push_back(pool.Submit([&fn, i] { return fn(i); }));
-  }
-  std::exception_ptr first_error;
-  for (auto& future : futures) {
-    try {
-      results.push_back(future.get());
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
-  return results;
-}
 
 }  // namespace memsentry
 

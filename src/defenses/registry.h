@@ -1,7 +1,7 @@
 // The paper's Table 1: a survey of defense systems that depend on memory
 // isolation — what they protect against, whether their isolation is
 // probabilistic (information hiding) or deterministic, and where they insert
-// code. Used by bench/table1_defenses and the advisor examples.
+// code. Used by the table1_defenses suite workload and the advisor examples.
 #ifndef MEMSENTRY_SRC_DEFENSES_REGISTRY_H_
 #define MEMSENTRY_SRC_DEFENSES_REGISTRY_H_
 

@@ -1,8 +1,10 @@
 #include "src/eval/campaign_engine.h"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "src/eval/run_memo.h"
 
@@ -21,43 +23,71 @@ const Workload* WorkloadRegistry::Find(std::string_view name) const {
   return nullptr;
 }
 
-int RunWorkloadStandalone(const Workload& workload, const WorkloadOptions& options,
-                          ReportBuilder& report) {
-  WorkloadOptions cell_options = options;
-  // Cells are single-threaded by contract; the fan-out below owns the
-  // workload's parallelism budget.
-  cell_options.experiment.jobs = 1;
-  const std::vector<WorkloadCell> cells = workload.cells(options);
-  const int jobs = workload.serial_standalone ? 1 : options.experiment.jobs;
-  std::vector<json::Value> payloads = ParallelMap(
-      jobs, cells.size(), [&](size_t i) { return cells[i].run(cell_options); });
-  return workload.assemble(options, payloads, report);
+namespace {
+
+// A whole number as strtoull(.., 0) reads it: decimal, 0x hex or 0 octal,
+// with nothing left over.
+bool IsWholeNumber(const char* text) {
+  if (*text == '\0' || *text == '-' || *text == '+') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  (void)std::strtoull(text, &end, 0);
+  return errno == 0 && *end == '\0';
 }
 
-void ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options) {
+}  // namespace
+
+std::vector<std::string> ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options) {
+  // Flags that take a whole-number value, and the options.extra key each sets.
+  static constexpr std::pair<const char*, const char*> kNumeric[] = {
+      {"--seed=", "seed"},
+      {"--campaigns=", "campaigns"},
+      {"--step-budget=", "step_budget"},
+  };
+  std::vector<std::string> rest;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    auto value = [arg](const char* flag) -> const char* {
-      const size_t n = std::strlen(flag);
-      return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
-    };
+    bool consumed = true;
     if (std::strcmp(arg, "--quick") == 0) {
       options.quick = true;
-    } else if (const char* v = value("--seed=")) {
-      options.extra["seed"] = v;
-    } else if (const char* v = value("--campaigns=")) {
-      options.extra["campaigns"] = v;
     } else if (std::strcmp(arg, "--policy=off") == 0) {
       options.extra["policy"] = "off";
     } else if (std::strcmp(arg, "--skip-audit") == 0) {
       options.extra["skip_audit"] = "1";
-    } else if (const char* v = value("--step-budget=")) {
-      options.extra["step_budget"] = v;
     } else if (std::strcmp(arg, "--allow-escapes") == 0) {
       options.extra["allow_escapes"] = "1";
-    } else if (const char* v = value("--force-crash=")) {
-      options.extra["force_crash"] = v;
+    } else if (std::strncmp(arg, "--force-crash=", 14) == 0 && arg[14] != '\0') {
+      options.extra["force_crash"] = arg + 14;
+    } else {
+      consumed = false;
+      for (const auto& [flag, key] : kNumeric) {
+        const size_t n = std::strlen(flag);
+        if (std::strncmp(arg, flag, n) == 0 && IsWholeNumber(arg + n)) {
+          options.extra[key] = arg + n;
+          consumed = true;
+        }
+      }
     }
+    if (!consumed) {
+      rest.push_back(arg);
+    }
+  }
+  return rest;
+}
+
+void AddHostTrailer(const JobReport& job, json::Value& metrics) {
+  ReportBuilder trailer;
+  trailer.AddInfo(job.workload + "/wall_seconds", job.wall_seconds);
+  const double instructions = job.report.sim_instructions();
+  if (instructions > 0 && job.wall_seconds > 0) {
+    trailer.AddHostPerf(job.workload + "/sim_instr_per_second", instructions / job.wall_seconds,
+                        kHostThroughputTol);
+  }
+  json::Value added = trailer.TakeMetrics();
+  for (auto& [name, metric] : added.members()) {
+    metrics.Set(name, std::move(metric));
   }
 }
 
@@ -129,9 +159,6 @@ uint64_t CampaignEngine::Submit(const std::string& workload_name,
   auto job = std::make_shared<Job>();
   job->workload = workload;
   job->options = options;
-  job->options.experiment.jobs = 1;
-  job->options.print = false;
-  job->options.crash_contexts = false;
   job->cells = workload->cells(job->options);
   job->payloads.resize(job->cells.size());
   job->report.workload = workload->name;

@@ -1,22 +1,26 @@
 // CampaignEngine — the persistent in-process suite engine (DESIGN.md §11).
 //
-// The bench binaries' bodies are extracted into registered Workloads: each
-// enumerates its experiment cells (one (config, profile) pair, one fault
-// cell, one tenant sweep point, ...) and assembles the cell payloads into
-// the exact metric stream its standalone binary emits. The engine schedules
-// every submitted workload's cells onto one warm pool of workers with work
-// stealing at cell granularity: each worker owns a deque fed round-robin at
-// submit time, pops its own front, and steals from the back of a sibling's
-// deque when it runs dry — no worker idles while any workload has runnable
-// cells, so a straggler workload (fig3's 48 cells) soaks up every worker
-// instead of serializing behind binary-granular scheduling.
+// Every paper table and figure is a registered Workload: it enumerates its
+// experiment cells (one (config, profile) pair, one fault cell, one tenant
+// sweep point, ...) and assembles the cell payloads into its metric stream
+// and, when asked, its printed tables. The engine schedules every submitted
+// workload's cells onto one warm pool of workers with work stealing at cell
+// granularity: each worker owns a deque fed round-robin at submit time,
+// pops its own front, and steals from the back of a sibling's deque when it
+// runs dry — no worker idles while any workload has runnable cells, so a
+// straggler workload (fig3's 48 cells) soaks up every worker.
+//
+// The engine is the only parallel layer: cells are single-threaded and
+// every sweep below them is a plain loop. `memsentry_cli run`,
+// tools/bench_runner, `memsentry_cli serve` and the shard coordinator all
+// run cells through it (or, for the coordinator's workers, through serve).
 //
 // Determinism contract: cells are pure functions of their WorkloadOptions
-// (each builds its own machine/process/module from the deterministic seed;
-// the engine forces experiment.jobs = 1 inside cells), and assembly runs
-// serially in cell-enumeration order once the last cell lands. Metric
-// values and order are therefore bit-identical for every worker count and
-// steal schedule — the property tests/campaign_engine_test.cc pins.
+// (each builds its own machine/process/module from the deterministic seed),
+// and assembly runs serially in cell-enumeration order once the last cell
+// lands. Metric values and order, and printed tables, are therefore
+// bit-identical for every worker count and steal schedule — the property
+// tests/campaign_engine_test.cc pins.
 //
 // Durability: the engine itself is storage-agnostic. EngineOptions::restore
 // lets a caller (tools/bench_runner's suite journal) mark cells as already
@@ -49,15 +53,11 @@ struct WorkloadOptions {
   ExperimentOptions experiment;
   // The workload was invoked in --quick mode (shrinks sweeps, not budgets).
   bool quick = false;
-  // Print the human-readable tables (standalone binaries; the engine and
-  // serve mode keep workloads silent).
+  // Print the human-readable tables during assembly (`memsentry_cli run`;
+  // bench_runner, serve and the coordinator leave it off).
   bool print = false;
-  // Stage base::CrashContext / write escape bundles. Only sound when cells
-  // run one at a time in their own process (the crash-context staging area
-  // is process-global), so the engine leaves it off.
-  bool crash_contexts = false;
   // Workload-specific flags ("seed", "campaigns", "policy", ...), parsed by
-  // ParseWorkloadArgs from the standalone argv or supplied by the runner.
+  // ParseWorkloadArgs from `memsentry_cli run` argv or supplied by the runner.
   std::map<std::string, std::string> extra;
 };
 
@@ -71,14 +71,11 @@ struct WorkloadCell {
 };
 
 struct Workload {
-  std::string name;  // the bench binary's name, e.g. "fig3_address"
-  // Standalone runs stay serial (cells stage process-global crash contexts
-  // or must interleave prints with execution order).
-  bool serial_standalone = false;
+  std::string name;  // e.g. "fig3_address"
   std::function<std::vector<WorkloadCell>(const WorkloadOptions&)> cells;
   // Serial pass over the payloads in cell-enumeration order: prints the
   // human tables (when options.print) and emits the metric stream. Returns
-  // the workload's exit status (nonzero = the binary would have failed).
+  // the workload's exit status (nonzero = the workload failed).
   std::function<int(const WorkloadOptions&, const std::vector<json::Value>&, ReportBuilder&)>
       assemble;
 };
@@ -93,17 +90,13 @@ class WorkloadRegistry {
   std::vector<Workload> workloads_;
 };
 
-// Runs one workload the way its standalone binary does: cells fanned out
-// over ParallelMap (serial when the workload demands it), then assembly.
-int RunWorkloadStandalone(const Workload& workload, const WorkloadOptions& options,
-                          ReportBuilder& report);
-
-// Parses the workload-specific argv flags the bench binaries accept
-// (--quick, --seed=, --campaigns=, --policy=off, --skip-audit,
-// --step-budget=, --allow-escapes, --force-crash=) into options.quick /
-// options.extra. Unknown arguments are ignored, matching the binaries'
-// historical leniency.
-void ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options);
+// Parses the workload-specific flags in argv[1..argc) (--quick, --seed=,
+// --campaigns=, --policy=off, --skip-audit, --step-budget=, --allow-escapes,
+// --force-crash=) into options.quick / options.extra. Returns the arguments
+// it did not consume, in order: unknown flags and malformed values (a
+// numeric flag whose value is not a whole number). Callers that accept no
+// other flags reject whatever comes back.
+std::vector<std::string> ParseWorkloadArgs(int argc, char** argv, WorkloadOptions& options);
 
 enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled };
 const char* JobStateName(JobState state);
@@ -119,6 +112,13 @@ struct JobReport {
   std::vector<bool> cell_restored;
   ReportBuilder report;
 };
+
+// Appends the host trailer that follows a workload's metric stream in every
+// report: `<workload>/wall_seconds` (info) and, when the job simulated any
+// instructions, `<workload>/sim_instr_per_second` (host perf, warn-only).
+// Both are taken over the job's cell span (JobReport::wall_seconds), so the
+// throughput means the same at any worker count and in any front end.
+void AddHostTrailer(const JobReport& job, json::Value& metrics);
 
 struct EngineOptions {
   int jobs = 0;  // worker threads; <= 0 = hardware_concurrency
@@ -153,8 +153,8 @@ class CampaignEngine {
   CampaignEngine& operator=(const CampaignEngine&) = delete;
 
   // Enqueues a workload's cells. Returns the job id, or 0 for an unknown
-  // workload name. experiment.jobs is forced to 1 inside cells (the engine
-  // owns the parallelism); print/crash_contexts are forced off.
+  // workload name. With options.print, assembly prints the workload's tables
+  // to stdout from whichever worker finished the job's last cell.
   uint64_t Submit(const std::string& workload_name, const WorkloadOptions& options);
 
   // {"job", "workload", "state", "status", "cells_done", "cells_total"} —

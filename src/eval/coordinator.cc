@@ -118,11 +118,6 @@ uint64_t ShardCoordinator::Submit(const std::string& workload_name,
   job->id = jobs_.size() + 1;
   job->workload = workload;
   job->options = options;
-  // Same forcings as CampaignEngine::Submit: cells own no parallelism,
-  // print nothing, stage no process-global crash contexts.
-  job->options.experiment.jobs = 1;
-  job->options.print = false;
-  job->options.crash_contexts = false;
   job->cells = workload->cells(job->options);
   job->payloads.resize(job->cells.size());
   report->workload = workload->name;

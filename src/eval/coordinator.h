@@ -87,7 +87,7 @@ class ShardCoordinator {
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
-  // Enqueues a workload's cells (same forcings as CampaignEngine::Submit).
+  // Enqueues a workload's cells.
   // Returns the job id, or 0 for an unknown workload. Submit everything
   // before Run(); the coordinator is single-shot.
   uint64_t Submit(const std::string& workload_name, const WorkloadOptions& options);

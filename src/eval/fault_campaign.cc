@@ -16,7 +16,7 @@ namespace {
 inline constexpr uint64_t kSecret = 0x5ec4e7c0de5ec4e7ULL;
 
 // Per-cell seed: campaign seed mixed with an FNV-1a hash of the cell's
-// names. Order-independent — running one cell standalone replays exactly
+// names. Order-independent — running one cell alone replays exactly
 // the same injection as running it inside the full matrix.
 uint64_t CellSeed(uint64_t campaign_seed, core::TechniqueKind kind, sim::FaultSite site) {
   uint64_t h = 0xcbf29ce484222325ULL;

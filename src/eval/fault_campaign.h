@@ -9,7 +9,7 @@
 //     chain; protection held, with a logged and countable cost.
 //   kEscaped — the attacker read the secret, achieved a controlled write,
 //     or the program's own legitimate path silently computed with wrong
-//     data. Always a failure: bench/fault_matrix pins every cell and the
+//     data. Always a failure: the fault_matrix workload pins every cell and the
 //     total escape count at zero in the regression baseline.
 //
 // Campaigns are deterministic: each (technique, site) cell derives its RNG

@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "src/base/stats_util.h"
-#include "src/base/thread_pool.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/event_annotator.h"
 #include "src/defenses/shadow_stack.h"
@@ -335,42 +334,76 @@ std::vector<FigureSeries> AssembleFigureSeries(const std::vector<const char*>& c
 
 namespace {
 
-// The sweeps fan every (config, profile) cell out as an independent task:
-// each cell constructs its own Machine/Process/Module pair from the
-// deterministic seed (inside the Run*ExperimentFull pipelines), so tasks
-// share no mutable state and the cell results are bit-identical for any
-// jobs value.
+// Every (config, profile) cell builds its own Machine/Process/Module pair
+// from the deterministic seed (inside the Run*ExperimentFull pipelines), so
+// the cells of a sweep are independent; the campaign engine runs suite
+// cells in parallel, and these whole-figure sweeps are plain loops.
 std::vector<FigureSeries> SweepAddress(const ExperimentOptions& options) {
-  const auto& configs = AddressSweepConfigs();
   const auto profiles = SpecCpu2006();
   std::vector<const char*> names;
-  for (const AddressSweepConfig& config : configs) {
+  std::vector<ExperimentResult> cells;
+  for (const AddressSweepConfig& config : AddressSweepConfigs()) {
     names.push_back(config.name);
+    for (const SpecProfile& profile : profiles) {
+      cells.push_back(RunAddressBasedExperimentFull(profile, config.kind, config.mode, options));
+    }
   }
-  const std::vector<ExperimentResult> cells =
-      ParallelMap(options.jobs, configs.size() * profiles.size(), [&](size_t i) {
-        const AddressSweepConfig& config = configs[i / profiles.size()];
-        const SpecProfile& profile = profiles[i % profiles.size()];
-        return RunAddressBasedExperimentFull(profile, config.kind, config.mode, options);
-      });
   return AssembleFigureSeries(names, profiles.size(), cells);
 }
 
 std::vector<FigureSeries> SweepDomain(DomainScenario scenario,
                                       const ExperimentOptions& options) {
-  const auto& configs = DomainSweepConfigs();
   const auto profiles = SpecCpu2006();
   std::vector<const char*> names;
-  for (const DomainSweepConfig& config : configs) {
+  std::vector<ExperimentResult> cells;
+  for (const DomainSweepConfig& config : DomainSweepConfigs()) {
     names.push_back(config.name);
+    for (const SpecProfile& profile : profiles) {
+      cells.push_back(RunDomainBasedExperimentFull(profile, config.kind, scenario, options));
+    }
   }
-  const std::vector<ExperimentResult> cells =
-      ParallelMap(options.jobs, configs.size() * profiles.size(), [&](size_t i) {
-        const DomainSweepConfig& config = configs[i / profiles.size()];
-        const SpecProfile& profile = profiles[i % profiles.size()];
-        return RunDomainBasedExperimentFull(profile, config.kind, scenario, options);
-      });
   return AssembleFigureSeries(names, profiles.size(), cells);
+}
+
+// One point of the crypt region-size sweep; region_bytes == 0 on failure.
+CryptSizePoint RunCryptSizePoint(const SpecProfile& profile, uint64_t size,
+                                 const ExperimentOptions& options) {
+  // Baseline: defense only; the region size is irrelevant without crypt
+  // but is part of the recorded state, so it keys the memo.
+  const Run base = MemoizedBaseline(
+      BaselineRecipeKey(profile, core::TechniqueKind::kCrypt,
+                        static_cast<int>(DomainScenario::kCallRet), options, size),
+      [&]() -> Run {
+        Pipeline base_pipeline(profile, core::TechniqueKind::kCrypt, options, false);
+        base_pipeline.process->safe_regions()[0].size = size;
+        if (!ApplyDefense(base_pipeline, DomainScenario::kCallRet).ok()) {
+          return {};
+        }
+        return Execute(*base_pipeline.process, base_pipeline.module());
+      });
+  // Protected with the resized region.
+  Pipeline prot(profile, core::TechniqueKind::kCrypt, options, true);
+  auto& region = prot.process->safe_regions()[0];
+  // Grow the region (remap additional pages if needed).
+  const uint64_t old_pages = PageAlignUp(region.size) >> kPageShift;
+  const uint64_t new_pages = PageAlignUp(size) >> kPageShift;
+  if (new_pages > old_pages) {
+    (void)prot.process->MapRange(region.base + old_pages * kPageSize, new_pages - old_pages,
+                                 machine::PageFlags::Data());
+  }
+  region.size = size;
+  if (!ApplyDefense(prot, DomainScenario::kCallRet).ok()) {
+    return {};
+  }
+  if (!prot.Protect().ok()) {
+    return {};
+  }
+  const Run isolated = Execute(*prot.process, prot.module());
+  if (!base.ok || !isolated.ok) {
+    return {};
+  }
+  return CryptSizePoint{size, isolated.cycles / base.cycles, isolated.cycles,
+                        static_cast<double>(base.instructions + isolated.instructions)};
 }
 
 }  // namespace
@@ -391,53 +424,12 @@ std::vector<FigureSeries> RunFigure6(const ExperimentOptions& options) {
 std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
                                               const std::vector<uint64_t>& sizes,
                                               const ExperimentOptions& options) {
-  // Each size is an independent task (own machines, deterministic seed);
-  // failed sizes surface as region_bytes == 0 and are filtered out in input
-  // order, preserving the serial loop's skip semantics.
-  const std::vector<CryptSizePoint> raw =
-      ParallelMap(options.jobs, sizes.size(), [&](size_t i) -> CryptSizePoint {
-        const uint64_t size = sizes[i];
-        // Baseline: defense only; the region size is irrelevant without crypt
-        // but is part of the recorded state, so it keys the memo.
-        const Run base = MemoizedBaseline(
-            BaselineRecipeKey(profile, core::TechniqueKind::kCrypt,
-                              static_cast<int>(DomainScenario::kCallRet), options, size),
-            [&]() -> Run {
-              Pipeline base_pipeline(profile, core::TechniqueKind::kCrypt, options, false);
-              base_pipeline.process->safe_regions()[0].size = size;
-              if (!ApplyDefense(base_pipeline, DomainScenario::kCallRet).ok()) {
-                return {};
-              }
-              return Execute(*base_pipeline.process, base_pipeline.module());
-            });
-        // Protected with the resized region.
-        Pipeline prot(profile, core::TechniqueKind::kCrypt, options, true);
-        auto& region = prot.process->safe_regions()[0];
-        // Grow the region (remap additional pages if needed).
-        const uint64_t old_pages = PageAlignUp(region.size) >> kPageShift;
-        const uint64_t new_pages = PageAlignUp(size) >> kPageShift;
-        if (new_pages > old_pages) {
-          (void)prot.process->MapRange(region.base + old_pages * kPageSize,
-                                       new_pages - old_pages, machine::PageFlags::Data());
-        }
-        region.size = size;
-        if (!ApplyDefense(prot, DomainScenario::kCallRet).ok()) {
-          return {};
-        }
-        if (!prot.Protect().ok()) {
-          return {};
-        }
-        const Run isolated = Execute(*prot.process, prot.module());
-        if (!base.ok || !isolated.ok) {
-          return {};
-        }
-        return CryptSizePoint{size, isolated.cycles / base.cycles, isolated.cycles,
-                              static_cast<double>(base.instructions + isolated.instructions)};
-      });
+  // Failed sizes are skipped; the rest keep input order.
   std::vector<CryptSizePoint> points;
-  for (const CryptSizePoint& p : raw) {
-    if (p.region_bytes != 0) {
-      points.push_back(p);
+  for (const uint64_t size : sizes) {
+    const CryptSizePoint point = RunCryptSizePoint(profile, size, options);
+    if (point.region_bytes != 0) {
+      points.push_back(point);
     }
   }
   return points;

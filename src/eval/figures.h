@@ -24,11 +24,9 @@ struct ExperimentOptions {
   uint64_t target_instructions = 400'000;
   uint64_t seed = 0xbe7cd06eULL;
   core::InstrumentOptions instrument;
-  // Worker threads for the suite sweeps (RunFigure3..6, RunCryptSizeSweep).
-  // 0 = hardware_concurrency; 1 = serial. Every (profile, config) cell builds
-  // its own machine/process/module from the deterministic seed, so results
-  // are bit-identical for every jobs value — enforced by
-  // tests/parallel_determinism_test.cc.
+  // Nothing reads this: the campaign engine is the only parallel layer and
+  // every sweep here is a plain loop. It stays declared only because the
+  // benchmark tool under perfbench/ still assigns it.
   int jobs = 0;
 };
 

@@ -1,6 +1,6 @@
-// Metric accumulation for benchmark reports, shared between the standalone
-// bench binaries (through bench::Reporter) and the in-process campaign
-// engine (src/eval/campaign_engine.h). A ReportBuilder collects named scalar
+// Metric accumulation for benchmark reports: every workload's assembly
+// (src/suite) emits its metrics through one, whichever front end runs it
+// (src/eval/campaign_engine.h). A ReportBuilder collects named scalar
 // metrics — fidelity, perf, info, host-perf — in insertion order; the order
 // and the bit-exact values are what the suite's determinism gate compares,
 // so every path that emits a given workload's metrics must route through the
@@ -32,7 +32,7 @@ inline constexpr double kMicroLatencyTol = 0.10;
 // regressions while staying quiet across healthy hosts.
 inline constexpr double kHostThroughputTol = 0.60;
 
-// Collects one binary's (or one engine job's) results as named metrics.
+// Collects one workload's (one engine job's) results as named metrics.
 // Metric names are slash-paths, unique across the whole suite because each
 // workload prefixes its own figure/table (e.g. "fig3/geomean/MPX-w").
 class ReportBuilder {
@@ -77,8 +77,9 @@ class ReportBuilder {
   }
 
   // Accumulates simulated (retired) instructions executed by this workload.
-  // The caller turns the total into a `<binary>/sim_instr_per_second`
-  // host-perf metric — the suite's wall-clock throughput gauge.
+  // eval::AddHostTrailer turns the total into a
+  // `<workload>/sim_instr_per_second` host-perf metric — the suite's
+  // wall-clock throughput gauge.
   void AddSimulatedInstructions(double instructions) { sim_instructions_ += instructions; }
 
   // A whole figure: per-config geomeans (fidelity, with the paper's

@@ -16,8 +16,8 @@
 // know which recipe fields their pipelines actually observe.
 //
 // The memo is process-global but OFF by default: the campaign engine turns
-// it on for its lifetime (EngineOptions::run_memo), so a standalone bench
-// binary or an engine built with run_memo = false runs every baseline from
+// it on for its lifetime (EngineOptions::run_memo), so direct calls into
+// src/eval or an engine built with run_memo = false run every baseline from
 // scratch — the reference the memoized reports are checked against.
 #ifndef MEMSENTRY_SRC_EVAL_RUN_MEMO_H_
 #define MEMSENTRY_SRC_EVAL_RUN_MEMO_H_

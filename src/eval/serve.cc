@@ -169,12 +169,7 @@ json::Value Dispatch(const ServeOptions& options, CampaignEngine& engine,
     if (workload == nullptr) {
       return ErrorResponse("unknown_workload", "unknown workload: " + name);
     }
-    WorkloadOptions wo = RequestWorkloadOptions(request);
-    // Same forcings as CampaignEngine::Submit: the cell owns no parallelism,
-    // prints nothing, and must not stage process-global crash contexts.
-    wo.experiment.jobs = 1;
-    wo.print = false;
-    wo.crash_contexts = false;
+    const WorkloadOptions wo = RequestWorkloadOptions(request);
     const std::vector<WorkloadCell> cells = workload->cells(wo);
     const WorkloadCell* cell = nullptr;
     for (const WorkloadCell& candidate : cells) {

@@ -3,7 +3,7 @@
 // index) × cost-model digest × ymm reservation. Experiment cells and
 // server-workload tenants lower the same handful of ir::Modules thousands
 // of times; the cache makes each unique (content, cost model) pair decode
-// exactly once, even when ParallelMap workers race to populate it — the
+// exactly once, even when engine workers race to populate it — the
 // first caller builds, everyone else blocks on a shared_future for that
 // key. Entries are shared_ptrs: eviction only drops the cache's reference,
 // so executors holding a decode keep it alive.

@@ -19,12 +19,11 @@ inline void PrintHeader(const char* title) {
   std::printf("================================================================\n");
 }
 
-// One figure as rows of benchmarks x configuration columns — the same table
-// bench::PrintFigure renders.
+// One figure as rows of benchmarks x configuration columns.
 void PrintFigure(const std::vector<eval::FigureSeries>& series,
                  const std::vector<double>& paper_geomeans);
 
-// options.extra lookups with the bench binaries' strtoull(.., 0) parsing.
+// options.extra lookups with ParseWorkloadArgs' strtoull(.., 0) parsing.
 inline uint64_t ExtraU64(const eval::WorkloadOptions& options, const char* key,
                          uint64_t fallback) {
   const auto it = options.extra.find(key);

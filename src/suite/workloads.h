@@ -1,10 +1,9 @@
-// The benchmark suite as registered campaign-engine workloads. Every bench
-// binary's body lives here as an eval::Workload — quick/full cell
-// enumeration plus an assembly pass that emits the binary's exact metric
-// stream and (in print mode) its exact stdout tables — so one warm process
-// can run the whole suite through eval::CampaignEngine, and the thin
-// standalone binaries (bench/*.cc + bench/suite_main.h) emit the same
-// metric stream bit for bit.
+// The benchmark suite as registered campaign-engine workloads. Every paper
+// table and figure lives here as an eval::Workload — quick/full cell
+// enumeration plus an assembly pass that emits its metric stream and (in
+// print mode) its stdout tables — so one warm process can run the whole
+// suite through eval::CampaignEngine (tools/bench_runner), and
+// `memsentry_cli run <workload>` runs one of them the same way.
 #ifndef MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 #define MEMSENTRY_SRC_SUITE_WORKLOADS_H_
 

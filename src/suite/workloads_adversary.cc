@@ -210,33 +210,29 @@ json::Value RunFaultMatrixCell(const WorkloadOptions& wo, core::TechniqueKind ki
   const char* technique_name = core::TechniqueKindName(kind);
   const char* site_name = sim::FaultSiteName(site);
 
-  // Crash-context staging is process-global; only sound when the engine
-  // isn't interleaving cells (serial_standalone guarantees that here).
+  // Stage this cell's crash context on the worker thread running it (a
+  // no-op unless the process installed the crash handler).
   base::CrashContext context;
-  if (wo.crash_contexts) {
-    context.binary = "fault_matrix";
-    context.cell = std::string(technique_name) + "/" + site_name;
-    context.seed = options.seed;
-    context.config_json = ExtraString(wo, "config_json");
-    context.replay_json = ReplaySpec(options, technique_name, site_name, "");
-    base::SetCrashContext(context);
-  }
+  context.binary = "fault_matrix";
+  context.cell = std::string(technique_name) + "/" + site_name;
+  context.seed = options.seed;
+  context.config_json = ExtraString(wo, "config_json");
+  context.replay_json = ReplaySpec(options, technique_name, site_name, "");
+  base::SetCrashContext(context);
 
   eval::FaultCellResult cell = eval::RunFaultCell(kind, site, options);
 
-  if (wo.crash_contexts) {
-    if (cell.outcome == eval::Containment::kEscaped) {
-      // The process survives an escape, so trap-style bundles never fire;
-      // write one programmatically with the outcome pinned for replay.
-      context.replay_json = ReplaySpec(options, technique_name, site_name, "ESCAPED");
-      base::SetCrashContext(context);
-      const std::string bundle = base::WriteCrashBundle("fault-matrix-escape");
-      if (!bundle.empty()) {
-        std::fprintf(stderr, "fault_matrix: escape bundle at %s\n", bundle.c_str());
-      }
+  if (cell.outcome == eval::Containment::kEscaped) {
+    // The process survives an escape, so trap-style bundles never fire;
+    // write one programmatically with the outcome pinned for replay.
+    context.replay_json = ReplaySpec(options, technique_name, site_name, "ESCAPED");
+    base::SetCrashContext(context);
+    const std::string bundle = base::WriteCrashBundle("fault-matrix-escape");
+    if (!bundle.empty()) {
+      std::fprintf(stderr, "fault_matrix: escape bundle at %s\n", bundle.c_str());
     }
-    base::ClearCrashCell();
   }
+  base::ClearCrashCell();
 
   json::Value payload = json::Value::Object();
   payload.Set("technique", technique_name);
@@ -342,9 +338,8 @@ CampaignRun CampaignOptionsFromExtra(const WorkloadOptions& wo) {
   return run;
 }
 
-// One technique's slice of RunCampaignSuite: same seeds, same campaign
-// order, same tally accumulation — the flat suite array is technique-major,
-// so concatenating the eight cells reproduces it positionally.
+// One technique's campaigns, in index order: each is a pure function of
+// (suite seed, technique, index), so the eight cells are independent.
 json::Value RunCampaignTechniqueCell(const WorkloadOptions& wo, int technique) {
   const CampaignRun run = CampaignOptionsFromExtra(wo);
   const auto kind = static_cast<core::TechniqueKind>(technique);
@@ -469,23 +464,20 @@ int AssembleCampaigns(const WorkloadOptions& options, const std::vector<json::Va
       const std::string label =
           std::string(core::TechniqueKindName(kind)) + "/campaign-" +
           std::to_string(static_cast<uint64_t>(anomaly.NumberOr("index", 0)));
-      std::string bundle;
-      if (options.crash_contexts) {
-        base::CrashContext context;
-        context.binary = "attack_campaigns";
-        context.cell = label;
-        context.seed = HexU64(anomaly, "seed_hex");
-        context.config_json = ExtraString(options, "config_json");
-        const json::Value* replay = anomaly.Find("replay");
-        context.replay_json = replay != nullptr ? replay->Dump(0) : "";
-        base::SetCrashContext(context);
-        bundle = base::WriteCrashBundle(
-            static_cast<attacks::CampaignOutcome>(static_cast<int>(
-                anomaly.NumberOr("outcome", 0))) == attacks::CampaignOutcome::kEscaped
-                ? "attack-campaign-escape"
-                : "attack-campaign-timeout");
-        base::ClearCrashCell();
-      }
+      base::CrashContext context;
+      context.binary = "attack_campaigns";
+      context.cell = label;
+      context.seed = HexU64(anomaly, "seed_hex");
+      context.config_json = ExtraString(options, "config_json");
+      const json::Value* replay = anomaly.Find("replay");
+      context.replay_json = replay != nullptr ? replay->Dump(0) : "";
+      base::SetCrashContext(context);
+      const std::string bundle = base::WriteCrashBundle(
+          static_cast<attacks::CampaignOutcome>(static_cast<int>(
+              anomaly.NumberOr("outcome", 0))) == attacks::CampaignOutcome::kEscaped
+              ? "attack-campaign-escape"
+              : "attack-campaign-timeout");
+      base::ClearCrashCell();
       if (options.print) {
         std::printf("%s: %s %s (%zu steps, shrunk to %zu) — %s\n",
                     anomaly.StringOr("outcome_name", "").c_str(), label.c_str(),
@@ -624,8 +616,6 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry) {
   {
     Workload w;
     w.name = "fault_matrix";
-    // Cells stage process-global crash contexts in standalone mode.
-    w.serial_standalone = true;
     w.cells = [](const WorkloadOptions&) {
       std::vector<WorkloadCell> cells;
       for (const auto& [kind, site] : eval::FaultMatrixCells()) {

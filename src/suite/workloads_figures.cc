@@ -27,7 +27,7 @@ using eval::WorkloadOptions;
 // --- fig3..fig6 ------------------------------------------------------------
 
 struct FigureSpec {
-  const char* name;    // workload / binary name
+  const char* name;    // workload name
   const char* prefix;  // metric prefix
   const char* title;   // PrintHeader banner
   bool address;        // fig3 (address sweep) vs fig4..6 (domain sweep)

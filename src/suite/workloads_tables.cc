@@ -227,7 +227,7 @@ int AssembleTable3(const WorkloadOptions& options, const std::vector<json::Value
 
 // --- table4_micro ---
 //
-// Each section of bench/table4_micro.cc is one cell; a cell returns the
+// Each section of the Table 4 microbenchmark is one cell; a cell returns the
 // rows it measured as {key, name, paper, measured, model, note} so assembly
 // can replay the exact Row/RowModel print + metric sequence.
 

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "src/base/rng.h"
-#include "src/base/thread_pool.h"
 #include "src/ir/builder.h"
 #include "src/mpk/mpk.h"
 #include "src/sim/decode_cache.h"
@@ -574,30 +573,6 @@ ServerResult RunServerWorkload(const ServerConfig& config) {
   }
   MEMSENTRY_CONTRACT_CHECK(setup.ok(), "server workload setup failed");
   return engine.Run();
-}
-
-std::vector<ServerSweepCell> RunServerSweep(const std::vector<int>& tenant_counts,
-                                            const std::vector<ServerTechnique>& techniques,
-                                            const ServerConfig& base, int jobs) {
-  std::vector<ServerSweepCell> cells;
-  for (int tenants : tenant_counts) {
-    for (ServerTechnique technique : techniques) {
-      ServerSweepCell cell;
-      cell.tenants = tenants;
-      cell.technique = technique;
-      cells.push_back(cell);
-    }
-  }
-  auto results = ParallelMap(jobs, cells.size(), [&](size_t i) {
-    ServerConfig config = base;
-    config.tenants = cells[i].tenants;
-    config.technique = cells[i].technique;
-    return RunServerWorkload(config);
-  });
-  for (size_t i = 0; i < cells.size(); ++i) {
-    cells[i].result = results[i];
-  }
-  return cells;
 }
 
 }  // namespace memsentry::workloads

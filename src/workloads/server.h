@@ -12,7 +12,7 @@
 // horizon (so latency differences between techniques are technique-induced,
 // never load-induced), the scheduler is deterministic, and every modeled
 // cycle flows through the same MMU/CostModel paths as the rest of the
-// simulator — bit-identical across `--jobs` values and fastpath modes.
+// simulator — bit-identical across engine worker counts and fastpath modes.
 #ifndef MEMSENTRY_SRC_WORKLOADS_SERVER_H_
 #define MEMSENTRY_SRC_WORKLOADS_SERVER_H_
 
@@ -148,20 +148,6 @@ class ServerEngine {
 };
 
 ServerResult RunServerWorkload(const ServerConfig& config);
-
-// One cell of the scalability sweep.
-struct ServerSweepCell {
-  int tenants = 0;
-  ServerTechnique technique = ServerTechnique::kInfoHide;
-  ServerResult result;
-};
-
-// Runs |tenant_counts| x |techniques| cells via ParallelMap. Every cell
-// builds its own Machine/Process/Kernel from the deterministic config, so
-// results are positionally identical for any `jobs` value.
-std::vector<ServerSweepCell> RunServerSweep(const std::vector<int>& tenant_counts,
-                                            const std::vector<ServerTechnique>& techniques,
-                                            const ServerConfig& base, int jobs);
 
 }  // namespace memsentry::workloads
 

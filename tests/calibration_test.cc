@@ -1,7 +1,7 @@
 // Reproduction calibration: asserts that the shapes of the paper's Figures
 // 3-6 and the headline Section 1/6 claims hold — who wins, by roughly what
 // factor, where crossovers fall. Bands are deliberately generous; exact
-// values are reported by the bench/ binaries and EXPERIMENTS.md.
+// values are reported by `memsentry_cli run <workload>` and EXPERIMENTS.md.
 #include <gtest/gtest.h>
 
 #include "src/eval/figures.h"

@@ -1,12 +1,13 @@
 // CampaignEngine determinism and durability contract (DESIGN.md §11):
 //  - metric streams are bit-identical for every worker count / steal
-//    schedule, and identical to the standalone (ParallelMap) execution;
+//    schedule;
 //  - restored cells (the journal resume path) skip execution but feed
 //    assembly the exact payloads, reproducing the metric stream;
 //  - a job's wall_seconds covers its own cells, not time queued behind
 //    other jobs;
 //  - the runner's merged report is bit-identical at any --jobs, and equal to
-//    the standalone bench binaries' reports;
+//    `memsentry_cli run <workload> --json` reports;
+//  - `memsentry_cli run` rejects unknown and malformed arguments;
 //  - a kill -9 mid-suite plus --resume converges to the clean-run report,
 //    and --resume refuses a journal written under another configuration;
 //  - `serve` round-trips submit/status/wait/cancel/shutdown over its socket.
@@ -52,9 +53,18 @@ eval::WorkloadOptions QuickOptions() {
 // so the full test file stays a few seconds; the sweep-heavy workloads are
 // covered by the runner-level subset below.
 const std::vector<std::string>& TestWorkloads() {
-  static const std::vector<std::string>* names =
-      new std::vector<std::string>{"fault_matrix", "table4_micro", "ablations"};
+  static const std::vector<std::string>* names = new std::vector<std::string>{
+      "fault_matrix", "table4_micro", "ablations", "attack_campaigns", "server_workload"};
   return *names;
+}
+
+// QuickOptions, with attack_campaigns cut to two campaigns per technique.
+eval::WorkloadOptions TestOptions(const std::string& name) {
+  eval::WorkloadOptions options = QuickOptions();
+  if (name == "attack_campaigns") {
+    options.extra["campaigns"] = "16";
+  }
+  return options;
 }
 
 // Runs every test workload through one engine, filling `metrics_out` with
@@ -67,7 +77,7 @@ void RunEngine(int jobs, eval::EngineOptions options,
   eval::CampaignEngine engine(&suite::SuiteRegistry(), std::move(options));
   std::vector<uint64_t> ids;
   for (const std::string& name : TestWorkloads()) {
-    const uint64_t id = engine.Submit(name, QuickOptions());
+    const uint64_t id = engine.Submit(name, TestOptions(name));
     ASSERT_NE(id, 0u) << name;
     ids.push_back(id);
   }
@@ -84,26 +94,31 @@ void RunEngine(int jobs, eval::EngineOptions options,
   }
 }
 
-// The core scheduling-independence property: 1 worker, 4 workers (steal
-// schedules differ run to run), and the standalone ParallelMap path all
-// produce byte-identical metric streams.
+// The core scheduling-independence property: 1 worker and 4 workers (steal
+// schedules differ run to run) produce byte-identical metric streams.
 TEST(CampaignEngine, MetricsIndependentOfWorkerCountAndSchedule) {
   std::map<std::string, std::string> serial;
   ASSERT_NO_FATAL_FAILURE(RunEngine(1, {}, &serial));
   std::map<std::string, std::string> parallel;
   ASSERT_NO_FATAL_FAILURE(RunEngine(4, {}, &parallel));
   EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial.size(), TestWorkloads().size());
+}
 
-  // Standalone execution (what the bench binaries run) emits the same
-  // stream. The run memo must be value-preserving, so equality holds whether
-  // or not earlier engine runs left cached entries behind.
-  for (const std::string& name : TestWorkloads()) {
-    const eval::Workload* workload = suite::FindSuiteWorkload(name);
-    ASSERT_NE(workload, nullptr) << name;
-    eval::ReportBuilder report;
-    EXPECT_EQ(eval::RunWorkloadStandalone(*workload, QuickOptions(), report), 0) << name;
-    EXPECT_EQ(report.metrics().Dump(0), serial[name]) << name;
-  }
+// ParseWorkloadArgs consumes the workload flags it knows, with well-formed
+// values, and hands everything else back in order.
+TEST(CampaignEngine, ParseWorkloadArgsReturnsWhatItDidNotConsume) {
+  const char* argv[] = {"fault_matrix", "--quick",        "--seed=0x10", "--seed", "20170423",
+                        "--campaigns=12x", "--json=r.json", "--policy=off"};
+  eval::WorkloadOptions options;
+  const std::vector<std::string> rest =
+      eval::ParseWorkloadArgs(8, const_cast<char**>(argv), options);
+  EXPECT_TRUE(options.quick);
+  EXPECT_EQ(options.extra["seed"], "0x10");
+  EXPECT_EQ(options.extra["policy"], "off");
+  EXPECT_EQ(options.extra.count("campaigns"), 0u);
+  EXPECT_EQ(rest, (std::vector<std::string>{"--seed", "20170423", "--campaigns=12x",
+                                            "--json=r.json"}));
 }
 
 // The memo is an engine-scoped cache, not an approximation: disabling it
@@ -285,8 +300,8 @@ TEST(CampaignEngine, ServeSocketRoundTrip) {
 
 // ---------------------------------------------------------------------------
 // Runner-level end-to-end: the real bench_runner binary against the real
-// bench binaries.
-#if defined(MEMSENTRY_BENCH_RUNNER) && defined(MEMSENTRY_BENCH_DIR)
+// `memsentry_cli run`.
+#if defined(MEMSENTRY_BENCH_RUNNER) && defined(MEMSENTRY_CLI)
 
 namespace memsentry {
 namespace {
@@ -354,8 +369,8 @@ std::string GatedMetrics(const json::Value& merged) {
 
 // The acceptance property: the merged report is bit-identical at every
 // --jobs value (--jobs=1 is the reference), the runner's own
-// --check-determinism agrees, and each standalone bench binary emits
-// exactly the engine's gated metrics for its workload.
+// --check-determinism agrees, and `memsentry_cli run <workload> --json`
+// emits exactly the runner's gated metrics for its workload.
 TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
   const std::string dir = FreshDir("campaign_engine_inproc");
   const RunnerRun reference = RunSuite(dir, "inproc_j1.json", "--engine=inproc --jobs=1");
@@ -386,7 +401,7 @@ TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
     EXPECT_TRUE(has_cell_timing);
   }
 
-  // The standalone binaries, one process each, at the quick budget.
+  // `memsentry_cli run`, one process per workload, at the quick budget.
   json::Value standalone = json::Value::Object();
   standalone.Set("metrics", json::Value::Object());
   const std::string subset = kSubset;
@@ -396,18 +411,51 @@ TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
     start = comma + 1;
     const std::string report = dir + "/" + name + ".json";
     std::string log;
-    ASSERT_EQ(RunLogged(std::string("\"") + MEMSENTRY_BENCH_DIR + "/" + name + "\" --json=\"" +
-                            report + "\" --instructions=100000",
+    ASSERT_EQ(RunLogged(std::string("\"") + MEMSENTRY_CLI + "\" run " + name + " --json=\"" +
+                            report + "\" --instructions=100000 --jobs=2 --bundle-root=\"" + dir +
+                            "/bundles\"",
                         report + ".log", &log),
               0)
         << log;
     auto parsed = json::ParseFile(report);
     ASSERT_TRUE(parsed.ok()) << report;
-    for (const auto& [metric, entry] : parsed->Find("metrics")->members()) {
+    EXPECT_EQ(parsed->StringOr("binary", ""), name);
+    EXPECT_EQ(parsed->NumberOr("instructions", 0), 100'000);
+    const json::Value* metrics = parsed->Find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    EXPECT_NE(metrics->Find(name + "/wall_seconds"), nullptr) << name;
+    for (const auto& [metric, entry] : metrics->members()) {
       standalone["metrics"].Set(metric, entry);
     }
   }
   EXPECT_EQ(GatedMetrics(standalone), reference_metrics);
+}
+
+// `memsentry_cli run` is strict: an unknown or malformed argument exits 2
+// and names the argument instead of running the workload with its
+// defaults, and an unknown workload lists the registered ones.
+TEST(MemsentryCliRun, RejectsUnknownAndMalformedArguments) {
+  const std::string dir = FreshDir("campaign_engine_cli_args");
+  const std::string cli = std::string("\"") + MEMSENTRY_CLI + "\" run ";
+  std::string log;
+  // A space, not '=': the old parser ran the default seed and exited 0.
+  EXPECT_EQ(RunLogged(cli + "fault_matrix --seed 20170423 --json=\"" + dir + "/seed.json\"",
+                      dir + "/seed.log", &log),
+            2);
+  EXPECT_NE(log.find("--seed\n"), std::string::npos) << log;
+  EXPECT_NE(log.find("20170423"), std::string::npos) << log;
+  EXPECT_FALSE(fs::exists(dir + "/seed.json"));
+
+  EXPECT_EQ(RunLogged(cli + "fig3_address --instrutions=1000", dir + "/typo.log", &log), 2);
+  EXPECT_NE(log.find("--instrutions=1000"), std::string::npos) << log;
+  EXPECT_EQ(RunLogged(cli + "fig3_address --instructions=1e3", dir + "/value.log", &log), 2);
+  EXPECT_NE(log.find("--instructions=1e3"), std::string::npos) << log;
+
+  EXPECT_EQ(RunLogged(cli + "fig3_adress", dir + "/workload.log", &log), 2);
+  EXPECT_NE(log.find("fig3_adress"), std::string::npos) << log;
+  for (const eval::Workload& workload : suite::SuiteRegistry().workloads()) {
+    EXPECT_NE(log.find("  " + workload.name + "\n"), std::string::npos) << workload.name;
+  }
 }
 
 // Which workloads run, and in what order, must not change a result. The
@@ -512,5 +560,5 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
 }  // namespace
 }  // namespace memsentry
 
-#endif  // MEMSENTRY_BENCH_RUNNER && MEMSENTRY_BENCH_DIR
+#endif  // MEMSENTRY_BENCH_RUNNER && MEMSENTRY_CLI
 #endif  // !_WIN32

@@ -1,13 +1,17 @@
 // The generative campaign engine (src/attacks/campaign_gen.h): determinism
-// of generation and execution, --jobs order independence, shrinker
-// minimality, replay round-trips through the serialized spec, and the
-// outcome classification's edges (timeouts, audit-off escapes, and the
-// conservative no-signal default).
+// of generation and execution, zero escapes through the registered
+// workload, shrinker minimality, replay round-trips through the serialized
+// spec, and the outcome classification's edges (timeouts, audit-off
+// escapes, and the conservative no-signal default).
 #include "src/attacks/campaign_gen.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/base/json.h"
+#include "src/eval/campaign_engine.h"
+#include "src/suite/workloads.h"
 
 namespace memsentry::attacks {
 namespace {
@@ -52,39 +56,24 @@ TEST(CampaignGenTest, ExecutionIsDeterministicForAFixedSpec) {
   }
 }
 
-TEST(CampaignSuiteTest, TalliesAreIdenticalForEveryJobsValue) {
-  CampaignSuiteOptions options;
-  options.seed = 99;
-  options.campaigns_per_technique = 4;
-  options.shrink_anomalies = false;  // shrinking is itself deterministic; keep the test fast
-
-  options.jobs = 1;
-  const CampaignSuiteResult serial = RunCampaignSuite(options);
-  options.jobs = 8;
-  const CampaignSuiteResult parallel = RunCampaignSuite(options);
-
-  for (size_t k = 0; k < serial.per_technique.size(); ++k) {
-    EXPECT_EQ(serial.per_technique[k].detected, parallel.per_technique[k].detected);
-    EXPECT_EQ(serial.per_technique[k].degraded, parallel.per_technique[k].degraded);
-    EXPECT_EQ(serial.per_technique[k].escaped, parallel.per_technique[k].escaped);
-    EXPECT_EQ(serial.per_technique[k].timed_out, parallel.per_technique[k].timed_out);
-    EXPECT_EQ(serial.per_technique[k].steps_run, parallel.per_technique[k].steps_run);
-    EXPECT_EQ(serial.per_technique[k].probes, parallel.per_technique[k].probes);
-  }
-  ASSERT_EQ(serial.anomalies.size(), parallel.anomalies.size());
-  for (size_t i = 0; i < serial.anomalies.size(); ++i) {
-    EXPECT_EQ(serial.anomalies[i].spec, parallel.anomalies[i].spec);
-    EXPECT_EQ(serial.anomalies[i].result.outcome, parallel.anomalies[i].result.outcome);
-  }
-}
-
+// The registered attack_campaigns workload's cells under the default
+// configuration: six campaigns per technique, and not one escapes.
 TEST(CampaignSuiteTest, DefaultConfigurationHasZeroEscapes) {
-  CampaignSuiteOptions options;
-  options.campaigns_per_technique = 6;
-  options.jobs = 8;
-  options.shrink_anomalies = false;
-  const CampaignSuiteResult suite = RunCampaignSuite(options);
-  EXPECT_EQ(suite.total_escaped, 0u);
+  const eval::Workload* workload = suite::FindSuiteWorkload("attack_campaigns");
+  ASSERT_NE(workload, nullptr);
+  eval::WorkloadOptions options;
+  options.extra["campaigns"] = std::to_string(6 * core::kNumTechniques);
+  double campaigns = 0;
+  double escaped = 0;
+  for (const eval::WorkloadCell& cell : workload->cells(options)) {
+    const json::Value payload = cell.run(options);
+    for (const char* outcome : {"detected", "degraded", "escaped", "timed_out"}) {
+      campaigns += payload.NumberOr(outcome, 0);
+    }
+    escaped += payload.NumberOr("escaped", -1);
+  }
+  EXPECT_EQ(campaigns, 6 * core::kNumTechniques);
+  EXPECT_EQ(escaped, 0);
 }
 
 // Finds one escaping generated campaign under a weakened config. The

@@ -1,12 +1,16 @@
 // Crash bundles (src/base/crash_handler.h): a staged context lands in the
-// bundle's manifest.json exactly as `memsentry_cli replay` will read it, the
-// bundle holds nothing beyond the manifest and the backtrace, and retention
-// deletes the oldest bundles first without ever touching protected ones.
+// bundle's manifest.json exactly as `memsentry_cli replay` will read it, each
+// thread bundles the cell it staged, the bundle holds nothing beyond the
+// manifest and the backtrace, and retention deletes the oldest bundles
+// first without ever touching protected ones.
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -103,6 +107,58 @@ TEST(CrashBundle, HoldsOnlyTheManifestAndBacktrace) {
   for (const std::string& name : names) {
     EXPECT_TRUE(name == "manifest.json" || name == "backtrace.txt") << name;
   }
+  fs::remove_all(bundle);
+}
+
+// Engine workers run cells concurrently, each staging its own context: a
+// bundle written on one thread must name that thread's cell, never the
+// cell another worker staged in between.
+TEST(CrashBundle, EachThreadBundlesItsOwnCell) {
+  BundleRoot();
+  std::mutex mutex;
+  std::condition_variable cv;
+  int staged = 0;
+  std::string bundles[2];
+  auto worker = [&](int index, const std::string& cell) {
+    SetCrashContext(FaultCellContext(cell));
+    {
+      // Both threads stage before either writes.
+      std::unique_lock<std::mutex> lock(mutex);
+      ++staged;
+      cv.notify_all();
+      cv.wait(lock, [&] { return staged == 2; });
+    }
+    bundles[index] = WriteCrashBundle("test-trigger");
+    ClearCrashCell();
+  };
+  std::thread first(worker, 0, "MPK/thread-one");
+  std::thread second(worker, 1, "SFI/thread-two");
+  first.join();
+  second.join();
+
+  const char* expected[] = {"MPK/thread-one", "SFI/thread-two"};
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_FALSE(bundles[i].empty()) << i;
+    auto manifest = json::ParseFile(bundles[i] + "/manifest.json");
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    EXPECT_EQ(manifest->StringOr("cell", ""), expected[i]);
+    fs::remove_all(bundles[i]);
+  }
+}
+
+// A thread with nothing staged (or whose cell finished) writes the
+// process's idle manifest: the cell is "idle" and there is no replay spec.
+TEST(CrashBundle, UnstagedThreadWritesTheIdleManifest) {
+  BundleRoot();
+  std::string bundle;
+  std::thread([&] { bundle = WriteCrashBundle("test-trigger"); }).join();
+  ASSERT_FALSE(bundle.empty());
+  auto manifest = json::ParseFile(bundle + "/manifest.json");
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  EXPECT_EQ(manifest->StringOr("cell", ""), "idle");
+  const json::Value* replay = manifest->Find("replay");
+  ASSERT_NE(replay, nullptr);
+  EXPECT_TRUE(replay->is_null());
   fs::remove_all(bundle);
 }
 

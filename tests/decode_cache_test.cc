@@ -3,16 +3,18 @@
 // eviction, the byte budget (LRU by bytes, in-flight builds kept), module
 // identity that survives address reuse, results independent of what the
 // cache retains, and the Executor's cheap revalidation path. The concurrency
-// tests run the same population through ParallelMap at jobs in {1, 4,
-// hardware} and demand identical lowering counts and bit-identical
+// tests race the same population through ThreadPool::Submit on {1, 4,
+// hardware} workers and demand identical lowering counts and bit-identical
 // execution — scheduling must never change what got built.
 #include <algorithm>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <new>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,6 +34,23 @@ namespace {
 using ir::Builder;
 using ir::Module;
 using machine::Gpr;
+
+// Calls fn(i) for every i in [0, count) as racing tasks on a pool of
+// `threads` workers; the results come back in index order.
+template <typename Fn>
+auto RaceOnPool(int threads, size_t count, Fn fn) {
+  using R = std::invoke_result_t<Fn, size_t>;
+  ThreadPool pool(threads);
+  std::vector<std::future<R>> futures;
+  for (size_t i = 0; i < count; ++i) {
+    futures.push_back(pool.Submit([&fn, i] { return fn(i); }));
+  }
+  std::vector<R> results;
+  for (std::future<R>& future : futures) {
+    results.push_back(future.get());
+  }
+  return results;
+}
 
 class FastPathModeGuard {
  public:
@@ -370,9 +389,9 @@ TEST_F(DecodeCacheTest, InFlightBuildsAreNeverEvicted) {
   EXPECT_TRUE(observed_in_flight) << "the in-flight entry was evicted";
 }
 
-// The determinism contract under the PR 2 thread pool: for any jobs value,
-// concurrent population performs exactly one lowering per distinct key, and
-// every caller gets the same shared lowering.
+// The determinism contract under the engine's thread pool: for any worker
+// count, concurrent population performs exactly one lowering per distinct
+// key, and every caller gets the same shared lowering.
 TEST_F(DecodeCacheTest, ConcurrentPopulationLowersOncePerKey) {
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   const std::vector<int> jobs_values = {1, 4, hw > 0 ? hw : 8};
@@ -385,7 +404,7 @@ TEST_F(DecodeCacheTest, ConcurrentPopulationLowersOncePerKey) {
   for (int jobs : jobs_values) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     DecodeCache cache;
-    auto decoded = ParallelMap(jobs, kCallers, [&](size_t i) {
+    auto decoded = RaceOnPool(jobs, kCallers, [&](size_t i) {
       return cache.Get(modules[i], process_);
     });
     ASSERT_EQ(decoded.size(), kCallers);
@@ -410,7 +429,7 @@ TEST_F(DecodeCacheTest, SharedLoweringExecutesBitIdentically) {
   }
   const auto jobs_values = {1, 4};
   for (int jobs : jobs_values) {
-    auto results = ParallelMap(jobs, 4, [&](size_t i) {
+    auto results = RaceOnPool(jobs, 4, [&](size_t i) {
       // Each caller executes on its own machine (tasks must not share
       // mutable state); the module content is shared.
       Machine machine;

@@ -265,7 +265,7 @@ TEST(FaultCampaign, SkippedAuditLetsDesyncFaultsEscape) {
 // ------------------------------------------------------------------- gate --
 
 json::Value CampaignMetricsDoc(const FaultCampaignResult& campaign) {
-  // Mirrors bench/fault_matrix.cc's metric naming and kinds.
+  // Mirrors the fault_matrix workload's metric naming and kinds.
   json::Value metrics = json::Value::Object();
   const auto add = [&metrics](const std::string& name, double value) {
     json::Value entry = json::Value::Object();

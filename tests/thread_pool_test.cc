@@ -1,15 +1,13 @@
-// Tests for the experiment engine's work pool (src/base/thread_pool.h):
-// Submit futures, ordered ParallelMap, the jobs=1 inline degenerate case,
-// and exception propagation.
+// Tests for the campaign engine's work pool (src/base/thread_pool.h):
+// worker-count resolution, Submit futures, exception propagation, and the
+// draining destructor.
 #include "src/base/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <numeric>
 #include <stdexcept>
-#include <thread>
+#include <string>
 
 namespace memsentry {
 namespace {
@@ -49,59 +47,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {
     }
   }  // ~ThreadPool joins after the queue drains
   EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPoolTest, ParallelMapPreservesInputOrder) {
-  // Make early indices slow so a racy implementation would misplace them.
-  const auto square_slowly = [](size_t i) {
-    if (i < 4) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    return static_cast<int>(i * i);
-  };
-  const std::vector<int> out = ParallelMap(4, 32, square_slowly);
-  ASSERT_EQ(out.size(), 32u);
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i * i)) << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelMapJobsOneRunsInlineInOrder) {
-  // jobs=1 must execute on the calling thread, strictly in index order —
-  // the degenerate case the determinism guarantee is defined against.
-  const auto caller = std::this_thread::get_id();
-  std::vector<size_t> order;
-  const std::vector<int> out = ParallelMap(1, 8, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-    return static_cast<int>(i);
-  });
-  ASSERT_EQ(out.size(), 8u);
-  for (size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(order[i], i);
-    EXPECT_EQ(out[i], static_cast<int>(i));
-  }
-}
-
-TEST(ThreadPoolTest, ParallelMapMatchesSerialResult) {
-  const auto fn = [](size_t i) { return static_cast<uint64_t>(i) * 2654435761u; };
-  const auto serial = ParallelMap(1, 100, fn);
-  const auto parallel = ParallelMap(8, 100, fn);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(ThreadPoolTest, ParallelMapRethrowsTaskException) {
-  std::atomic<int> completed{0};
-  const auto fn = [&](size_t i) -> int {
-    if (i == 5) {
-      throw std::runtime_error("cell 5 failed");
-    }
-    ++completed;
-    return static_cast<int>(i);
-  };
-  EXPECT_THROW(ParallelMap(4, 16, fn), std::runtime_error);
-  // All non-throwing tasks still ran (the pool drains before rethrowing).
-  EXPECT_EQ(completed.load(), 15);
 }
 
 }  // namespace

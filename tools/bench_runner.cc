@@ -28,10 +28,11 @@
 // Both backends get the same workload options and the same journal hooks,
 // and assemble each workload serially in cell order, so fidelity/perf
 // metrics are bit-identical for every backend, --jobs value, worker count,
-// steal schedule and chaos schedule. The standalone bench binaries
-// (build/bench/<name> --json=PATH) emit the same gated metrics too.
-// google-benchmark's host-time microbenchmarks (build/bench/bench_substrate)
-// run on their own, outside the suite.
+// steal schedule and chaos schedule. `memsentry_cli run <name> --json=PATH`
+// runs one workload through the same engine and emits the same gated
+// metrics, with its tables printed. google-benchmark's host-time
+// microbenchmarks (build/bench/bench_substrate) run on their own, outside
+// the suite.
 //
 //   bench_runner                      full suite (400k-instruction workloads)
 //   bench_runner --quick              CI mode: 100k instructions, shrunk sweeps
@@ -760,19 +761,9 @@ int Run(int argc, char** argv) {
         }
         metrics.Set(metric_name, metric);
       }
-      // The trailer bench::Reporter::Finish appends after a standalone run's
-      // metric stream, so the merged document has the standalone shape (both
-      // are host wall-clock derived, info / host-perf kinds — never part of
-      // the determinism contract).
-      metrics.Set(name + "/wall_seconds", InfoMetric(job.wall_seconds));
-      if (job.report.sim_instructions() > 0 && job.wall_seconds > 0) {
-        json::Value throughput = json::Value::Object();
-        throughput.Set("value", job.report.sim_instructions() / job.wall_seconds);
-        throughput.Set("kind", "perf");
-        throughput.Set("tol", eval::kHostThroughputTol);
-        throughput.Set("host", true);
-        metrics.Set(name + "/sim_instr_per_second", std::move(throughput));
-      }
+      // The same host trailer `memsentry_cli run --json` writes (info /
+      // host-perf kinds, never part of the determinism contract).
+      eval::AddHostTrailer(job, metrics);
     }
     std::fflush(stdout);
     // Where the suite's wall-clock actually went, at the engine's scheduling

@@ -1,6 +1,9 @@
 // memsentry — command-line front end for the framework.
 //
-//   memsentry figure 3|4|5|6 [--instructions N] [--jobs N]   reproduce a figure
+//   memsentry run <workload> [--quick] [--instructions=N] [--jobs=N]
+//                 [--json=PATH] [--bundle-root=DIR] [workload flags]
+//                                        run one suite workload (a paper
+//                                        table or figure) and print it
 //   memsentry attack [--region-bytes N]           run the attack matrix
 //   memsentry advise --events F --bytes N [--year Y] [--mpk] [--no-hypervisor]
 //   memsentry dump --benchmark 403.gcc --technique mpx [--defense shadowstack]
@@ -22,21 +25,25 @@
 //                                        the suite over them under leases
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <string>
+#include <vector>
 
 #include "src/eval/coordinator.h"
 
 #include "src/attacks/campaign_gen.h"
 #include "src/attacks/harness.h"
+#include "src/base/crash_handler.h"
+#include "src/base/fastpath.h"
 #include "src/base/json.h"
 #include "src/core/advisor.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/shadow_stack.h"
 #include "src/eval/fault_campaign.h"
-#include "src/eval/figures.h"
 #include "src/eval/serve.h"
 #include "src/ir/printer.h"
 #include "src/suite/workloads.h"
@@ -47,8 +54,13 @@ namespace {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: memsentry_cli <figure N | attack | advise | dump> [options]\n"
-               "  figure 3|4|5|6 [--instructions N] [--jobs N]\n"
+               "usage: memsentry_cli <run | attack | advise | dump | replay | ...> [options]\n"
+               "  run WORKLOAD [--quick] [--instructions=N] [--jobs=N] [--json=PATH]\n"
+               "      [--bundle-root=DIR] [--seed=N] [--campaigns=N] [--policy=off]\n"
+               "      [--skip-audit] [--step-budget=N] [--allow-escapes] [--force-crash=T/S]\n"
+               "                      run one registered suite workload through the\n"
+               "                      campaign engine, print its tables, and write its\n"
+               "                      report to --json\n"
                "  attack [--region-bytes N]\n"
                "  advise [--events F] [--bytes N] [--year Y] [--mpk] [--no-hypervisor]\n"
                "  dump [--benchmark NAME] [--technique sfi|mpx|mpk|vmfunc|crypt|sgx|mprotect]\n"
@@ -91,51 +103,111 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-void PrintSeries(const std::vector<eval::FigureSeries>& series) {
-  std::printf("%-16s", "benchmark");
-  for (const auto& s : series) {
-    std::printf("%10s", s.config.c_str());
-  }
-  std::printf("\n");
-  const auto profiles = workloads::SpecCpu2006();
-  for (size_t b = 0; b < profiles.size(); ++b) {
-    std::printf("%-16s", profiles[b].name.c_str());
-    for (const auto& s : series) {
-      std::printf("%10.2f", s.normalized[b]);
+// `run <workload>`: one registered suite workload through a CampaignEngine
+// of --jobs workers. Assembly prints the workload's tables; --json writes
+// the single-workload report (schema 1: binary, instructions, wall_seconds,
+// metrics + host trailer). Crashes and escapes land as replayable bundles
+// under --bundle-root, after trimming earlier bundles to the retention caps.
+int RunWorkload(int argc, char** argv) {
+  const eval::WorkloadRegistry& registry = suite::SuiteRegistry();
+  const std::string name = argc > 0 ? argv[0] : "";
+  const eval::Workload* workload = registry.Find(name);
+  if (workload == nullptr) {
+    std::fprintf(stderr, "run: unknown workload '%s'; registered workloads:\n", name.c_str());
+    for (const eval::Workload& w : registry.workloads()) {
+      std::fprintf(stderr, "  %s\n", w.name.c_str());
     }
-    std::printf("\n");
+    return 2;
   }
-  std::printf("%-16s", "geomean");
-  for (const auto& s : series) {
-    std::printf("%10.3f", s.geomean);
-  }
-  std::printf("\n");
-}
 
-int RunFigure(int argc, char** argv) {
-  if (argc < 1) {
+  eval::WorkloadOptions options;
+  options.print = true;
+  int jobs = 0;  // 0 = hardware_concurrency
+  std::string json_path;
+  std::string bundle_root = "crash_bundles";
+  // A decimal count with nothing after it; `min` rejects 0 where it means
+  // nothing.
+  auto count = [](const char* text, uint64_t min, uint64_t* out) {
+    if (text == nullptr || *text < '0' || *text > '9') {
+      return false;
+    }
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtoull(text, &end, 10);
+    return errno == 0 && *end == '\0' && *out >= min;
+  };
+  std::vector<std::string> bad;
+  for (const std::string& arg : eval::ParseWorkloadArgs(argc, argv, options)) {
+    const size_t eq = arg.find('=');
+    const std::string flag = arg.substr(0, eq);
+    const char* value = eq == std::string::npos ? nullptr : arg.c_str() + eq + 1;
+    uint64_t n = 0;
+    if (flag == "--json" && value != nullptr && *value != '\0') {
+      json_path = value;
+    } else if (flag == "--bundle-root" && value != nullptr && *value != '\0') {
+      bundle_root = value;
+    } else if (flag == "--instructions" && count(value, 1, &n)) {
+      options.experiment.target_instructions = n;
+    } else if (flag == "--jobs" && count(value, 0, &n) && n <= 1024) {
+      jobs = static_cast<int>(n);
+    } else {
+      bad.push_back(arg);
+    }
+  }
+  if (!bad.empty()) {
+    for (const std::string& arg : bad) {
+      std::fprintf(stderr, "run: unknown or malformed argument: %s\n", arg.c_str());
+    }
     return Usage();
   }
-  eval::ExperimentOptions options;
-  options.target_instructions =
-      std::strtoull(Arg(argc, argv, "--instructions", "400000"), nullptr, 10);
-  options.jobs = std::atoi(Arg(argc, argv, "--jobs", "0"));
-  switch (std::atoi(argv[0])) {
-    case 3:
-      PrintSeries(eval::RunFigure3(options));
-      return 0;
-    case 4:
-      PrintSeries(eval::RunFigure4(options));
-      return 0;
-    case 5:
-      PrintSeries(eval::RunFigure5(options));
-      return 0;
-    case 6:
-      PrintSeries(eval::RunFigure6(options));
-      return 0;
-    default:
-      return Usage();
+
+  // The run configuration, recorded in crash-bundle manifests so a replay
+  // can reconstruct the exact cell.
+  json::Value config = json::Value::Object();
+  config.Set("instructions", options.experiment.target_instructions);
+  config.Set("jobs", jobs);
+  config.Set("fastpath", base::FastPathModeName(base::GetFastPathMode()));
+  options.extra["config_json"] = config.Dump(0);
+
+  // Retention first: bundles from earlier runs are trimmed to the caps,
+  // anything stamped from this instant on is protected. Then any crash
+  // produces a bundle for the cell running on the failing thread.
+  const base::CrashGcStats gc = base::CollectCrashBundles(
+      bundle_root, base::CrashBundleCaps{}, static_cast<int64_t>(std::time(nullptr)));
+  if (gc.bundles_removed > 0) {
+    std::fprintf(stderr, "[%s] crash-bundle gc: removed %zu stale bundle(s) (%llu bytes)\n",
+                 name.c_str(), gc.bundles_removed,
+                 static_cast<unsigned long long>(gc.bytes_removed));
   }
+  base::CrashContext process;
+  process.binary = name;
+  process.seed = options.experiment.seed;
+  process.config_json = options.extra["config_json"];
+  base::InstallCrashHandler(bundle_root, process);
+
+  eval::EngineOptions engine_options;
+  engine_options.jobs = jobs;
+  eval::CampaignEngine engine(&registry, engine_options);
+  // A cell that throws is reported by the engine and fails the job (status 1).
+  const eval::JobReport* job = engine.Wait(engine.Submit(name, options));
+  std::fflush(stdout);
+  if (json_path.empty()) {
+    return job->status;
+  }
+  json::Value metrics = job->report.metrics();
+  eval::AddHostTrailer(*job, metrics);
+  json::Value doc = json::Value::Object();
+  doc.Set("schema", 1);
+  doc.Set("binary", name);
+  doc.Set("instructions", options.experiment.target_instructions);
+  doc.Set("wall_seconds", job->wall_seconds);
+  doc.Set("metrics", std::move(metrics));
+  // Atomic write: a crash mid-report leaves no torn JSON behind.
+  if (Status s = json::WriteFileAtomic(json_path, doc); !s.ok()) {
+    std::fprintf(stderr, "run: %s\n", s.ToString().c_str());
+    return 1;
+  }
+  return job->status;
 }
 
 int RunAttack(int argc, char** argv) {
@@ -543,8 +615,8 @@ int main(int argc, char** argv) {
     return Usage();
   }
   const std::string command = argv[1];
-  if (command == "figure") {
-    return RunFigure(argc - 2, argv + 2);
+  if (command == "run") {
+    return RunWorkload(argc - 2, argv + 2);
   }
   if (command == "attack") {
     return RunAttack(argc - 2, argv + 2);
