@@ -60,13 +60,13 @@ std::string WriteCrashBundle(const char* reason);
 
 // --- bundle retention ---
 //
-// Bundles accumulate across suite runs (every chaos campaign leaves a
-// trail); without a cap a long-lived checkout fills its disk with stale
-// replay state. CollectCrashBundles enforces a size/count budget by
-// deleting the oldest bundles first. It runs at process startup (normal
-// context, not the signal handler) and never touches bundles stamped at or
-// after `protect_after` — the current run's output is sacrosanct even when
-// it alone exceeds the caps.
+// Bundles accumulate across suite runs (every attack_campaigns run leaves
+// one per escape or step-budget timeout); without a cap a long-lived
+// checkout fills its disk with stale replay state. CollectCrashBundles
+// enforces a size/count budget by deleting the oldest bundles first. It runs
+// at process startup (normal context, not the signal handler) and never
+// touches bundles stamped at or after `protect_after` — the current run's
+// output is sacrosanct even when it alone exceeds the caps.
 
 struct CrashBundleCaps {
   size_t max_bundles = 32;           // keep at most this many bundle dirs

@@ -12,8 +12,8 @@
 //
 // The engine is the only parallel layer: cells are single-threaded and
 // every sweep below them is a plain loop. `memsentry_cli run`,
-// tools/bench_runner, `memsentry_cli serve` and the shard coordinator all
-// run cells through it (or, for the coordinator's workers, through serve).
+// tools/bench_runner and `memsentry_cli serve` all run cells through it;
+// serve's `run_cell` verb runs one cell on its own thread, outside the pool.
 //
 // Determinism contract: cells are pure functions of their WorkloadOptions
 // (each builds its own machine/process/module from the deterministic seed),
@@ -54,7 +54,7 @@ struct WorkloadOptions {
   // The workload was invoked in --quick mode (shrinks sweeps, not budgets).
   bool quick = false;
   // Print the human-readable tables during assembly (`memsentry_cli run`;
-  // bench_runner, serve and the coordinator leave it off).
+  // bench_runner and serve leave it off).
   bool print = false;
   // Workload-specific flags ("seed", "campaigns", "policy", ...), parsed by
   // ParseWorkloadArgs from `memsentry_cli run` argv or supplied by the runner.

@@ -1,18 +1,14 @@
 #include "src/eval/serve.h"
 
-#include <csignal>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,9 +17,9 @@ namespace {
 
 // One request/response line per connection round; both halves share the
 // framing so the protocol stays symmetric. MSG_NOSIGNAL keeps a mid-write
-// peer disconnect an EPIPE errno instead of a process-killing SIGPIPE —
-// load-bearing under the chaos harness, where the coordinator abandons
-// workers mid-exchange as a matter of course.
+// peer disconnect an EPIPE errno instead of a process-killing SIGPIPE: a
+// client that hangs up before reading its reply costs its own connection,
+// never the daemon.
 Status SendLine(int fd, const std::string& line) {
   std::string framed = line;
   framed.push_back('\n');
@@ -234,28 +230,6 @@ json::Value Dispatch(const ServeOptions& options, CampaignEngine& engine,
   return ErrorResponse("unknown_cmd", "unknown cmd: " + cmd);
 }
 
-// Deterministically corrupts a serialized reply in place (garble chaos).
-// The flips are keyed off the frame's own digest, avoid producing '\n'
-// (which would split the frame rather than corrupt it), and always change
-// at least the first byte, so a JSON parse or crc check on the other side
-// is guaranteed to notice.
-void GarbleFrame(std::string& frame, uint64_t key) {
-  if (frame.empty()) {
-    return;
-  }
-  for (int i = 0; i < 3; ++i) {
-    const size_t pos = (key >> (i * 16)) % frame.size();
-    char b = static_cast<char>(frame[pos] ^ 0x5A);
-    if (b == '\n') {
-      b = static_cast<char>(b ^ 0x01);
-    }
-    frame[pos] = b;
-  }
-  if (frame[0] == '{') {
-    frame[0] = '!';
-  }
-}
-
 }  // namespace
 
 uint64_t ServeFrameDigest(const std::string& bytes) {
@@ -265,111 +239,6 @@ uint64_t ServeFrameDigest(const std::string& bytes) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-std::string ServeChaos::Format() const {
-  if (!any()) {
-    return "";
-  }
-  std::string out;
-  const auto add = [&out](const char* mode) {
-    if (!out.empty()) {
-      out.push_back(',');
-    }
-    out += mode;
-  };
-  if (kill) add("kill");
-  if (hang) add("hang");
-  if (garble) add("garble");
-  out += ":seed=" + std::to_string(seed);
-  out += ":one_in=" + std::to_string(one_in);
-  out += ":hang_ms=" + std::to_string(hang_ms);
-  return out;
-}
-
-StatusOr<ServeChaos> ParseChaosSpec(const std::string& spec) {
-  ServeChaos chaos;
-  if (spec.empty()) {
-    return InvalidArgument("empty chaos spec");
-  }
-  std::vector<std::string> parts;
-  size_t start = 0;
-  while (start <= spec.size()) {
-    const size_t colon = spec.find(':', start);
-    parts.push_back(spec.substr(start, colon == std::string::npos ? colon : colon - start));
-    if (colon == std::string::npos) {
-      break;
-    }
-    start = colon + 1;
-  }
-  // First segment: comma-separated mode list.
-  const std::string& modes = parts[0];
-  start = 0;
-  while (start <= modes.size()) {
-    const size_t comma = modes.find(',', start);
-    const std::string mode =
-        modes.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (mode == "kill") {
-      chaos.kill = true;
-    } else if (mode == "hang") {
-      chaos.hang = true;
-    } else if (mode == "garble") {
-      chaos.garble = true;
-    } else {
-      return InvalidArgument("unknown chaos mode: " + mode);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  for (size_t i = 1; i < parts.size(); ++i) {
-    const size_t eq = parts[i].find('=');
-    if (eq == std::string::npos) {
-      return InvalidArgument("chaos option needs key=value: " + parts[i]);
-    }
-    const std::string key = parts[i].substr(0, eq);
-    const std::string value = parts[i].substr(eq + 1);
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0') {
-      return InvalidArgument("chaos option " + key + " needs a number, got: " + value);
-    }
-    if (key == "seed") {
-      chaos.seed = parsed;
-    } else if (key == "one_in") {
-      if (parsed == 0) {
-        return InvalidArgument("chaos one_in must be >= 1");
-      }
-      chaos.one_in = static_cast<uint32_t>(parsed);
-    } else if (key == "hang_ms") {
-      chaos.hang_ms = static_cast<uint32_t>(parsed);
-    } else {
-      return InvalidArgument("unknown chaos option: " + key);
-    }
-  }
-  if (!chaos.any()) {
-    return InvalidArgument("chaos spec enables no mode: " + spec);
-  }
-  return chaos;
-}
-
-std::string ChaosDecision(const ServeChaos& chaos, const std::string& workload,
-                          const std::string& cell, uint64_t attempt) {
-  if (!chaos.any() || attempt >= 2) {
-    return "";  // re-dispatched attempts always run clean: progress is guaranteed
-  }
-  const std::string key = std::to_string(chaos.seed) + "|" + workload + "|" + cell + "|" +
-                          std::to_string(attempt);
-  const uint64_t h = ServeFrameDigest(key);
-  if (h % chaos.one_in != 0) {
-    return "";
-  }
-  std::vector<const char*> enabled;
-  if (chaos.kill) enabled.push_back("kill");
-  if (chaos.hang) enabled.push_back("hang");
-  if (chaos.garble) enabled.push_back("garble");
-  return enabled[(h / chaos.one_in) % enabled.size()];
 }
 
 int ServeLoop(const ServeOptions& options) {
@@ -433,10 +302,9 @@ int ServeLoop(const ServeOptions& options) {
   engine_options.jobs = options.jobs;
   CampaignEngine engine(options.registry, engine_options);
   if (!options.quiet) {
-    std::fprintf(stderr, "serve: listening on %s (%d workers, %zu workloads)%s\n",
+    std::fprintf(stderr, "serve: listening on %s (%d workers, %zu workloads)\n",
                  options.socket_path.c_str(), engine.jobs(),
-                 options.registry->workloads().size(),
-                 options.chaos.any() ? (" chaos=" + options.chaos.Format()).c_str() : "");
+                 options.registry->workloads().size());
   }
 
   bool shutdown = false;
@@ -475,36 +343,6 @@ int ServeLoop(const ServeOptions& options) {
           std::fprintf(stderr, "serve: %s\n", request->StringOr("cmd", "?").c_str());
         }
         response = Dispatch(options, engine, *request, &shutdown);
-      }
-      // Chaos harness: misbehave deterministically on first-attempt
-      // run_cell replies. kill fires after the cell ran (a torn attempt —
-      // work done, result lost — which is exactly what re-dispatch
-      // idempotency must absorb).
-      std::string chaos_mode;
-      if (options.chaos.any() && request.ok() &&
-          request->StringOr("cmd", "") == "run_cell") {
-        chaos_mode = ChaosDecision(options.chaos, request->StringOr("workload", ""),
-                                   request->StringOr("cell", ""),
-                                   static_cast<uint64_t>(request->NumberOr("attempt", 1)));
-      }
-      if (chaos_mode == "kill") {
-        if (!options.quiet) {
-          std::fprintf(stderr, "serve: chaos kill\n");
-        }
-        ::raise(SIGKILL);
-      } else if (chaos_mode == "hang") {
-        if (!options.quiet) {
-          std::fprintf(stderr, "serve: chaos hang %ums\n", options.chaos.hang_ms);
-        }
-        std::this_thread::sleep_for(std::chrono::milliseconds(options.chaos.hang_ms));
-      } else if (chaos_mode == "garble") {
-        std::string frame = response.Dump();
-        GarbleFrame(frame, ServeFrameDigest(frame) ^ options.chaos.seed);
-        if (!options.quiet) {
-          std::fprintf(stderr, "serve: chaos garble\n");
-        }
-        (void)SendLine(conn, frame);
-        break;  // drop the connection behind the corrupted frame
       }
       if (!SendLine(conn, response.Dump()).ok() || shutdown) {
         break;

@@ -1,8 +1,8 @@
 // `memsentry_cli serve` — a resident CampaignEngine behind a local UNIX
-// socket, so the server workload, campaign sweeps, and the shard
-// coordinator (src/eval/coordinator.h) can be driven without paying one
-// batch process per run. Newline-delimited JSON request/response protocol,
-// one object per line:
+// socket, so the server workload, campaign sweeps and single cells can be
+// driven without paying one batch process per run (perfbench's
+// `serve_stream` workload streams `run_cell` requests through it).
+// Newline-delimited JSON request/response protocol, one object per line:
 //
 //   {"cmd":"ping"}                         -> {"ok":true}
 //   {"cmd":"workloads"}                    -> {"ok":true,"workloads":[...]}
@@ -15,21 +15,24 @@
 //   {"cmd":"wait","job":1}                 -> {"ok":true,"job":{...},"metrics":{...}}
 //   {"cmd":"run_cell","workload":"fig3_address","cell":"mpk/hot",
 //    "quick":true,"instructions":100000,   -> {"ok":true,"payload":...,
-//    "seed":123,"extra":{},"attempt":1}        "crc":"<fnv1a hex of payload>"}
+//    "seed":123,"extra":{}}                    "crc":"<fnv1a hex of payload>"}
 //   {"cmd":"shutdown"}                     -> {"ok":true}   (loop exits)
 //
 // Error replies are typed: {"ok":false,"code":"bad_json","error":"..."} with
-// codes bad_json / oversized_line / unknown_cmd / unknown_workload /
-// unknown_cell / unknown_job / missing_field / cell_failed. Malformed JSON
-// and unknown commands get a typed reply on the same connection; frames the
-// server cannot resynchronize after (oversized lines, truncated frames cut
-// off by a client disconnect) get a clean connection drop. Neither ever
-// crashes or wedges the loop — the coordinator leans on this to retry.
+// codes bad_json / oversized_line / truncated_frame / unknown_cmd /
+// unknown_workload / unknown_cell / unknown_job / missing_field /
+// cell_failed. Malformed JSON and unknown commands get a typed reply on the
+// same connection; frames the server cannot resynchronize after (oversized
+// lines, truncated frames cut off by a client disconnect) get a clean
+// connection drop. Neither ever crashes or wedges the loop: one misbehaving
+// client costs its own connection, never the daemon the next client needs.
 //
-// `run_cell` executes one workload cell synchronously on the serving thread
-// (cells are pure functions of their recipe — see campaign_engine.h — so a
-// re-run after a torn attempt is safe and bit-identical). The reply carries
-// an FNV-1a digest of the compact payload dump so the caller can reject
+// `run_cell` executes one workload cell synchronously on the serving thread.
+// Cells are pure functions of their recipe (see campaign_engine.h), so the
+// payload is byte-identical to the one the engine hands assembly, and a
+// client may resend a request after a lost reply. Unknown request fields
+// are ignored (clients send an "attempt" counter). The reply carries an
+// FNV-1a digest of the compact payload dump so the caller can reject
 // corrupted-but-parseable frames.
 //
 // The loop serves connections one at a time (submit returns immediately —
@@ -49,33 +52,6 @@
 
 namespace memsentry::eval {
 
-// Deterministic fault injection for the chaos harness (ISSUE: --chaos=...).
-// Whether a given run_cell request misbehaves is a pure function of
-// (seed, workload, cell, attempt): the coordinator bumps `attempt` on every
-// re-dispatch and attempts >= 2 are never chaosed, so every cell terminates
-// and the whole chaos schedule replays bit-identically from the seed.
-struct ServeChaos {
-  bool kill = false;    // SIGKILL the worker after running the cell, before the reply
-  bool hang = false;    // stall hang_ms before replying (coordinator sees a dead lease)
-  bool garble = false;  // corrupt the serialized reply frame, then drop the connection
-  uint64_t seed = 0;
-  uint32_t one_in = 3;       // a first-attempt cell draws chaos with probability 1/one_in
-  uint32_t hang_ms = 30000;  // must exceed the coordinator's lease to be observable
-
-  bool any() const { return kill || hang || garble; }
-  // Round-trips through ParseChaosSpec; empty when !any().
-  std::string Format() const;
-};
-
-// Parses "kill,hang,garble:seed=S[:one_in=N][:hang_ms=N]" (any non-empty
-// subset of modes, options in any order after the mode list).
-StatusOr<ServeChaos> ParseChaosSpec(const std::string& spec);
-
-// Which chaos mode (if any) fires for this request. "" = run clean.
-// Exposed so tests can pin the schedule without a live server.
-std::string ChaosDecision(const ServeChaos& chaos, const std::string& workload,
-                          const std::string& cell, uint64_t attempt);
-
 // FNV-1a over the bytes — the digest run_cell replies carry (as %016llx hex,
 // since JSON numbers are doubles and cannot round-trip 64 bits).
 uint64_t ServeFrameDigest(const std::string& bytes);
@@ -89,7 +65,6 @@ struct ServeOptions {
   const WorkloadRegistry* registry = nullptr;
   int jobs = 0;        // engine workers; <= 0 = hardware_concurrency
   bool quiet = false;  // suppress the per-request log lines
-  ServeChaos chaos;    // inert by default
 };
 
 // Binds the socket and serves requests until a shutdown command (returns 0)

@@ -373,7 +373,7 @@ std::string GatedMetrics(const json::Value& merged) {
 // emits exactly the runner's gated metrics for its workload.
 TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
   const std::string dir = FreshDir("campaign_engine_inproc");
-  const RunnerRun reference = RunSuite(dir, "inproc_j1.json", "--engine=inproc --jobs=1");
+  const RunnerRun reference = RunSuite(dir, "inproc_j1.json", "--jobs=1");
   ASSERT_EQ(reference.exit_code, 0) << reference.log;
   const std::string reference_metrics = GatedMetrics(reference.merged);
   ASSERT_FALSE(reference_metrics.empty());
@@ -381,7 +381,7 @@ TEST(BenchRunnerEngine, InprocMatchesStandaloneAtAnyJobs) {
   for (const char* jobs : {"4", "0"}) {  // 0 = hardware_concurrency
     const std::string out = std::string("inproc_j") + jobs + ".json";
     const RunnerRun inproc = RunSuite(dir, out,
-                                      std::string("--engine=inproc --jobs=") + jobs +
+                                      std::string("--jobs=") + jobs +
                                           " --check-determinism=\"" + dir + "/inproc_j1.json\"");
     ASSERT_EQ(inproc.exit_code, 0) << inproc.log;
     EXPECT_NE(inproc.log.find("determinism check ok"), std::string::npos) << inproc.log;
@@ -465,9 +465,9 @@ TEST(MemsentryCliRun, RejectsUnknownAndMalformedArguments) {
 // null geomean). Every gated metric of the pair must equal the full suite's.
 TEST(BenchRunnerEngine, WorkloadSelectionDoesNotChangeResults) {
   const std::string dir = FreshDir("campaign_engine_selection");
-  const RunnerRun full = RunSuite(dir, "full.json", "--engine=inproc --jobs=2", "");
+  const RunnerRun full = RunSuite(dir, "full.json", "--jobs=2", "");
   ASSERT_EQ(full.exit_code, 0) << full.log;
-  const RunnerRun pair = RunSuite(dir, "pair.json", "--engine=inproc --jobs=1",
+  const RunnerRun pair = RunSuite(dir, "pair.json", "--jobs=1",
                                   "fig4_callret,mprotect_baseline");
   ASSERT_EQ(pair.exit_code, 0) << pair.log;
   const json::Value* pair_metrics = pair.merged.Find("metrics");
@@ -493,7 +493,7 @@ TEST(BenchRunnerEngine, WorkloadSelectionDoesNotChangeResults) {
 // or after completion, the resumed report must match the reference.
 TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   const std::string dir = FreshDir("campaign_engine_resume");
-  const RunnerRun reference = RunSuite(dir, "clean.json", "--engine=inproc --jobs=2");
+  const RunnerRun reference = RunSuite(dir, "clean.json", "--jobs=2");
   ASSERT_EQ(reference.exit_code, 0) << reference.log;
   const std::string reference_metrics = GatedMetrics(reference.merged);
   ASSERT_FALSE(reference_metrics.empty());
@@ -504,7 +504,6 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
       MEMSENTRY_BENCH_RUNNER,
       "--only=" + std::string(kSubset),
       "--quick",
-      "--engine=inproc",
       "--jobs=2",
       "--out=" + out,
       "--journal=" + journal,
@@ -530,7 +529,7 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   ::waitpid(pid, &wstatus, 0);
 
   const RunnerRun resumed =
-      RunSuite(dir, "resumed.json", "--engine=inproc --jobs=2 --journal=\"" + journal +
+      RunSuite(dir, "resumed.json", "--jobs=2 --journal=\"" + journal +
                                         "\" --resume");
   ASSERT_EQ(resumed.exit_code, 0) << resumed.log;
   EXPECT_EQ(GatedMetrics(resumed.merged), reference_metrics);
@@ -546,7 +545,7 @@ TEST(BenchRunnerEngine, JournalResumeAfterKillNine) {
   // and leave the report it would have replaced alone.
   std::string log;
   EXPECT_EQ(RunLogged(std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --only=" + kSubset +
-                          " --quick --engine=inproc --jobs=2 --instructions=123 --out=\"" + out +
+                          " --quick --jobs=2 --instructions=123 --out=\"" + out +
                           "\" --journal=\"" + journal + "\" --resume --no-gate",
                       dir + "/mismatched.log", &log),
             2)

@@ -1,11 +1,13 @@
-// End-to-end tests of tools/bench_runner's command line and report shape: a
-// clean suite run leaves a clean merged header and a well-formed journal,
-// and flags that no longer exist are usage errors (exit 2) rather than being
-// silently ignored. tests/campaign_engine_test.cc covers determinism across
-// engines and kill -9 resume.
+// End-to-end tests of the bench_runner and memsentry_cli command lines: a
+// clean suite run leaves a clean merged header and a well-formed journal;
+// flags and commands that no longer exist are usage errors (exit 2) rather
+// than being silently ignored; and `memsentry_cli serve` takes exactly its
+// three flags. tests/campaign_engine_test.cc covers determinism across
+// --jobs and kill -9 resume.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #if defined(MEMSENTRY_BENCH_RUNNER) && !defined(_WIN32)
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace memsentry {
 namespace {
@@ -25,14 +28,23 @@ std::string FreshDir(const char* name) {
   return dir;
 }
 
+// Runs `command` with its output in `log`; returns the exit code.
+int RunLogged(const std::string& command, const std::string& log) {
+  const int raw = std::system((command + " > \"" + log + "\" 2>&1").c_str());
+  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
 // Runs bench_runner with `flags` and its output in `dir`; returns the exit
 // code.
 int RunRunner(const std::string& dir, const std::string& flags) {
-  const std::string command = std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --out=\"" + dir +
-                              "/BENCH_RESULTS.json\" --no-gate " + flags + " > \"" + dir +
-                              "/runner.log\" 2>&1";
-  const int raw = std::system(command.c_str());
-  return WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  return RunLogged(std::string("\"") + MEMSENTRY_BENCH_RUNNER + "\" --out=\"" + dir +
+                       "/BENCH_RESULTS.json\" --no-gate " + flags,
+                   dir + "/runner.log");
 }
 
 TEST(BenchRunnerRobustness, CleanSuiteReportsCleanHeader) {
@@ -75,18 +87,59 @@ TEST(BenchRunnerRobustness, CleanSuiteReportsCleanHeader) {
   EXPECT_EQ(cell_events, info->NumberOr("cells", -1));
 }
 
-// The child-process engine and its flags are gone; each spelling fails as a
-// usage error before any workload runs, as does a selector naming the
-// google-benchmark binary that is no longer part of the suite.
+// The child-process engine, the subprocess shard engine and the --engine
+// selector itself are gone; each spelling fails as a usage error before any
+// workload runs, as does a selector naming the google-benchmark binary that
+// is no longer part of the suite, and so does the CLI's removed command.
 TEST(BenchRunnerRobustness, RemovedFlagsAreUsageErrors) {
   const std::string dir = FreshDir("runner_flags");
-  for (const char* flag : {"--engine=fork", "--verbose", "--timeout=5", "--bench-dir=.",
-                           "--checkpoint-interval=1000", "--only=bench_substrate"}) {
+  for (const char* flag :
+       {"--engine=fork", "--verbose", "--timeout=5", "--bench-dir=.",
+        "--checkpoint-interval=1000", "--only=bench_substrate", "--engine=shard",
+        "--engine=inproc", "--workers=3", "--lease=3", "--chaos=kill:seed=1",
+        "--worker-cli=x"}) {
     EXPECT_EQ(RunRunner(dir, std::string("--quick ") + flag), 2) << flag;
+    std::ifstream report(dir + "/BENCH_RESULTS.json");
+    EXPECT_FALSE(report.good()) << flag << ": a usage error must not write a report";
   }
-  std::ifstream report(dir + "/BENCH_RESULTS.json");
-  EXPECT_FALSE(report.good()) << "a usage error must not write a report";
+#if defined(MEMSENTRY_CLI)
+  EXPECT_EQ(RunLogged(std::string("\"") + MEMSENTRY_CLI + "\" coordinate --workers 2 --quick",
+                      dir + "/cli.log"),
+            2);
+#endif
 }
+
+#if defined(MEMSENTRY_CLI)
+// `serve` accepts exactly --socket PATH, --jobs N and --quiet. Anything else
+// exits 2 and names the argument instead of serving with defaults, so a typo
+// or a removed flag cannot go unnoticed. `timeout` turns a regression that
+// starts serving into a failure, not a hang; the socket must never be bound.
+TEST(MemsentryCliServe, RejectsUnknownAndMalformedArguments) {
+  const std::string dir = FreshDir("serve_flags");
+  const std::string socket = dir + "/s.sock";
+  const std::string serve = std::string("timeout 60 \"") + MEMSENTRY_CLI + "\" serve ";
+  const std::string with_socket = "--socket \"" + socket + "\" ";
+  const struct {
+    std::string args;
+    std::string named;
+  } cases[] = {
+      {with_socket + "--jbos 4 --bogus", "--jbos"},
+      {with_socket + "--quiet --bogus", "--bogus"},
+      {with_socket + "--chaos kill:seed=1", "--chaos"},
+      {with_socket + "--jobs abc", "--jobs abc"},
+      {with_socket + "--jobs -1", "--jobs -1"},
+      {with_socket + "--jobs=2", "--jobs=2"},
+      {"--socket", "--socket\n"},
+      {"--jobs 2 --socket", "--socket\n"},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(RunLogged(serve + c.args, dir + "/serve.log"), 2) << c.args;
+    const std::string log = ReadFile(dir + "/serve.log");
+    EXPECT_NE(log.find("argument: " + c.named), std::string::npos) << c.args << "\n" << log;
+    EXPECT_NE(::access(socket.c_str(), F_OK), 0) << c.args << ": the socket was bound";
+  }
+}
+#endif  // MEMSENTRY_CLI
 
 }  // namespace
 }  // namespace memsentry

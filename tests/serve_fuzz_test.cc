@@ -1,12 +1,15 @@
-// Serve-protocol framing robustness (the hardening the shard coordinator
-// leans on): a ServeLoop fed malformed JSON, unknown commands, truncated
-// frames, oversized lines, mid-write disconnects, and a seeded storm of
-// mutated frames must answer with typed error replies (or cleanly drop the
-// connection where the stream cannot resynchronize) and keep serving valid
-// requests afterwards — never crash, never wedge. Also pins the socket
-// hygiene satellites: the inode is 0600, a live server refuses a bind
-// collision, and a stale socket from a crashed server is unlinked and
-// rebound.
+// The serve daemon's contract with its clients:
+//  - framing robustness: a ServeLoop fed malformed JSON, unknown commands,
+//    truncated frames, oversized lines, mid-write disconnects, and a seeded
+//    storm of mutated frames answers with typed error replies (or cleanly
+//    drops the connection where the stream cannot resynchronize) and keeps
+//    serving valid requests afterwards — one bad client never costs the
+//    next one its daemon;
+//  - transport independence: a run_cell reply carries exactly the payload
+//    the in-process engine hands assembly, under a digest that checks it;
+//  - socket hygiene: the inode is 0600, a live server refuses a bind
+//    collision, and a stale socket from a crashed server is unlinked and
+//    rebound.
 #include <string>
 #include <vector>
 
@@ -27,6 +30,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <thread>
 
 namespace memsentry {
@@ -267,6 +271,59 @@ TEST_F(ServeFixture, SeededFrameMutationStormSurvives) {
     }
   }
   EXPECT_TRUE(WaitForPing());
+}
+
+// Transport independence: for every quick cell of three workloads, the
+// run_cell reply's payload is the cell's own in-process payload, its crc is
+// the FNV-1a digest of that payload's compact dump, a resent request
+// ("attempt":2, as a client retrying after a lost reply sends) gets the same
+// bytes, and the payloads assemble into the engine job's exact metric
+// stream.
+TEST_F(ServeFixture, RunCellRepliesAssembleToTheEngineReport) {
+  eval::WorkloadOptions wo;
+  wo.quick = true;
+  wo.experiment.target_instructions = 100'000;
+  eval::EngineOptions engine_options;
+  engine_options.jobs = 1;
+  eval::CampaignEngine engine(&suite::SuiteRegistry(), engine_options);
+  for (const std::string name : {"fault_matrix", "table4_micro", "ablations"}) {
+    const eval::Workload* workload = suite::FindSuiteWorkload(name);
+    ASSERT_NE(workload, nullptr) << name;
+    std::vector<json::Value> payloads;
+    for (const eval::WorkloadCell& cell : workload->cells(wo)) {
+      json::Value request = json::Value::Object();
+      request.Set("cmd", "run_cell");
+      request.Set("workload", name);
+      request.Set("cell", cell.name);
+      request.Set("quick", true);
+      request.Set("instructions", wo.experiment.target_instructions);
+      request.Set("seed", wo.experiment.seed);
+      request.Set("attempt", 1);
+      auto reply = eval::ServeRequest(socket_path_, request);
+      ASSERT_TRUE(reply.ok()) << name << "/" << cell.name << ": " << reply.status().message();
+      ASSERT_TRUE(reply->BoolOr("ok", false)) << reply->Dump(0);
+      const json::Value* payload = reply->Find("payload");
+      ASSERT_NE(payload, nullptr) << name << "/" << cell.name;
+      const std::string bytes = payload->Dump(0);
+      EXPECT_EQ(bytes, cell.run(wo).Dump(0)) << name << "/" << cell.name;
+      char crc[17];
+      std::snprintf(crc, sizeof(crc), "%016llx",
+                    static_cast<unsigned long long>(eval::ServeFrameDigest(bytes)));
+      EXPECT_EQ(reply->StringOr("crc", ""), crc) << name << "/" << cell.name;
+
+      request.Set("attempt", 2);
+      auto again = eval::ServeRequest(socket_path_, request);
+      ASSERT_TRUE(again.ok()) << again.status().message();
+      EXPECT_EQ(again->Dump(0), reply->Dump(0)) << name << "/" << cell.name;
+      payloads.push_back(*payload);
+    }
+    eval::ReportBuilder assembled;
+    EXPECT_EQ(workload->assemble(wo, payloads, assembled), 0) << name;
+    const eval::JobReport* job = engine.Wait(engine.Submit(name, wo));
+    ASSERT_NE(job, nullptr) << name;
+    ASSERT_EQ(job->status, 0) << name;
+    EXPECT_EQ(assembled.metrics().Dump(0), job->report.metrics().Dump(0)) << name;
+  }
 }
 
 TEST_F(ServeFixture, SocketModeIsOwnerOnlyAndLiveCollisionRefused) {

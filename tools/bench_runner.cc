@@ -5,34 +5,16 @@
 // tolerance, so CI can consume it directly.
 //
 // Every suite workload is registered in src/suite/workloads.h; the runner
-// submits them in suite order to one backend, which schedules their cells:
-//
-//   --engine=inproc (default)         one eval::CampaignEngine in this
-//                                     process: cells on a persistent
-//                                     work-stealing pool of --jobs workers,
-//                                     one shared decode cache, synthesis
-//                                     cache and run memo.
-//   --engine=shard                    an eval::ShardCoordinator dispatching
-//                                     cells to --workers=N `memsentry_cli
-//                                     serve` subprocesses under time-bounded
-//                                     leases (--lease=SECONDS), re-dispatching
-//                                     on worker death/hang/garbage,
-//                                     quarantining repeat offenders, and
-//                                     degrading to in-process execution if
-//                                     the whole fleet dies.
-//                                     --chaos=kill,hang,garble:seed=S arms the
-//                                     workers' deterministic fault harness;
-//                                     coordinator/* info metrics record the
-//                                     failure traffic.
-//
-// Both backends get the same workload options and the same journal hooks,
-// and assemble each workload serially in cell order, so fidelity/perf
-// metrics are bit-identical for every backend, --jobs value, worker count,
-// steal schedule and chaos schedule. `memsentry_cli run <name> --json=PATH`
-// runs one workload through the same engine and emits the same gated
-// metrics, with its tables printed. google-benchmark's host-time
-// microbenchmarks (build/bench/bench_substrate) run on their own, outside
-// the suite.
+// submits them in suite order to one eval::CampaignEngine in this process,
+// which runs their cells on a persistent work-stealing pool of --jobs
+// workers with one shared decode cache, synthesis cache and run memo, and
+// assembles each workload serially in cell order. Fidelity/perf metrics are
+// therefore bit-identical for every --jobs value and steal schedule, and a
+// crashed run resumes from its cell journal (--resume). `memsentry_cli run
+// <name> --json=PATH` runs one workload through the same engine and emits
+// the same gated metrics, with its tables printed. google-benchmark's
+// host-time microbenchmarks (build/bench/bench_substrate) run on their own,
+// outside the suite.
 //
 //   bench_runner                      full suite (400k-instruction workloads)
 //   bench_runner --quick              CI mode: 100k instructions, shrunk sweeps
@@ -40,7 +22,7 @@
 //   bench_runner --skip=server_workload
 //   bench_runner --out=BENCH_RESULTS.json
 //   bench_runner --instructions=N     override the mode's instruction budget
-//   bench_runner --jobs=N             inproc engine workers (default:
+//   bench_runner --jobs=N             engine workers (default:
 //                                     hardware_concurrency)
 //   bench_runner --baseline=PATH      (default: bench/baselines/seed[-quick].json)
 //   bench_runner --baselines-dir=DIR  where perf-gating snapshots are counted
@@ -52,9 +34,7 @@
 //                                     byte-identical to OTHER (info metrics
 //                                     such as wall-clock are exempt)
 //   bench_runner --fastpath=MODE      force the simulator fast paths
-//                                     on|off|check (exported as
-//                                     MEMSENTRY_FASTPATH, so shard workers
-//                                     inherit it). Modeled results are
+//                                     on|off|check. Modeled results are
 //                                     bit-identical across modes; "check"
 //                                     additionally validates the fast paths in
 //                                     lockstep and aborts on divergence.
@@ -77,7 +57,6 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -86,7 +65,6 @@
 #include "src/base/json.h"
 #include "src/base/thread_pool.h"
 #include "src/eval/campaign_engine.h"
-#include "src/eval/coordinator.h"
 #include "src/eval/regression_gate.h"
 #include "src/eval/report_builder.h"
 #include "src/eval/run_memo.h"
@@ -104,6 +82,11 @@ namespace fs = std::filesystem;
 
 constexpr uint64_t kFullInstructions = 400'000;
 constexpr uint64_t kQuickInstructions = 100'000;
+// The "engine" field of the journal header, the report's "engine" object and
+// each workload's "binaries" entry. It names the one in-process engine and
+// stays a constant so that journals written when the runner had a second
+// engine still --resume, and report readers keep finding it.
+constexpr char kEngine[] = "inproc";
 
 struct SuiteEntry {
   const char* name;
@@ -144,13 +127,8 @@ struct Options {
   std::string compare_existing;
   std::string write_baseline;
   std::string check_determinism;
-  std::string engine = "inproc";  // inproc | shard
-  std::string fastpath;           // empty = inherit the environment
-  std::string journal;            // empty = BENCH_JOURNAL.jsonl next to --out
-  int workers = 3;                // --engine=shard: serve subprocess count
-  double lease_seconds = 20;      // --engine=shard: per-cell reply deadline
-  std::string chaos;              // --engine=shard: worker chaos spec ("" = off)
-  std::string worker_cli;         // --engine=shard: memsentry_cli path ("" = sibling)
+  std::string fastpath;  // empty = inherit the environment
+  std::string journal;   // empty = BENCH_JOURNAL.jsonl next to --out
   std::vector<std::string> only;
   std::vector<std::string> skip;
 };
@@ -328,9 +306,7 @@ int Usage() {
                "                    [--compare=RESULTS] [--write-baseline=PATH]\n"
                "                    [--instructions=N] [--jobs=N]\n"
                "                    [--check-determinism=OTHER.json]\n"
-               "                    [--fastpath=on|off|check] [--journal=PATH] [--resume]\n"
-               "                    [--engine=inproc|shard] [--workers=N]\n"
-               "                    [--lease=SECONDS] [--chaos=SPEC] [--worker-cli=PATH]\n");
+               "                    [--fastpath=on|off|check] [--journal=PATH] [--resume]\n");
   return 2;
 }
 
@@ -374,16 +350,6 @@ bool ParseArgs(int argc, char** argv, Options& opts) {
       opts.check_determinism = v;
     } else if (const char* v = value("--fastpath")) {
       opts.fastpath = v;
-    } else if (const char* v = value("--engine")) {
-      opts.engine = v;
-    } else if (const char* v = value("--workers")) {
-      opts.workers = static_cast<int>(std::strtol(v, nullptr, 10));
-    } else if (const char* v = value("--lease")) {
-      opts.lease_seconds = std::strtod(v, nullptr);
-    } else if (const char* v = value("--chaos")) {
-      opts.chaos = v;
-    } else if (const char* v = value("--worker-cli")) {
-      opts.worker_cli = v;
     } else {
       std::fprintf(stderr, "bench_runner: unknown argument %s\n", arg.c_str());
       return false;
@@ -474,12 +440,6 @@ int Run(int argc, char** argv) {
   if (!ParseArgs(argc, argv, opts)) {
     return Usage();
   }
-  if (opts.engine != "inproc" && opts.engine != "shard") {
-    std::fprintf(stderr, "bench_runner: bad --engine value '%s' (want inproc|shard)\n",
-                 opts.engine.c_str());
-    return 2;
-  }
-  const bool shard = opts.engine == "shard";
   if (!opts.fastpath.empty()) {
     base::FastPathMode mode;
     if (!base::ParseFastPathMode(opts.fastpath.c_str(), &mode)) {
@@ -487,11 +447,6 @@ int Run(int argc, char** argv) {
                    opts.fastpath.c_str());
       return 2;
     }
-#ifndef _WIN32
-    // Exported (not just set in-process): shard workers are child processes
-    // and pick the mode up from their own environment.
-    ::setenv("MEMSENTRY_FASTPATH", base::FastPathModeName(mode), /*overwrite=*/1);
-#endif
     base::SetFastPathMode(mode);
   }
   const uint64_t instructions =
@@ -561,7 +516,7 @@ int Run(int argc, char** argv) {
     journal_header.Set("mode", opts.quick ? "quick" : "full");
     journal_header.Set("instructions", instructions);
     journal_header.Set("fastpath", opts.fastpath.empty() ? "default" : opts.fastpath);
-    journal_header.Set("engine", opts.engine);
+    journal_header.Set("engine", kEngine);
     journal_header.Set("out", opts.out);
     std::map<std::string, std::map<std::string, json::Value>> journal_cells;
     bool resuming = false;
@@ -587,11 +542,11 @@ int Run(int argc, char** argv) {
       journal.Start(journal_header);
     }
 
-    // What both backends share, built once: each workload's options and the
-    // cell-granular durability hooks. Restored cells skip execution and feed
-    // their journaled payloads to assembly; every finished cell's payload is
-    // journaled (Journal::Append serializes), so a kill -9 mid-suite costs at
-    // most the cells that were in flight.
+    // Each workload's options and the cell-granular durability hooks.
+    // Restored cells skip execution and feed their journaled payloads to
+    // assembly; every finished cell's payload is journaled (Journal::Append
+    // serializes), so a kill -9 mid-suite costs at most the cells that were
+    // in flight.
     std::vector<eval::WorkloadOptions> workload_options(to_run.size());
     for (size_t i = 0; i < to_run.size(); ++i) {
       workload_options[i].experiment.target_instructions = instructions;
@@ -619,7 +574,7 @@ int Run(int argc, char** argv) {
       journal.Append(event);
     };
     auto announce = [&](const SuiteEntry& entry) {
-      std::printf("[bench_runner] %s (%s) ...\n", entry.name, opts.engine.c_str());
+      std::printf("[bench_runner] %s (%s) ...\n", entry.name, kEngine);
       std::fflush(stdout);
       json::Value started = json::Value::Object();
       started.Set("event", "start");
@@ -629,85 +584,34 @@ int Run(int argc, char** argv) {
 
     const int total_jobs = ResolveJobs(opts.jobs);
     const auto suite_start = std::chrono::steady_clock::now();
-    // One report per entry (nullptr = never submitted). The backend owns the
-    // reports, so it lives until the merge below is done.
-    std::vector<const eval::JobReport*> reports(to_run.size(), nullptr);
-    std::unique_ptr<eval::CampaignEngine> engine;
-    std::unique_ptr<eval::ShardCoordinator> coordinator;
-    eval::EngineStats engine_stats;
-    sim::DecodeCacheStats decode_stats;
-    eval::CoordinatorStats coordinator_stats;
-
-    if (!shard) {
-      eval::EngineOptions engine_options;
-      // Escape hatch for memo bisection: MEMSENTRY_NO_RUN_MEMO=1 runs every
-      // cell from scratch. Results must not change (the determinism check
-      // passes either way) — only the wall-clock does.
-      engine_options.run_memo = std::getenv("MEMSENTRY_NO_RUN_MEMO") == nullptr;
-      engine_options.jobs = total_jobs;
-      engine_options.restore = restore;
-      engine_options.on_cell_done = on_cell_done;
-      // Engine-wide decode statistics start from zero so the merged report's
-      // engine/decode_cache_* metrics describe exactly this suite run.
-      sim::DecodeCache::Global().ResetStats();
-      engine = std::make_unique<eval::CampaignEngine>(&suite::SuiteRegistry(), engine_options);
-      // Submit every workload up front: the engine interleaves all of their
-      // cells across its workers, so a straggler workload soaks up the whole
-      // pool.
-      std::vector<uint64_t> job_ids(to_run.size(), 0);
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        announce(*to_run[i]);
-        job_ids[i] = engine->Submit(to_run[i]->name, workload_options[i]);
-      }
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        reports[i] = engine->Wait(job_ids[i]);
-      }
-      engine_stats = engine->stats();
-      decode_stats = sim::DecodeCache::Global().stats();
-    } else {
-      eval::CoordinatorOptions coptions;
-      coptions.workers = opts.workers;
-      coptions.lease_seconds = opts.lease_seconds;
-      coptions.socket_dir = (fs::path(opts.out).parent_path() / "bench_reports" / "coordinator")
-                                .string();
-      // Workers are the memsentry_cli sibling of this binary unless
-      // overridden (tests point --worker-cli at the build tree).
-      if (!opts.worker_cli.empty()) {
-        coptions.worker_cli = opts.worker_cli;
-      } else {
-        std::error_code self_ec;
-        fs::path self = fs::canonical(fs::path(argv[0]), self_ec);
-        if (self_ec) {
-          self = fs::path(argv[0]);
-        }
-        coptions.worker_cli = (self.parent_path() / "memsentry_cli").string();
-      }
-      if (!opts.chaos.empty()) {
-        auto chaos = eval::ParseChaosSpec(opts.chaos);
-        if (!chaos.ok()) {
-          std::fprintf(stderr, "bench_runner: --chaos: %s\n",
-                       chaos.status().ToString().c_str());
-          return 2;
-        }
-        coptions.chaos = *chaos;
-      }
-      // The coordinator calls both hooks from its own thread only.
-      coptions.restore = restore;
-      coptions.on_cell_done = on_cell_done;
-      coordinator = std::make_unique<eval::ShardCoordinator>(&suite::SuiteRegistry(), coptions);
-      std::vector<uint64_t> job_ids(to_run.size(), 0);
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        announce(*to_run[i]);
-        job_ids[i] = coordinator->Submit(to_run[i]->name, workload_options[i]);
-      }
-      (void)coordinator->Run();
-      for (size_t i = 0; i < to_run.size(); ++i) {
-        if (job_ids[i] != 0) {
-          reports[i] = coordinator->reports()[job_ids[i] - 1].get();
-        }
-      }
-      coordinator_stats = coordinator->stats();
+    eval::EngineOptions engine_options;
+    // Escape hatch for memo bisection: MEMSENTRY_NO_RUN_MEMO=1 runs every
+    // cell from scratch. Results must not change (the determinism check
+    // passes either way) — only the wall-clock does.
+    engine_options.run_memo = std::getenv("MEMSENTRY_NO_RUN_MEMO") == nullptr;
+    engine_options.jobs = total_jobs;
+    engine_options.restore = restore;
+    engine_options.on_cell_done = on_cell_done;
+    // Engine-wide decode statistics start from zero so the merged report's
+    // engine/decode_cache_* metrics describe exactly this suite run.
+    sim::DecodeCache::Global().ResetStats();
+    // The engine owns the reports, so it lives until the merge below is done.
+    eval::CampaignEngine engine(&suite::SuiteRegistry(), engine_options);
+    // Submit every workload up front: the engine interleaves all of their
+    // cells across its workers, so a straggler workload soaks up the whole
+    // pool.
+    std::vector<uint64_t> job_ids(to_run.size(), 0);
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      announce(*to_run[i]);
+      job_ids[i] = engine.Submit(to_run[i]->name, workload_options[i]);
     }
+    // One report per entry (nullptr = never accepted).
+    std::vector<const eval::JobReport*> reports(to_run.size(), nullptr);
+    for (size_t i = 0; i < to_run.size(); ++i) {
+      reports[i] = engine.Wait(job_ids[i]);
+    }
+    const eval::EngineStats engine_stats = engine.stats();
+    const sim::DecodeCacheStats decode_stats = sim::DecodeCache::Global().stats();
     const double suite_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
 
@@ -716,8 +620,8 @@ int Run(int argc, char** argv) {
     for (size_t i = 0; i < to_run.size(); ++i) {
       const std::string name = to_run[i]->name;
       if (reports[i] == nullptr) {
-        std::fprintf(stderr, "bench_runner: %s was not accepted by the %s engine\n",
-                     name.c_str(), opts.engine.c_str());
+        std::fprintf(stderr, "bench_runner: %s was not accepted by the engine\n",
+                     name.c_str());
         exit_code = 1;
         continue;
       }
@@ -738,7 +642,7 @@ int Run(int argc, char** argv) {
 
       json::Value info = json::Value::Object();
       info.Set("exit", job.status);
-      info.Set("engine", opts.engine);
+      info.Set("engine", kEngine);
       info.Set("cells", static_cast<uint64_t>(job.cell_names.size()));
       if (restored > 0) {
         info.Set("cells_restored", static_cast<uint64_t>(restored));
@@ -780,59 +684,32 @@ int Run(int argc, char** argv) {
     }
 
     // Which engine produced the document, plus its engine-wide aggregates:
-    // work-stealing traffic and the shared caches' efficacy (inproc), or the
-    // coordinator's failure traffic (shard). All info-kind: every counter is
-    // host-timing-dependent, so none participate in gating or the
-    // determinism check.
+    // work-stealing traffic and the shared caches' efficacy. All info-kind:
+    // every counter is host-timing-dependent, so none participate in gating
+    // or the determinism check.
+    metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(engine_stats.cells_run)));
+    metrics.Set("engine/cells_restored",
+                InfoMetric(static_cast<double>(engine_stats.cells_restored)));
+    metrics.Set("engine/steals", InfoMetric(static_cast<double>(engine_stats.steals)));
+    metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode_stats.HitRate()));
+    metrics.Set("engine/decode_cache_lowerings",
+                InfoMetric(static_cast<double>(decode_stats.misses)));
+    metrics.Set("engine/decode_cache_evictions",
+                InfoMetric(static_cast<double>(decode_stats.evictions)));
+    metrics.Set("engine/decode_cache_bytes", InfoMetric(static_cast<double>(decode_stats.bytes)));
+    const eval::RunMemo::Stats memo_stats = eval::RunMemo::Global().stats();
+    metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo_stats.HitRate()));
+    metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo_stats.hits)));
     json::Value engine_header = json::Value::Object();
-    engine_header.Set("engine", opts.engine);
-    if (!shard) {
-      metrics.Set("engine/cells_run", InfoMetric(static_cast<double>(engine_stats.cells_run)));
-      metrics.Set("engine/cells_restored",
-                  InfoMetric(static_cast<double>(engine_stats.cells_restored)));
-      metrics.Set("engine/steals", InfoMetric(static_cast<double>(engine_stats.steals)));
-      metrics.Set("engine/decode_cache_hit_rate", InfoMetric(decode_stats.HitRate()));
-      metrics.Set("engine/decode_cache_lowerings",
-                  InfoMetric(static_cast<double>(decode_stats.misses)));
-      metrics.Set("engine/decode_cache_evictions",
-                  InfoMetric(static_cast<double>(decode_stats.evictions)));
-      metrics.Set("engine/decode_cache_bytes", InfoMetric(static_cast<double>(decode_stats.bytes)));
-      const eval::RunMemo::Stats memo_stats = eval::RunMemo::Global().stats();
-      metrics.Set("engine/run_memo_hit_rate", InfoMetric(memo_stats.HitRate()));
-      metrics.Set("engine/run_memo_hits", InfoMetric(static_cast<double>(memo_stats.hits)));
-      engine_header.Set("jobs", engine->jobs());
-      engine_header.Set("cells_run", engine_stats.cells_run);
-      engine_header.Set("cells_restored", engine_stats.cells_restored);
-      engine_header.Set("steals", engine_stats.steals);
-      engine_header.Set("decode_cache_hit_rate", decode_stats.HitRate());
-      engine_header.Set("decode_cache_lowerings", decode_stats.misses);
-      engine_header.Set("decode_cache_evictions", decode_stats.evictions);
-      engine_header.Set("decode_cache_bytes", decode_stats.bytes);
-    } else {
-      const std::pair<const char*, uint64_t> counters[] = {
-          {"cells_total", coordinator_stats.cells_total},
-          {"cells_dispatched", coordinator_stats.cells_dispatched},
-          {"cells_redispatched", coordinator_stats.cells_redispatched},
-          {"cells_inlined", coordinator_stats.cells_inlined},
-          {"lease_expiries", coordinator_stats.lease_expiries},
-          {"garbled_replies", coordinator_stats.garbled_replies},
-          {"connect_retries", coordinator_stats.connect_retries},
-          {"workers_respawned", coordinator_stats.workers_respawned},
-          {"workers_quarantined", coordinator_stats.workers_quarantined},
-          {"degraded", coordinator_stats.degraded ? 1u : 0u},
-      };
-      for (const auto& [counter, value] : counters) {
-        metrics.Set(std::string("coordinator/") + counter,
-                    InfoMetric(static_cast<double>(value)));
-      }
-      engine_header.Set("workers", opts.workers);
-      engine_header.Set("lease_seconds", opts.lease_seconds);
-      engine_header.Set("chaos", opts.chaos);
-      engine_header.Set("cells_restored", coordinator_stats.cells_restored);
-      engine_header.Set("cells_redispatched", coordinator_stats.cells_redispatched);
-      engine_header.Set("workers_quarantined", coordinator_stats.workers_quarantined);
-      engine_header.Set("degraded", coordinator_stats.degraded);
-    }
+    engine_header.Set("engine", kEngine);
+    engine_header.Set("jobs", engine.jobs());
+    engine_header.Set("cells_run", engine_stats.cells_run);
+    engine_header.Set("cells_restored", engine_stats.cells_restored);
+    engine_header.Set("steals", engine_stats.steals);
+    engine_header.Set("decode_cache_hit_rate", decode_stats.HitRate());
+    engine_header.Set("decode_cache_lowerings", decode_stats.misses);
+    engine_header.Set("decode_cache_evictions", decode_stats.evictions);
+    engine_header.Set("decode_cache_bytes", decode_stats.bytes);
     // The wall-clock trajectory of the suite itself: info metrics, recorded
     // in every snapshot but never gated (they are host-dependent).
     metrics.Set("runner/wall_seconds", InfoMetric(suite_seconds));
@@ -847,29 +724,13 @@ int Run(int argc, char** argv) {
     merged.Set("host", std::move(host));
     merged.Set("binaries", std::move(binaries));
     merged.Set("metrics", std::move(metrics));
-    if (!shard) {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=inproc, workers=%d, cells=%llu "
-          "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
-          suite_seconds, engine->jobs(),
-          static_cast<unsigned long long>(engine_stats.cells_run),
-          static_cast<unsigned long long>(engine_stats.cells_restored),
-          static_cast<unsigned long long>(engine_stats.steals), decode_stats.HitRate());
-    } else {
-      std::printf(
-          "[bench_runner] suite wall-clock %.2fs (engine=shard, workers=%d, cells=%llu "
-          "[%llu redispatched, %llu inlined, %llu restored], lease expiries=%llu, "
-          "garbled=%llu, quarantined=%llu, degraded=%d)\n",
-          suite_seconds, opts.workers,
-          static_cast<unsigned long long>(coordinator_stats.cells_total),
-          static_cast<unsigned long long>(coordinator_stats.cells_redispatched),
-          static_cast<unsigned long long>(coordinator_stats.cells_inlined),
-          static_cast<unsigned long long>(coordinator_stats.cells_restored),
-          static_cast<unsigned long long>(coordinator_stats.lease_expiries),
-          static_cast<unsigned long long>(coordinator_stats.garbled_replies),
-          static_cast<unsigned long long>(coordinator_stats.workers_quarantined),
-          coordinator_stats.degraded ? 1 : 0);
-    }
+    std::printf(
+        "[bench_runner] suite wall-clock %.2fs (engine=%s, workers=%d, cells=%llu "
+        "run + %llu restored, steals=%llu, decode-cache hit rate %.3f)\n",
+        suite_seconds, kEngine, engine.jobs(),
+        static_cast<unsigned long long>(engine_stats.cells_run),
+        static_cast<unsigned long long>(engine_stats.cells_restored),
+        static_cast<unsigned long long>(engine_stats.steals), decode_stats.HitRate());
 
     if (Status s = json::WriteFileAtomic(opts.out, merged); !s.ok()) {
       std::fprintf(stderr, "bench_runner: %s\n", s.ToString().c_str());

@@ -12,19 +12,14 @@
 //                                        failing cell a crash bundle recorded
 //   memsentry replay-campaign <bundle-dir|spec.json>  re-execute a generated
 //                                        attack campaign bit-for-bit
-//   memsentry serve --socket PATH [--jobs N] [--quiet] [--chaos SPEC]
+//   memsentry serve --socket PATH [--jobs N] [--quiet]
 //                                        resident CampaignEngine behind a
 //                                        local UNIX socket: submit/status/
-//                                        cancel/wait any suite workload
-//                                        without paying a process per run
+//                                        cancel/wait any suite workload or
+//                                        run_cell one cell without paying a
+//                                        process per run
 //   memsentry request --socket PATH 'JSON'  client half of serve: one
 //                                        request line in, the response out
-//   memsentry coordinate [--workers N] [--chaos SPEC] [--lease SECONDS]
-//                                        fault-tolerant shard coordinator:
-//                                        spawns N serve workers and drives
-//                                        the suite over them under leases
-#include <unistd.h>
-
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -32,8 +27,6 @@
 #include <ctime>
 #include <string>
 #include <vector>
-
-#include "src/eval/coordinator.h"
 
 #include "src/attacks/campaign_gen.h"
 #include "src/attacks/harness.h"
@@ -68,20 +61,12 @@ int Usage() {
                "  replay BUNDLE_DIR   re-execute the cell a crash bundle recorded\n"
                "  replay-campaign BUNDLE_DIR   re-execute a generated attack campaign\n"
                "                      from its bundle (or a bare campaign-spec JSON file)\n"
-               "  serve --socket PATH [--jobs N] [--quiet] [--chaos SPEC]\n"
+               "  serve --socket PATH [--jobs N] [--quiet]\n"
                "                      resident campaign engine behind a local UNIX socket\n"
                "                      (newline-delimited JSON: ping|workloads|submit|status|\n"
-               "                      cancel|wait|run_cell|shutdown); --chaos arms the\n"
-               "                      deterministic fault harness, e.g.\n"
-               "                      kill,hang,garble:seed=7[:one_in=3][:hang_ms=30000]\n"
+               "                      cancel|wait|run_cell|shutdown)\n"
                "  request --socket PATH 'JSON'   send one request to a running serve\n"
-               "                      instance and print the response (exit 0 iff ok)\n"
-               "  coordinate [--workers N] [--lease SECONDS] [--chaos SPEC] [--quick]\n"
-               "             [--workloads a,b,c] [--instructions N] [--dir PATH]\n"
-               "             [--worker-cli PATH] [--json PATH] [--quiet]\n"
-               "                      spawn N serve workers and run the suite over them\n"
-               "                      with lease-based dispatch, quarantine, and\n"
-               "                      in-process degradation (exit 0 iff all clean)\n");
+               "                      instance and print the response (exit 0 iff ok)\n");
   return 2;
 }
 
@@ -102,6 +87,21 @@ bool HasFlag(int argc, char** argv, const char* flag) {
   }
   return false;
 }
+
+// Parses a decimal count with nothing after it into *out; `min` rejects 0
+// where it means nothing.
+bool ParseCount(const char* text, uint64_t min, uint64_t* out) {
+  if (text == nullptr || *text < '0' || *text > '9') {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  *out = std::strtoull(text, &end, 10);
+  return errno == 0 && *end == '\0' && *out >= min;
+}
+
+// The largest --jobs `run` and `serve` accept (0 = hardware_concurrency).
+constexpr uint64_t kMaxJobs = 1024;
 
 // `run <workload>`: one registered suite workload through a CampaignEngine
 // of --jobs workers. Assembly prints the workload's tables; --json writes
@@ -125,17 +125,6 @@ int RunWorkload(int argc, char** argv) {
   int jobs = 0;  // 0 = hardware_concurrency
   std::string json_path;
   std::string bundle_root = "crash_bundles";
-  // A decimal count with nothing after it; `min` rejects 0 where it means
-  // nothing.
-  auto count = [](const char* text, uint64_t min, uint64_t* out) {
-    if (text == nullptr || *text < '0' || *text > '9') {
-      return false;
-    }
-    char* end = nullptr;
-    errno = 0;
-    *out = std::strtoull(text, &end, 10);
-    return errno == 0 && *end == '\0' && *out >= min;
-  };
   std::vector<std::string> bad;
   for (const std::string& arg : eval::ParseWorkloadArgs(argc, argv, options)) {
     const size_t eq = arg.find('=');
@@ -146,9 +135,9 @@ int RunWorkload(int argc, char** argv) {
       json_path = value;
     } else if (flag == "--bundle-root" && value != nullptr && *value != '\0') {
       bundle_root = value;
-    } else if (flag == "--instructions" && count(value, 1, &n)) {
+    } else if (flag == "--instructions" && ParseCount(value, 1, &n)) {
       options.experiment.target_instructions = n;
-    } else if (flag == "--jobs" && count(value, 0, &n) && n <= 1024) {
+    } else if (flag == "--jobs" && ParseCount(value, 0, &n) && n <= kMaxJobs) {
       jobs = static_cast<int>(n);
     } else {
       bad.push_back(arg);
@@ -350,127 +339,37 @@ int ReplayCampaignSpec(const json::Value& replay) {
 // `serve` — bind the suite registry's workloads behind a local UNIX socket.
 // The engine outlives every request, so repeated submissions share one warm
 // decode cache and run memo; src/eval/serve.h documents the wire protocol.
+// The flags are strict and space-separated: anything but `--socket PATH`,
+// `--jobs N` and `--quiet` exits 2 and names the argument rather than
+// serving with defaults.
 int RunServe(int argc, char** argv) {
   eval::ServeOptions options;
-  options.socket_path = Arg(argc, argv, "--socket", "");
-  options.jobs = std::atoi(Arg(argc, argv, "--jobs", "0"));
-  options.quiet = HasFlag(argc, argv, "--quiet");
   options.registry = &suite::SuiteRegistry();
+  for (int i = 0; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+    uint64_t n = 0;
+    if (flag == "--quiet") {
+      options.quiet = true;
+    } else if (flag == "--socket" && value != nullptr && *value != '\0') {
+      options.socket_path = value;
+      ++i;
+    } else if (flag == "--jobs" && ParseCount(value, 0, &n) && n <= kMaxJobs) {
+      options.jobs = static_cast<int>(n);
+      ++i;
+    } else {
+      const bool known = flag == "--socket" || flag == "--jobs";
+      std::fprintf(stderr, "serve: unknown or malformed argument: %s%s%s\n", flag.c_str(),
+                   known && value != nullptr ? " " : "",
+                   known && value != nullptr ? value : "");
+      return Usage();
+    }
+  }
   if (options.socket_path.empty()) {
     std::fprintf(stderr, "serve: --socket PATH is required\n");
     return Usage();
   }
-  if (const std::string spec = Arg(argc, argv, "--chaos", ""); !spec.empty()) {
-    auto chaos = eval::ParseChaosSpec(spec);
-    if (!chaos.ok()) {
-      std::fprintf(stderr, "serve: %s\n", chaos.status().ToString().c_str());
-      return Usage();
-    }
-    options.chaos = *chaos;
-  }
   return eval::ServeLoop(options);
-}
-
-// `coordinate` — the fault-tolerant shard coordinator (DESIGN.md §12):
-// spawns N `serve` workers (this same binary) and drives every requested
-// workload's cells over them under time-bounded leases, with quarantine and
-// in-process degradation, merging a report byte-identical to a serial run.
-int RunCoordinate(int argc, char** argv, const std::string& self) {
-  eval::CoordinatorOptions options;
-  options.worker_cli = Arg(argc, argv, "--worker-cli", self.c_str());
-  options.workers = std::atoi(Arg(argc, argv, "--workers", "3"));
-  options.lease_seconds = std::atof(Arg(argc, argv, "--lease", "20"));
-  options.quiet = HasFlag(argc, argv, "--quiet");
-  options.socket_dir = Arg(argc, argv, "--dir", "");
-  if (options.socket_dir.empty()) {
-    options.socket_dir = "/tmp/memsentry-coord-" + std::to_string(::getpid());
-  }
-  if (const std::string spec = Arg(argc, argv, "--chaos", ""); !spec.empty()) {
-    auto chaos = eval::ParseChaosSpec(spec);
-    if (!chaos.ok()) {
-      std::fprintf(stderr, "coordinate: %s\n", chaos.status().ToString().c_str());
-      return Usage();
-    }
-    options.chaos = *chaos;
-  }
-
-  eval::WorkloadOptions wo;
-  wo.quick = HasFlag(argc, argv, "--quick");
-  wo.experiment.target_instructions =
-      std::strtoull(Arg(argc, argv, "--instructions", "400000"), nullptr, 10);
-
-  const eval::WorkloadRegistry& registry = suite::SuiteRegistry();
-  std::vector<std::string> names;
-  if (const std::string list = Arg(argc, argv, "--workloads", ""); !list.empty()) {
-    size_t start = 0;
-    while (start <= list.size()) {
-      const size_t comma = list.find(',', start);
-      names.push_back(list.substr(start, comma == std::string::npos ? comma : comma - start));
-      if (comma == std::string::npos) {
-        break;
-      }
-      start = comma + 1;
-    }
-  } else {
-    for (const eval::Workload& workload : registry.workloads()) {
-      names.push_back(workload.name);
-    }
-  }
-
-  eval::ShardCoordinator coordinator(&registry, options);
-  for (const std::string& name : names) {
-    if (coordinator.Submit(name, wo) == 0) {
-      std::fprintf(stderr, "coordinate: unknown workload: %s\n", name.c_str());
-      return 2;
-    }
-  }
-  const int status = coordinator.Run();
-  const eval::CoordinatorStats& stats = coordinator.stats();
-  std::fprintf(stderr,
-               "coordinate: %zu workloads, %llu cells (%llu redispatched, %llu inlined, "
-               "%llu lease expiries, %llu garbled, %llu quarantined, degraded=%d) -> %d\n",
-               names.size(), static_cast<unsigned long long>(stats.cells_total),
-               static_cast<unsigned long long>(stats.cells_redispatched),
-               static_cast<unsigned long long>(stats.cells_inlined),
-               static_cast<unsigned long long>(stats.lease_expiries),
-               static_cast<unsigned long long>(stats.garbled_replies),
-               static_cast<unsigned long long>(stats.workers_quarantined),
-               stats.degraded ? 1 : 0, status);
-
-  if (const std::string json_path = Arg(argc, argv, "--json", ""); !json_path.empty()) {
-    json::Value merged = json::Value::Object();
-    json::Value metrics = json::Value::Object();
-    json::Value jobs = json::Value::Array();
-    for (const auto& report : coordinator.reports()) {
-      json::Value job = json::Value::Object();
-      job.Set("workload", report->workload);
-      job.Set("state", eval::JobStateName(report->state));
-      job.Set("status", report->status);
-      job.Set("wall_seconds", report->wall_seconds);
-      jobs.Append(std::move(job));
-      for (const auto& [key, value] : report->report.metrics().members()) {
-        metrics.Set(key, value);
-      }
-    }
-    merged.Set("jobs", std::move(jobs));
-    json::Value coord = json::Value::Object();
-    coord.Set("cells_total", stats.cells_total);
-    coord.Set("cells_redispatched", stats.cells_redispatched);
-    coord.Set("cells_inlined", stats.cells_inlined);
-    coord.Set("lease_expiries", stats.lease_expiries);
-    coord.Set("garbled_replies", stats.garbled_replies);
-    coord.Set("workers_quarantined", stats.workers_quarantined);
-    coord.Set("workers_respawned", stats.workers_respawned);
-    coord.Set("degraded", stats.degraded);
-    merged.Set("coordinator", std::move(coord));
-    merged.Set("metrics", std::move(metrics));
-    if (Status s = json::WriteFileAtomic(json_path, merged); !s.ok()) {
-      std::fprintf(stderr, "coordinate: write %s: %s\n", json_path.c_str(),
-                   s.ToString().c_str());
-      return 1;
-    }
-  }
-  return status;
 }
 
 // `request` — the client half of `serve`: send one JSON request line to a
@@ -638,18 +537,6 @@ int main(int argc, char** argv) {
   }
   if (command == "request") {
     return RunRequest(argc - 2, argv + 2);
-  }
-  if (command == "coordinate") {
-    // Workers are this same binary; /proc/self/exe survives argv[0] being a
-    // bare name found via PATH.
-    std::string self = argv[0];
-    char buf[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-      buf[n] = '\0';
-      self = buf;
-    }
-    return RunCoordinate(argc - 2, argv + 2, self);
   }
   return Usage();
 }
