@@ -2,14 +2,15 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "src/base/stats_util.h"
 #include "src/core/memsentry.h"
 #include "src/defenses/event_annotator.h"
+#include "src/defenses/safestack.h"
 #include "src/defenses/shadow_stack.h"
 #include "src/eval/run_memo.h"
+#include "src/ir/pass.h"
 #include "src/ir/verifier.h"
 #include "src/sim/executor.h"
 #include "src/workloads/synth.h"
@@ -22,136 +23,22 @@ using workloads::SynthesizeSpecProgram;
 using workloads::SynthOptions;
 namespace {
 
-struct Run {
-  bool ok = false;
-  Cycles cycles = 0;
-  uint64_t instructions = 0;
-};
-
-Run Execute(sim::Process& process, const ir::Module& module) {
+RunMemo::Result Execute(sim::Process& process, const ir::Module& module,
+                        const sim::RunConfig& config = {}) {
   sim::Executor executor(&process, &module);
-  const sim::RunResult result = executor.Run(sim::RunConfig{});
-  return Run{result.halted && !result.fault.has_value(), result.cycles, result.instructions};
-}
-
-std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
-                                                   const SynthOptions& synth);
-
-// Baseline: the synthesized program plus (for domain scenarios) the defense
-// pass, but no isolation. The paper's SafeStack observation holds here too:
-// the defense's own cost appears in both numerator and denominator.
-struct Pipeline {
-  sim::Machine machine;
-  std::unique_ptr<sim::Process> process;
-  std::unique_ptr<core::MemSentry> memsentry;
-  // The cached synthesized module, shared read-only: a pipeline that runs
-  // no pass (the address-based baseline) executes it as it is.
-  std::shared_ptr<const ir::Module> synthesized;
-  // This pipeline's own copy, made before the first pass rewrites it.
-  std::optional<ir::Module> rewritten;
-  VirtAddr region_base = 0;
-
-  Pipeline(const SpecProfile& profile, core::TechniqueKind kind,
-           const ExperimentOptions& options, bool with_isolation) {
-    process = std::make_unique<sim::Process>(&machine);
-    if (with_isolation && kind == core::TechniqueKind::kVmfunc) {
-      // Dune wraps the whole process; its residual cost (syscall->hypercall,
-      // nested walks) is part of VMFUNC's overhead, as in the paper.
-      Status dune = process->EnableDune();
-      (void)dune;
-    }
-    Status prepared = PrepareWorkloadProcess(*process, profile);
-    (void)prepared;
-    core::MemSentryConfig config;
-    config.technique = kind;
-    config.options = options.instrument;
-    memsentry = std::make_unique<core::MemSentry>(process.get(), config);
-    // The paper's crypt figures protect "a single native 128-bit value";
-    // page-granular techniques get a page.
-    const uint64_t region_bytes = kind == core::TechniqueKind::kCrypt ? 16 : 4096;
-    auto region = memsentry->allocator().Alloc("defense-metadata", region_bytes);
-    if (region.ok()) {
-      region_base = region.value()->base;
-    }
-    SynthOptions synth;
-    synth.target_instructions = options.target_instructions;
-    synth.seed = options.seed;
-    synthesized = CachedSynthesize(profile, synth);
-  }
-
-  const ir::Module& module() const { return rewritten ? *rewritten : *synthesized; }
-  ir::Module& MutableModule() {
-    if (!rewritten) {
-      rewritten.emplace(*synthesized);
-    }
-    return *rewritten;
-  }
-
-  Status Protect() { return memsentry->Protect(MutableModule()); }
-};
-
-Status RunDefensePass(ir::ModulePass& pass, ir::Module& module) {
-  MEMSENTRY_RETURN_IF_ERROR(pass.Run(module));
-  module.Touch();  // a new module state: Protect verifies it before its pass
-  return OkStatus();
-}
-
-Status ApplyDefense(Pipeline& p, DomainScenario scenario) {
-  switch (scenario) {
-    case DomainScenario::kCallRet: {
-      defenses::ShadowStackPass pass(p.region_base);
-      return RunDefensePass(pass, p.MutableModule());
-    }
-    case DomainScenario::kIndirectBranch: {
-      defenses::EventAnnotatorPass pass(defenses::EventKind::kIndirectBranch, p.region_base);
-      return RunDefensePass(pass, p.MutableModule());
-    }
-    case DomainScenario::kSyscall: {
-      defenses::EventAnnotatorPass pass(defenses::EventKind::kSyscall, p.region_base);
-      return RunDefensePass(pass, p.MutableModule());
-    }
-  }
-  return OkStatus();
-}
-
-// Recipe key for a baseline (with_isolation == false) pipeline. A baseline
-// never calls Protect(), so of the technique under evaluation it observes
-// only what SafeRegionAllocator::Alloc reads: the requested region size
-// (16 bytes for crypt, one page otherwise), the technique's granularity
-// rounding, and whether placement is InfoHide's probabilistic mmap. Keying
-// on that effective geometry — rather than the raw kind — is what lets the
-// MPK and VMFUNC columns of a domain figure, and cross-workload repeats
-// like the mprotect baseline sweep, share one baseline per profile.
-// Everything else the pipeline constructor, the defense pass, and the
-// executor read is hashed explicitly: all profile fields, the synthesis
-// seed and budget, the scenario, and the run budget. instrument options are
-// deliberately absent — only Protect() reads them.
-RunMemo::Key BaselineRecipeKey(const SpecProfile& profile, core::TechniqueKind kind,
-                               int scenario_tag, const ExperimentOptions& options,
-                               uint64_t region_size_override) {
-  const uint64_t region_bytes = kind == core::TechniqueKind::kCrypt ? 16 : 4096;
-  const uint64_t granularity = core::CreateTechnique(kind)->limits().granularity;
-  const uint64_t rounded = (region_bytes + granularity - 1) / granularity * granularity;
-  RunKeyHasher h;
-  HashSpecProfile(h, profile);
-  h.U64(static_cast<uint64_t>(scenario_tag) + 1);  // -1 == address-based
-  h.U64(options.target_instructions);
-  h.U64(options.seed);
-  h.U64(rounded);
-  h.U64(kind == core::TechniqueKind::kInfoHide);
-  h.U64(region_size_override);
-  h.U64(sim::RunConfig{}.max_instructions);
-  return h.Finish();
+  const sim::RunResult result = executor.Run(config);
+  return RunMemo::Result{result.halted && !result.fault.has_value(), result.cycles,
+                         result.instructions};
 }
 
 // One synthesized program per (profile, synthesis options): synthesis reads
 // neither the technique nor the isolation flag, so the engine's cells
 // re-derive byte-identical modules dozens of times per profile. Entries are
-// immutable and shared: a pipeline copies one only before a pass rewrites
-// it. Each is verified once, when cached, and copies carry that memo. The
-// key covers every SpecProfile and SynthOptions field, so a hit is exactly
-// the module synthesis would return; entries stay valid across engine runs
-// in one process (serve mode reuses them).
+// immutable and shared: a run copies one only before a pass rewrites it.
+// Each is verified once, when cached, and copies carry that memo. The key
+// covers every SpecProfile and SynthOptions field, so a hit is exactly the
+// module synthesis would return; entries stay valid across engine runs in
+// one process (serve mode reuses them).
 std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
                                                    const SynthOptions& synth) {
   struct KeyHash {
@@ -183,105 +70,202 @@ std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
   return it->second;
 }
 
-// Consults the run memo before any pipeline work: a hit replays the
-// recorded outcome without synthesizing, preparing, or interpreting
-// anything.
-template <typename MakeRun>
-Run MemoizedBaseline(const RunMemo::Key& key, MakeRun&& make) {
-  if (!RunMemo::Enabled()) {
-    return make();
+std::shared_ptr<const ir::Module> CachedSynthesize(const SpecProfile& profile,
+                                                   uint64_t target_instructions,
+                                                   uint64_t seed) {
+  SynthOptions synth;
+  synth.target_instructions = target_instructions;
+  synth.seed = seed;
+  return CachedSynthesize(profile, synth);
+}
+
+// Allocates the defense's metadata region (none when bytes == 0) and applies
+// a size override; returns the region's base (0 when there is none).
+StatusOr<VirtAddr> AllocRegion(core::SafeRegionAllocator& allocator, uint64_t bytes,
+                               uint64_t size_override) {
+  if (bytes == 0) {
+    return VirtAddr{0};
   }
-  RunMemo& memo = RunMemo::Global();
-  if (const auto hit = memo.Lookup(key)) {
-    return Run{hit->ok, hit->cycles, hit->instructions};
+  MEMSENTRY_ASSIGN_OR_RETURN(sim::SafeRegion * region,
+                             allocator.Alloc("defense-metadata", bytes));
+  if (size_override != 0) {
+    region->size = size_override;
   }
-  const Run run = make();
-  memo.Insert(key, RunMemo::Result{run.ok, run.cycles, run.instructions});
-  return run;
+  return region->base;
+}
+
+// The defense's module pass, through a PassManager so the defended module
+// is verified once before the MemSentry pass reads it. kNone and kSafeStack
+// rewrite nothing here.
+Status RunDefensePass(Defense defense, VirtAddr region_base, ir::Module& module) {
+  ir::PassManager passes;
+  switch (defense) {
+    case Defense::kNone:
+    case Defense::kSafeStack:
+      return OkStatus();
+    case Defense::kShadowStack:
+      passes.Add(std::make_unique<defenses::ShadowStackPass>(region_base));
+      break;
+    case Defense::kIndirectBranch:
+      passes.Add(std::make_unique<defenses::EventAnnotatorPass>(
+          defenses::EventKind::kIndirectBranch, region_base));
+      break;
+    case Defense::kSyscall:
+      passes.Add(std::make_unique<defenses::EventAnnotatorPass>(defenses::EventKind::kSyscall,
+                                                                region_base));
+      break;
+  }
+  return passes.Run(module);
+}
+
+RunMemo::Result RunBaselineUncached(const BaselineRecipe& b) {
+  sim::Machine machine;
+  sim::Process process(&machine);
+  if (!PrepareWorkloadProcess(process, b.profile).ok()) {
+    return {};
+  }
+  // region_bytes is already rounded, so any technique with the same
+  // placement reproduces the region: SFI (granularity 1) for deterministic
+  // placement, InfoHide (whose granularity rounded it) for mmap placement.
+  core::SafeRegionAllocator allocator(
+      &process, b.info_hide_placement ? core::TechniqueKind::kInfoHide : core::TechniqueKind::kSfi);
+  const StatusOr<VirtAddr> region_base = AllocRegion(allocator, b.region_bytes, b.region_size);
+  if (!region_base.ok()) {
+    return {};
+  }
+  const std::shared_ptr<const ir::Module> synthesized =
+      CachedSynthesize(b.profile, b.target_instructions, b.seed);
+  sim::RunConfig config;
+  config.max_instructions = b.max_instructions;
+  if (b.defense == Defense::kNone) {
+    return Execute(process, *synthesized, config);
+  }
+  ir::Module module = *synthesized;
+  if (!RunDefensePass(b.defense, *region_base, module).ok()) {
+    return {};
+  }
+  return Execute(process, module, config);
 }
 
 }  // namespace
 
-const char* DomainScenarioName(DomainScenario scenario) {
-  switch (scenario) {
-    case DomainScenario::kCallRet:
-      return "call/ret";
-    case DomainScenario::kIndirectBranch:
-      return "indirect-branch";
-    case DomainScenario::kSyscall:
-      return "syscall";
-  }
-  return "?";
+CellRecipe ExperimentRecipe(const SpecProfile& profile, core::TechniqueKind kind,
+                            Defense defense, const ExperimentOptions& options) {
+  CellRecipe recipe;
+  recipe.profile = profile;
+  recipe.technique = kind;
+  recipe.instrument = options.instrument;
+  recipe.defense = defense;
+  // The paper's crypt figures protect "a single native 128-bit value";
+  // page-granular techniques get a page.
+  recipe.region_bytes = kind == core::TechniqueKind::kCrypt ? 16 : 4096;
+  recipe.target_instructions = options.target_instructions;
+  recipe.seed = options.seed;
+  return recipe;
 }
 
-ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
-                                               core::TechniqueKind kind, core::ProtectMode mode,
-                                               const ExperimentOptions& options) {
-  // Baseline: plain program on a fresh machine.
-  const Run base =
-      MemoizedBaseline(BaselineRecipeKey(profile, kind, /*scenario_tag=*/-1, options, 0), [&] {
-        Pipeline baseline(profile, kind, options, /*with_isolation=*/false);
-        return Execute(*baseline.process, baseline.module());
-      });
+BaselineRecipe BaselineOf(const CellRecipe& recipe) {
+  BaselineRecipe b;
+  b.profile = recipe.profile;
+  // SafeStack's baseline is the program on its ordinary stack.
+  b.defense = recipe.defense == Defense::kSafeStack ? Defense::kNone : recipe.defense;
+  b.target_instructions = recipe.target_instructions;
+  b.seed = recipe.seed;
+  if (recipe.region_bytes != 0) {
+    const uint64_t granularity = core::CreateTechnique(recipe.technique)->limits().granularity;
+    b.region_bytes = (recipe.region_bytes + granularity - 1) / granularity * granularity;
+    b.info_hide_placement = recipe.technique == core::TechniqueKind::kInfoHide;
+  }
+  b.region_size = recipe.region_size;
+  b.max_instructions = sim::RunConfig{}.max_instructions;
+  return b;
+}
+
+RunMemo::Key BaselineRecipe::Key() const {
+  RunKeyHasher h;
+  HashSpecProfile(h, profile);
+  h.U64(static_cast<uint64_t>(defense));
+  h.U64(target_instructions);
+  h.U64(seed);
+  h.U64(region_bytes);
+  h.U64(info_hide_placement);
+  h.U64(region_size);
+  h.U64(max_instructions);
+  return h.Finish();
+}
+
+// Consults the run memo before any work: a hit replays the recorded outcome
+// without synthesizing, preparing, or interpreting anything.
+RunMemo::Result RunBaseline(const BaselineRecipe& baseline) {
+  if (!RunMemo::Enabled()) {
+    return RunBaselineUncached(baseline);
+  }
+  RunMemo& memo = RunMemo::Global();
+  const RunMemo::Key key = baseline.Key();
+  if (const auto hit = memo.Lookup(key)) {
+    return *hit;
+  }
+  const RunMemo::Result run = RunBaselineUncached(baseline);
+  memo.Insert(key, run);
+  return run;
+}
+
+PreparedCell PrepareCell(const CellRecipe& recipe) {
+  PreparedCell cell;
+  cell.machine = std::make_unique<sim::Machine>();
+  cell.process = std::make_unique<sim::Process>(cell.machine.get());
+  sim::Process& process = *cell.process;
+  cell.status = [&]() -> Status {
+    if (recipe.technique == core::TechniqueKind::kVmfunc) {
+      // Dune wraps the whole process; its residual cost (syscall->hypercall,
+      // nested walks) is part of VMFUNC's overhead, as in the paper.
+      MEMSENTRY_RETURN_IF_ERROR(process.EnableDune());
+    }
+    MEMSENTRY_RETURN_IF_ERROR(PrepareWorkloadProcess(process, recipe.profile));
+    core::MemSentryConfig config;
+    config.technique = recipe.technique;
+    config.options = recipe.instrument;
+    core::MemSentry memsentry(&process, config);
+    MEMSENTRY_ASSIGN_OR_RETURN(
+        const VirtAddr region_base,
+        AllocRegion(memsentry.allocator(), recipe.region_bytes, recipe.region_size));
+    if (recipe.region_size != 0) {
+      // Map the pages a grown region needs beyond its allocation.
+      const uint64_t mapped = PageAlignUp(recipe.region_bytes) >> kPageShift;
+      const uint64_t needed = PageAlignUp(recipe.region_size) >> kPageShift;
+      if (needed > mapped) {
+        MEMSENTRY_RETURN_IF_ERROR(process.MapRange(region_base + mapped * kPageSize,
+                                                   needed - mapped,
+                                                   machine::PageFlags::Data()));
+      }
+    }
+    if (recipe.defense == Defense::kSafeStack) {
+      MEMSENTRY_RETURN_IF_ERROR(
+          defenses::SafeStackDefense::Install(process, memsentry.allocator()).status());
+    }
+    cell.module = *CachedSynthesize(recipe.profile, recipe.target_instructions, recipe.seed);
+    MEMSENTRY_RETURN_IF_ERROR(RunDefensePass(recipe.defense, region_base, cell.module));
+    return memsentry.Protect(cell.module);
+  }();
+  return cell;
+}
+
+ExperimentResult RunExperiment(const CellRecipe& recipe) {
+  const RunMemo::Result base = RunBaseline(BaselineOf(recipe));
   if (!base.ok) {
     return {};
   }
-  // Protected: same program, instrumented.
-  ExperimentOptions configured = options;
-  configured.instrument.mode = mode;
-  Pipeline protected_run(profile, kind, configured, /*with_isolation=*/true);
-  if (!protected_run.Protect().ok()) {
+  PreparedCell cell = PrepareCell(recipe);
+  if (!cell.status.ok()) {
     return {};
   }
-  const Run isolated = Execute(*protected_run.process, protected_run.module());
+  const RunMemo::Result isolated = Execute(*cell.process, cell.module);
   if (!isolated.ok) {
     return {};
   }
   return ExperimentResult{isolated.cycles / base.cycles, base.cycles, isolated.cycles,
                           static_cast<double>(base.instructions),
                           static_cast<double>(isolated.instructions)};
-}
-
-double RunAddressBasedExperiment(const SpecProfile& profile, core::TechniqueKind kind,
-                                 core::ProtectMode mode, const ExperimentOptions& options) {
-  return RunAddressBasedExperimentFull(profile, kind, mode, options).normalized;
-}
-
-ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
-                                              core::TechniqueKind kind, DomainScenario scenario,
-                                              const ExperimentOptions& options) {
-  // Baseline: program + defense pass, no isolation.
-  const Run base = MemoizedBaseline(
-      BaselineRecipeKey(profile, kind, static_cast<int>(scenario), options, 0), [&] {
-        Pipeline baseline(profile, kind, options, /*with_isolation=*/false);
-        if (!ApplyDefense(baseline, scenario).ok()) {
-          return Run{};
-        }
-        return Execute(*baseline.process, baseline.module());
-      });
-  if (!base.ok) {
-    return {};
-  }
-  // Protected: defense pass + Prepare + MemSentry pass.
-  Pipeline protected_run(profile, kind, options, /*with_isolation=*/true);
-  if (!ApplyDefense(protected_run, scenario).ok()) {
-    return {};
-  }
-  if (!protected_run.Protect().ok()) {
-    return {};
-  }
-  const Run isolated = Execute(*protected_run.process, protected_run.module());
-  if (!isolated.ok) {
-    return {};
-  }
-  return ExperimentResult{isolated.cycles / base.cycles, base.cycles, isolated.cycles,
-                          static_cast<double>(base.instructions),
-                          static_cast<double>(isolated.instructions)};
-}
-
-double RunDomainBasedExperiment(const SpecProfile& profile, core::TechniqueKind kind,
-                                DomainScenario scenario, const ExperimentOptions& options) {
-  return RunDomainBasedExperimentFull(profile, kind, scenario, options).normalized;
 }
 
 const std::vector<AddressSweepConfig>& AddressSweepConfigs() {
@@ -332,93 +316,51 @@ std::vector<FigureSeries> AssembleFigureSeries(const std::vector<const char*>& c
   return series;
 }
 
-namespace {
-
-// Every (config, profile) cell builds its own Machine/Process/Module pair
-// from the deterministic seed (inside the Run*ExperimentFull pipelines), so
-// the cells of a sweep are independent; the campaign engine runs suite
-// cells in parallel, and these whole-figure sweeps are plain loops.
-std::vector<FigureSeries> SweepAddress(const ExperimentOptions& options) {
+// Every (config, profile) cell builds its own machines and processes from
+// the deterministic seed (inside RunExperiment), so the cells of a sweep are
+// independent; the campaign engine runs suite cells in parallel, and these
+// whole-figure sweeps are plain loops.
+std::vector<FigureSeries> RunFigure3(const ExperimentOptions& options) {
   const auto profiles = SpecCpu2006();
   std::vector<const char*> names;
   std::vector<ExperimentResult> cells;
   for (const AddressSweepConfig& config : AddressSweepConfigs()) {
     names.push_back(config.name);
+    ExperimentOptions configured = options;
+    configured.instrument.mode = config.mode;
     for (const SpecProfile& profile : profiles) {
-      cells.push_back(RunAddressBasedExperimentFull(profile, config.kind, config.mode, options));
+      cells.push_back(
+          RunExperiment(ExperimentRecipe(profile, config.kind, Defense::kNone, configured)));
     }
   }
   return AssembleFigureSeries(names, profiles.size(), cells);
 }
 
-std::vector<FigureSeries> SweepDomain(DomainScenario scenario,
-                                      const ExperimentOptions& options) {
+namespace {
+
+std::vector<FigureSeries> SweepDomain(Defense defense, const ExperimentOptions& options) {
   const auto profiles = SpecCpu2006();
   std::vector<const char*> names;
   std::vector<ExperimentResult> cells;
   for (const DomainSweepConfig& config : DomainSweepConfigs()) {
     names.push_back(config.name);
     for (const SpecProfile& profile : profiles) {
-      cells.push_back(RunDomainBasedExperimentFull(profile, config.kind, scenario, options));
+      cells.push_back(RunExperiment(ExperimentRecipe(profile, config.kind, defense, options)));
     }
   }
   return AssembleFigureSeries(names, profiles.size(), cells);
 }
 
-// One point of the crypt region-size sweep; region_bytes == 0 on failure.
-CryptSizePoint RunCryptSizePoint(const SpecProfile& profile, uint64_t size,
-                                 const ExperimentOptions& options) {
-  // Baseline: defense only; the region size is irrelevant without crypt
-  // but is part of the recorded state, so it keys the memo.
-  const Run base = MemoizedBaseline(
-      BaselineRecipeKey(profile, core::TechniqueKind::kCrypt,
-                        static_cast<int>(DomainScenario::kCallRet), options, size),
-      [&]() -> Run {
-        Pipeline base_pipeline(profile, core::TechniqueKind::kCrypt, options, false);
-        base_pipeline.process->safe_regions()[0].size = size;
-        if (!ApplyDefense(base_pipeline, DomainScenario::kCallRet).ok()) {
-          return {};
-        }
-        return Execute(*base_pipeline.process, base_pipeline.module());
-      });
-  // Protected with the resized region.
-  Pipeline prot(profile, core::TechniqueKind::kCrypt, options, true);
-  auto& region = prot.process->safe_regions()[0];
-  // Grow the region (remap additional pages if needed).
-  const uint64_t old_pages = PageAlignUp(region.size) >> kPageShift;
-  const uint64_t new_pages = PageAlignUp(size) >> kPageShift;
-  if (new_pages > old_pages) {
-    (void)prot.process->MapRange(region.base + old_pages * kPageSize, new_pages - old_pages,
-                                 machine::PageFlags::Data());
-  }
-  region.size = size;
-  if (!ApplyDefense(prot, DomainScenario::kCallRet).ok()) {
-    return {};
-  }
-  if (!prot.Protect().ok()) {
-    return {};
-  }
-  const Run isolated = Execute(*prot.process, prot.module());
-  if (!base.ok || !isolated.ok) {
-    return {};
-  }
-  return CryptSizePoint{size, isolated.cycles / base.cycles, isolated.cycles,
-                        static_cast<double>(base.instructions + isolated.instructions)};
-}
-
 }  // namespace
 
-std::vector<FigureSeries> RunFigure3(const ExperimentOptions& options) {
-  return SweepAddress(options);
-}
 std::vector<FigureSeries> RunFigure4(const ExperimentOptions& options) {
-  return SweepDomain(DomainScenario::kCallRet, options);
+  return SweepDomain(Defense::kShadowStack, options);
 }
 std::vector<FigureSeries> RunFigure5(const ExperimentOptions& options) {
-  return SweepDomain(DomainScenario::kIndirectBranch, options);
+  return SweepDomain(Defense::kIndirectBranch, options);
 }
 std::vector<FigureSeries> RunFigure6(const ExperimentOptions& options) {
-  return SweepDomain(DomainScenario::kSyscall, options);
+  return SweepDomain(Defense::kSyscall, options);
 }
 
 std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
@@ -427,17 +369,16 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
   // Failed sizes are skipped; the rest keep input order.
   std::vector<CryptSizePoint> points;
   for (const uint64_t size : sizes) {
-    const CryptSizePoint point = RunCryptSizePoint(profile, size, options);
-    if (point.region_bytes != 0) {
-      points.push_back(point);
+    CellRecipe recipe =
+        ExperimentRecipe(profile, core::TechniqueKind::kCrypt, Defense::kShadowStack, options);
+    recipe.region_size = size;
+    const ExperimentResult r = RunExperiment(recipe);
+    if (r.ok()) {
+      points.push_back(CryptSizePoint{size, r.normalized, r.prot_cycles,
+                                      r.base_instructions + r.prot_instructions});
     }
   }
   return points;
-}
-
-double RunMprotectBaseline(const SpecProfile& profile, const ExperimentOptions& options) {
-  return RunDomainBasedExperiment(profile, core::TechniqueKind::kMprotect,
-                                  DomainScenario::kCallRet, options);
 }
 
 void HashSpecProfile(RunKeyHasher& h, const SpecProfile& profile) {
@@ -457,11 +398,6 @@ void HashSpecProfile(RunKeyHasher& h, const SpecProfile& profile) {
 
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile, const SynthOptions& synth) {
   return *CachedSynthesize(profile, synth);
-}
-
-std::shared_ptr<const ir::Module> SharedSpecProgram(const SpecProfile& profile,
-                                                    const SynthOptions& synth) {
-  return CachedSynthesize(profile, synth);
 }
 
 }  // namespace memsentry::eval

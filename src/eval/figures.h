@@ -1,9 +1,10 @@
 // Experiment pipelines for every figure in the paper's evaluation
-// (Section 6.2). Each function builds a fresh machine/process, synthesizes
-// the benchmark program, applies the defense pass and the MemSentry pass,
-// executes both baseline and protected builds, and returns the normalized
-// runtime (1.0 == baseline). Shared by bench/ binaries and the calibration
-// tests.
+// (Section 6.2). A CellRecipe names one baseline-vs-protected cell;
+// RunExperiment builds a fresh machine/process for each run, synthesizes the
+// benchmark program, applies the defense and (protected run only) the
+// MemSentry pass, executes both, and returns the normalized runtime
+// (1.0 == baseline). Shared by the suite workloads, the CLI and the
+// calibration tests.
 #ifndef MEMSENTRY_SRC_EVAL_FIGURES_H_
 #define MEMSENTRY_SRC_EVAL_FIGURES_H_
 
@@ -13,6 +14,9 @@
 
 #include "src/core/technique.h"
 #include "src/eval/run_memo.h"
+#include "src/ir/module.h"
+#include "src/sim/machine.h"
+#include "src/sim/process.h"
 #include "src/workloads/spec_profiles.h"
 #include "src/workloads/synth.h"
 
@@ -44,28 +48,83 @@ struct ExperimentResult {
   bool ok() const { return normalized > 0; }
 };
 
-// Figure 3: address-based techniques (SFI/MPX), instrumenting all loads
-// (-r), stores (-w) or both (-rw) of the whole program.
-ExperimentResult RunAddressBasedExperimentFull(const SpecProfile& profile,
-                                               core::TechniqueKind kind, core::ProtectMode mode,
-                                               const ExperimentOptions& options = {});
-double RunAddressBasedExperiment(const SpecProfile& profile, core::TechniqueKind kind,
-                                 core::ProtectMode mode, const ExperimentOptions& options = {});
-
-// Figures 4-6: domain-based techniques switching at every...
-enum class DomainScenario {
-  kCallRet,         // Figure 4: shadow stack (the real ShadowStackPass)
-  kIndirectBranch,  // Figure 5: CFI / layout randomization metadata
-  kSyscall,         // Figure 6: TASR-style / allocator metadata
+// The defense a cell runs before the MemSentry pass. The order is part of
+// the baseline memo key.
+enum class Defense {
+  kNone,            // Figure 3: the program as synthesized
+  kShadowStack,     // Figure 4: ShadowStackPass at every call and ret
+  kIndirectBranch,  // Figure 5: a domain switch at every indirect branch (CFI)
+  kSyscall,         // Figure 6: a domain switch at every system call (TASR)
+  kSafeStack,       // SafeStack: the stack moves into a safe region; the
+                    // baseline keeps the ordinary stack
 };
 
-const char* DomainScenarioName(DomainScenario scenario);
+// The Figure 4-6 scenarios, each numbered one below its Defense. Only the
+// benchmark tool under perfbench/ still uses them: its copy of the baseline
+// key hashes a scenario as its value + 1, that is, as its Defense.
+enum class DomainScenario { kCallRet, kIndirectBranch, kSyscall };
 
-ExperimentResult RunDomainBasedExperimentFull(const SpecProfile& profile,
-                                              core::TechniqueKind kind, DomainScenario scenario,
-                                              const ExperimentOptions& options = {});
-double RunDomainBasedExperiment(const SpecProfile& profile, core::TechniqueKind kind,
-                                DomainScenario scenario, const ExperimentOptions& options = {});
+// Everything a baseline-vs-protected cell is built from. Both runs use the
+// same synthesized program; the protected run adds MemSentry after the
+// defense.
+struct CellRecipe {
+  SpecProfile profile;
+  core::TechniqueKind technique = core::TechniqueKind::kMpx;
+  core::InstrumentOptions instrument;
+  Defense defense = Defense::kNone;
+  // The safe region the defense keeps its metadata in (0 = none).
+  uint64_t region_bytes = 0;
+  // When nonzero, the region's size after allocation; the protected run maps
+  // the extra pages (the crypt region-size sweep).
+  uint64_t region_size = 0;
+  uint64_t target_instructions = 400'000;
+  uint64_t seed = workloads::SynthOptions{}.seed;
+};
+
+// The recipe of a Figure 3-6 cell: the options' budget, seed and
+// instrumentation, and the paper's region (a single 128-bit value for crypt,
+// a page otherwise).
+CellRecipe ExperimentRecipe(const SpecProfile& profile, core::TechniqueKind kind,
+                            Defense defense, const ExperimentOptions& options = {});
+
+// What the baseline run reads, and nothing else. The baseline runs the
+// defense's own pass, so the defense's cost appears in both numerator and
+// denominator, as in the paper. It never calls Protect(), so of the
+// technique it sees only the region the allocator hands out. Two cells whose
+// baselines read the same values share one memo entry (the MPK and VMFUNC
+// columns of a domain figure, for example).
+struct BaselineRecipe {
+  SpecProfile profile;
+  Defense defense = Defense::kNone;  // the defense pass (never kSafeStack)
+  uint64_t target_instructions = 0;
+  uint64_t seed = 0;
+  uint64_t region_bytes = 0;  // after the technique's granularity rounding
+  bool info_hide_placement = false;  // placed by probabilistic mmap
+  uint64_t region_size = 0;
+  uint64_t max_instructions = 0;  // the run budget
+
+  // The run memo key: every field above, in declaration order.
+  RunMemo::Key Key() const;
+};
+
+BaselineRecipe BaselineOf(const CellRecipe& recipe);
+
+// Runs a baseline, or replays it from the run memo when the memo is on.
+RunMemo::Result RunBaseline(const BaselineRecipe& baseline);
+
+// The protected half of a cell, ready to run: a fresh process with the
+// workload mapped, the region allocated, the defense applied and MemSentry
+// prepared, plus the protected module. status is the first failing step.
+struct PreparedCell {
+  Status status;
+  std::unique_ptr<sim::Machine> machine;
+  std::unique_ptr<sim::Process> process;
+  ir::Module module;
+};
+PreparedCell PrepareCell(const CellRecipe& recipe);
+
+// The memoized baseline, then the protected run.
+ExperimentResult RunExperiment(const CellRecipe& recipe);
 
 // One row of a figure: per-benchmark normalized runtimes per configuration,
 // plus the suite-total cycle counts behind them (for perf regression series).
@@ -119,26 +178,18 @@ std::vector<CryptSizePoint> RunCryptSizeSweep(const SpecProfile& profile,
                                               const std::vector<uint64_t>& sizes,
                                               const ExperimentOptions& options = {});
 
-// The mprotect baseline (Section 1: "20-50x in our experiments") on the
-// call/ret scenario.
-double RunMprotectBaseline(const SpecProfile& profile, const ExperimentOptions& options = {});
-
 // Synthesis is independent of the technique and the isolation flag, so the
 // suite's cells re-derive byte-identical modules dozens of times per
 // profile. This returns a copy of a cached module, keyed on every
 // SpecProfile and SynthOptions field, so it always equals what
 // workloads::SynthesizeSpecProgram would build. The cached module was
 // verified once and the copy carries that memo (ir::Module::verified()).
-// Shared with the suite workloads (e.g. the SafeStack case study).
 ir::Module SynthesizeSpecProgramCached(const SpecProfile& profile,
                                        const workloads::SynthOptions& synth);
 
-// The same cached module without the copy, for runs that never rewrite it.
-std::shared_ptr<const ir::Module> SharedSpecProgram(const SpecProfile& profile,
-                                                    const workloads::SynthOptions& synth);
-
-// Feeds every SpecProfile field into a recipe hasher, for memo keys built
-// outside figures.cc.
+// Feeds every SpecProfile field into a recipe hasher: the first input of
+// BaselineRecipe::Key, and of the benchmark tool's copy of that key
+// (perfbench/tool/replay.cc), which must hash the same bytes.
 void HashSpecProfile(RunKeyHasher& h, const SpecProfile& profile);
 
 }  // namespace memsentry::eval

@@ -1,19 +1,18 @@
 // Cross-cell execution memo for the campaign engine (src/eval/campaign_engine.h).
 //
-// Many figure cells execute byte-identical baseline pipelines: a baseline
-// run is independent of the technique being evaluated, so Figure 3
-// re-builds and re-executes the same uninstrumented 401.bzip2 baseline once
-// per (technique, mode) column, and the MPK/VMFUNC columns of Figures 4-6
-// share their defense-only baselines per profile. The memo keys a completed
-// run by its construction *recipe* — every input the pipeline constructor
-// and executor read (profile fields, synthesis seed and budget, effective
-// safe-region geometry, defense scenario, run budget) — hashed BEFORE any
-// pipeline work, so a hit skips program synthesis, process preparation, and
-// interpretation outright, not just the executor loop. Pipeline
-// construction and the executor are both deterministic functions of the
-// recipe, so replaying a hit is provably value-preserving, not an
-// approximation. Key assembly lives at the call sites (figures.cc), which
-// know which recipe fields their pipelines actually observe.
+// Many figure cells execute byte-identical baseline runs: a baseline is
+// independent of the technique being evaluated, so Figure 3 would re-build
+// and re-execute the same uninstrumented 401.bzip2 baseline once per
+// (technique, mode) column, and the MPK/VMFUNC columns of Figures 4-6 share
+// their defense-only baselines per profile. The memo keys a completed run
+// by the eval::BaselineRecipe it was built from (src/eval/figures.h): the
+// value holds every input the baseline reads (profile fields, synthesis
+// seed and budget, effective safe-region geometry, defense, run budget) and
+// the key is its hash, so nothing the baseline reads can be missing from
+// the key. It is computed BEFORE any work, so a hit skips program
+// synthesis, process preparation, and interpretation outright, not just the
+// executor loop. The baseline is a deterministic function of its recipe,
+// so replaying a hit is value-preserving, not an approximation.
 //
 // The memo is process-global but OFF by default: the campaign engine turns
 // it on for its lifetime (EngineOptions::run_memo), so direct calls into
@@ -41,7 +40,7 @@ class RunMemo {
     bool operator==(const Key& other) const { return lo == other.lo && hi == other.hi; }
   };
 
-  // The full observable outcome of eval's Execute() fast path.
+  // The full observable outcome of a baseline run.
   struct Result {
     bool ok = false;
     double cycles = 0;
@@ -59,8 +58,7 @@ class RunMemo {
 
   static RunMemo& Global();
 
-  // Process-wide switch consulted by figures.cc's baseline memo. Off by
-  // default.
+  // Process-wide switch consulted by eval::RunBaseline. Off by default.
   static void Enable(bool on);
   static bool Enabled();
 

@@ -38,39 +38,55 @@ Status SendLine(int fd, const std::string& line) {
   return OkStatus();
 }
 
-// Reads one newline-terminated frame. Error taxonomy (the serve loop keys
+// Reads newline-terminated frames from one connection. recv() fills a
+// buffer in large chunks; bytes after a newline (a pipelined next request)
+// stay buffered for the next ReadLine. Error taxonomy (the serve loop keys
 // its reply-vs-drop choice off the code):
 //   kNotFound           clean EOF before any bytes — peer is done
 //   kInvalidArgument    EOF mid-line — truncated frame, peer died mid-write
 //   kResourceExhausted  line exceeded kServeMaxLineBytes
 //   kInternal           recv() error
-StatusOr<std::string> RecvLine(int fd) {
-  std::string line;
-  char c;
-  for (;;) {
-    const ssize_t n = ::recv(fd, &c, 1, 0);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
+class LineReader {
+ public:
+  explicit LineReader(int fd) : fd_(fd) {}
+
+  StatusOr<std::string> ReadLine() {
+    size_t scanned = 0;  // buffered bytes already searched for a newline
+    for (;;) {
+      const size_t newline = buffered_.find('\n', scanned);
+      if (newline != std::string::npos && newline <= kServeMaxLineBytes) {
+        std::string line = buffered_.substr(0, newline);
+        buffered_.erase(0, newline + 1);
+        return line;
       }
-      return InternalError(std::string("recv: ") + std::strerror(errno));
-    }
-    if (n == 0) {
-      if (line.empty()) {
-        return NotFound("connection closed");
+      if (buffered_.size() > kServeMaxLineBytes) {
+        return ResourceExhausted("line exceeds " + std::to_string(kServeMaxLineBytes) + " bytes");
       }
-      return InvalidArgument("truncated frame: peer closed mid-line after " +
-                             std::to_string(line.size()) + " bytes");
+      scanned = buffered_.size();
+      buffered_.resize(scanned + kChunk);
+      const ssize_t n = ::recv(fd_, buffered_.data() + scanned, kChunk, 0);
+      buffered_.resize(scanned + static_cast<size_t>(n > 0 ? n : 0));
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        return InternalError(std::string("recv: ") + std::strerror(errno));
+      }
+      if (n == 0) {
+        if (buffered_.empty()) {
+          return NotFound("connection closed");
+        }
+        return InvalidArgument("truncated frame: peer closed mid-line after " +
+                               std::to_string(buffered_.size()) + " bytes");
+      }
     }
-    if (c == '\n') {
-      return line;
-    }
-    if (line.size() >= kServeMaxLineBytes) {
-      return ResourceExhausted("line exceeds " + std::to_string(kServeMaxLineBytes) + " bytes");
-    }
-    line.push_back(c);
   }
-}
+
+ private:
+  static constexpr size_t kChunk = 64 << 10;
+  int fd_;
+  std::string buffered_;  // received, not yet returned
+};
 
 json::Value ErrorResponse(const std::string& code, const std::string& message) {
   json::Value response = json::Value::Object();
@@ -321,8 +337,9 @@ int ServeLoop(const ServeOptions& options) {
     }
     // Serve request lines until the client closes; each connection may carry
     // several rounds (submit, poll status, wait).
+    LineReader reader(conn);
     for (;;) {
-      StatusOr<std::string> line = RecvLine(conn);
+      StatusOr<std::string> line = reader.ReadLine();
       if (!line.ok()) {
         // Typed best-effort reply for frames we can classify, then drop the
         // connection — after an oversized or truncated frame there is no
@@ -376,7 +393,7 @@ StatusOr<json::Value> ServeRequest(const std::string& socket_path, const json::V
     ::close(fd);
     return sent;
   }
-  StatusOr<std::string> line = RecvLine(fd);
+  StatusOr<std::string> line = LineReader(fd).ReadLine();
   ::close(fd);
   if (!line.ok()) {
     return line.status();

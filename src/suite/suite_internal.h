@@ -48,6 +48,13 @@ inline std::string ExtraString(const eval::WorkloadOptions& options, const char*
 json::Value ExperimentToJson(const eval::ExperimentResult& result);
 eval::ExperimentResult ExperimentFromJson(const json::Value& value);
 
+// The recipes of the cells that state their own: safestack_casestudy's
+// (one per profile and technique) and the ablations' BNDPRESERVE cell.
+eval::CellRecipe SafeStackRecipe(const workloads::SpecProfile& profile,
+                                 core::TechniqueKind kind,
+                                 const eval::ExperimentOptions& options);
+eval::CellRecipe BndPreserveRecipe(const eval::ExperimentOptions& options);
+
 }  // namespace memsentry::suite
 
 #endif  // MEMSENTRY_SRC_SUITE_SUITE_INTERNAL_H_

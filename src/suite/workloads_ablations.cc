@@ -20,24 +20,23 @@ using eval::Workload;
 using eval::WorkloadCell;
 using eval::WorkloadOptions;
 
-double Fig3Point(const workloads::SpecProfile& profile, core::TechniqueKind kind,
-                 core::InstrumentOptions instrument, eval::ExperimentOptions options) {
-  options.instrument = instrument;
-  return eval::RunAddressBasedExperiment(profile, kind, instrument.mode, options);
+double Normalized(const workloads::SpecProfile& profile, core::TechniqueKind kind,
+                  eval::Defense defense, const eval::ExperimentOptions& options) {
+  return eval::RunExperiment(eval::ExperimentRecipe(profile, kind, defense, options)).normalized;
 }
 
 json::Value RunMpxBoundsCell(const WorkloadOptions& wo) {
   json::Value rows = json::Value::Array();
   for (const char* name : {"403.gcc", "456.hmmer"}) {
     const auto& profile = *workloads::FindProfile(name);
-    core::InstrumentOptions single;
-    single.mode = core::ProtectMode::kReadWrite;
-    core::InstrumentOptions both = single;
-    both.mpx_double_bounds = true;
+    eval::ExperimentOptions single = wo.experiment;
+    single.instrument.mode = core::ProtectMode::kReadWrite;
+    eval::ExperimentOptions both = single;
+    both.instrument.mpx_double_bounds = true;
     json::Value row = json::Value::Object();
     row.Set("profile", profile.name);
-    row.Set("single", Fig3Point(profile, core::TechniqueKind::kMpx, single, wo.experiment));
-    row.Set("double", Fig3Point(profile, core::TechniqueKind::kMpx, both, wo.experiment));
+    row.Set("single", Normalized(profile, core::TechniqueKind::kMpx, eval::Defense::kNone, single));
+    row.Set("double", Normalized(profile, core::TechniqueKind::kMpx, eval::Defense::kNone, both));
     rows.Append(std::move(row));
   }
   return rows;
@@ -47,14 +46,15 @@ json::Value RunSfiMaskCell(const WorkloadOptions& wo) {
   json::Value rows = json::Value::Array();
   for (const char* name : {"403.gcc", "456.hmmer"}) {
     const auto& profile = *workloads::FindProfile(name);
-    core::InstrumentOptions hoisted;
-    hoisted.mode = core::ProtectMode::kReadWrite;
-    core::InstrumentOptions remat = hoisted;
-    remat.sfi_rematerialize_mask = true;
+    eval::ExperimentOptions hoisted = wo.experiment;
+    hoisted.instrument.mode = core::ProtectMode::kReadWrite;
+    eval::ExperimentOptions remat = hoisted;
+    remat.instrument.sfi_rematerialize_mask = true;
     json::Value row = json::Value::Object();
     row.Set("profile", profile.name);
-    row.Set("hoisted", Fig3Point(profile, core::TechniqueKind::kSfi, hoisted, wo.experiment));
-    row.Set("remat", Fig3Point(profile, core::TechniqueKind::kSfi, remat, wo.experiment));
+    row.Set("hoisted",
+            Normalized(profile, core::TechniqueKind::kSfi, eval::Defense::kNone, hoisted));
+    row.Set("remat", Normalized(profile, core::TechniqueKind::kSfi, eval::Defense::kNone, remat));
     rows.Append(std::move(row));
   }
   return rows;
@@ -64,11 +64,11 @@ json::Value RunMpkPolicyCell(const WorkloadOptions& wo) {
   const auto& gcc = *workloads::FindProfile("403.gcc");
   eval::ExperimentOptions options = wo.experiment;
   options.instrument.mode = core::ProtectMode::kWriteOnly;
-  const double wd = eval::RunDomainBasedExperiment(gcc, core::TechniqueKind::kMpk,
-                                                   eval::DomainScenario::kCallRet, options);
+  const double wd =
+      Normalized(gcc, core::TechniqueKind::kMpk, eval::Defense::kShadowStack, options);
   options.instrument.mode = core::ProtectMode::kReadWrite;
-  const double ad = eval::RunDomainBasedExperiment(gcc, core::TechniqueKind::kMpk,
-                                                   eval::DomainScenario::kCallRet, options);
+  const double ad =
+      Normalized(gcc, core::TechniqueKind::kMpk, eval::Defense::kShadowStack, options);
   json::Value payload = json::Value::Object();
   payload.Set("wd", wd);
   payload.Set("ad", ad);
@@ -79,40 +79,24 @@ json::Value RunSgxSyscallCell(const WorkloadOptions& wo) {
   const auto& gcc = *workloads::FindProfile("403.gcc");
   const eval::ExperimentOptions options = wo.experiment;
   json::Value payload = json::Value::Object();
-  payload.Set("sgx", eval::RunDomainBasedExperiment(gcc, core::TechniqueKind::kSgx,
-                                                    eval::DomainScenario::kSyscall, options));
-  payload.Set("mpk", eval::RunDomainBasedExperiment(gcc, core::TechniqueKind::kMpk,
-                                                    eval::DomainScenario::kSyscall, options));
+  payload.Set("sgx", Normalized(gcc, core::TechniqueKind::kSgx, eval::Defense::kSyscall, options));
+  payload.Set("mpk", Normalized(gcc, core::TechniqueKind::kMpk, eval::Defense::kSyscall, options));
   return payload;
 }
 
 json::Value RunBndPreserveCell(const WorkloadOptions& wo) {
-  const auto& gcc = *workloads::FindProfile("403.gcc");
+  const eval::CellRecipe recipe = BndPreserveRecipe(wo.experiment);
+  const eval::RunMemo::Result base = eval::RunBaseline(eval::BaselineOf(recipe));
   // Without BNDPRESERVE every legacy branch resets the bound registers and
   // the next check reloads bnd0 from the bound table (Section 5.4).
   auto run = [&](bool preserve) {
-    const eval::ExperimentOptions options = wo.experiment;
-    sim::Machine m1;
-    sim::Process base_proc(&m1);
-    (void)workloads::PrepareWorkloadProcess(base_proc, gcc);
-    workloads::SynthOptions synth;
-    synth.target_instructions = options.target_instructions;
-    ir::Module module = workloads::SynthesizeSpecProgram(gcc, synth);
-    sim::Executor base_exec(&base_proc, &module);
-    const double base = base_exec.Run().cycles;
-
-    sim::Machine m2;
-    sim::Process proc(&m2);
-    (void)workloads::PrepareWorkloadProcess(proc, gcc);
-    core::MemSentryConfig config;
-    config.technique = core::TechniqueKind::kMpx;
-    core::MemSentry ms(&proc, config);
-    (void)ms.allocator().Alloc("region", 4096);
-    ir::Module inst = workloads::SynthesizeSpecProgram(gcc, synth);
-    (void)ms.Protect(inst);
-    proc.regs().bnd_preserve = preserve;
-    sim::Executor exec(&proc, &inst);
-    return exec.Run().cycles / base;
+    eval::PreparedCell cell = eval::PrepareCell(recipe);
+    if (!base.ok || !cell.status.ok()) {
+      return -1.0;
+    }
+    cell.process->regs().bnd_preserve = preserve;
+    sim::Executor executor(cell.process.get(), &cell.module);
+    return executor.Run().cycles / base.cycles;
   };
   json::Value payload = json::Value::Object();
   payload.Set("on", run(true));
@@ -120,7 +104,7 @@ json::Value RunBndPreserveCell(const WorkloadOptions& wo) {
   return payload;
 }
 
-json::Value RunPointsToCell(const WorkloadOptions&) {
+json::Value RunPointsToCell(const WorkloadOptions& wo) {
   const auto& gcc = *workloads::FindProfile("403.gcc");
   // A program with hidden safe-region accesses, half through memory-loaded
   // pointers. Compare how many instructions each analysis hands MemSentry.
@@ -133,6 +117,7 @@ json::Value RunPointsToCell(const WorkloadOptions&) {
   auto region = ms.allocator().Alloc("program-data", 4096);
   workloads::SynthOptions synth;
   synth.target_instructions = 200'000;
+  synth.seed = wo.experiment.seed;
   synth.safe_accesses_per_ki = 4;
   synth.safe_region_base = region.value()->base;
   ir::Module base_module = workloads::SynthesizeSpecProgram(gcc, synth);
@@ -267,6 +252,16 @@ int AssembleAblations(const WorkloadOptions& options, const std::vector<json::Va
 }
 
 }  // namespace
+
+// MPX-rw on 403.gcc. MPX's checks read no safe region, so the recipe
+// allocates none and the baseline is the plain program.
+eval::CellRecipe BndPreserveRecipe(const eval::ExperimentOptions& options) {
+  eval::CellRecipe recipe = eval::ExperimentRecipe(
+      *workloads::FindProfile("403.gcc"), core::TechniqueKind::kMpx, eval::Defense::kNone, options);
+  recipe.instrument.mode = core::ProtectMode::kReadWrite;
+  recipe.region_bytes = 0;
+  return recipe;
+}
 
 void RegisterAblationWorkloads(eval::WorkloadRegistry& registry) {
   Workload workload;

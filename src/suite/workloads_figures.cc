@@ -5,16 +5,11 @@
 // accumulation order exactly (eval::AssembleFigureSeries), so the metric
 // stream is bit-identical to the historical binaries for every schedule.
 #include <cmath>
-#include <optional>
 
 #include "src/base/stats_util.h"
-#include "src/core/memsentry.h"
-#include "src/defenses/safestack.h"
-#include "src/sim/executor.h"
 #include "src/suite/suite_internal.h"
 #include "src/suite/workloads.h"
 #include "src/workloads/spec_profiles.h"
-#include "src/workloads/synth.h"
 
 namespace memsentry::suite {
 namespace {
@@ -30,8 +25,7 @@ struct FigureSpec {
   const char* name;    // workload name
   const char* prefix;  // metric prefix
   const char* title;   // PrintHeader banner
-  bool address;        // fig3 (address sweep) vs fig4..6 (domain sweep)
-  eval::DomainScenario scenario;
+  eval::Defense defense;  // kNone: fig3's address sweep; else fig4..6's domain sweep
   std::vector<double> paper;
 };
 
@@ -39,26 +33,30 @@ const std::vector<FigureSpec>& FigureSpecs() {
   static const std::vector<FigureSpec>* specs = new std::vector<FigureSpec>{
       {"fig3_address", "fig3",
        "Figure 3 — address-based isolation (MPX vs SFI), all loads/stores instrumented",
-       true, eval::DomainScenario::kCallRet, {1.028, 1.040, 1.120, 1.171, 1.147, 1.196}},
+       eval::Defense::kNone, {1.028, 1.040, 1.120, 1.171, 1.147, 1.196}},
       {"fig4_callret", "fig4",
        "Figure 4 — domain-based isolation at every call+ret (shadow stack)",
-       false, eval::DomainScenario::kCallRet, {2.30, 4.57, 3.17}},
+       eval::Defense::kShadowStack, {2.30, 4.57, 3.17}},
       {"fig5_indirect", "fig5",
        "Figure 5 — domain-based isolation at every indirect branch (CFI)",
-       false, eval::DomainScenario::kIndirectBranch, {1.34, 1.82, 1.60}},
+       eval::Defense::kIndirectBranch, {1.34, 1.82, 1.60}},
       {"fig6_syscall", "fig6",
        "Figure 6 — domain-based isolation at every system call",
-       false, eval::DomainScenario::kSyscall, {1.011, 1.055, 1.22}},
+       eval::Defense::kSyscall, {1.011, 1.055, 1.22}},
   };
   return *specs;
 }
 
+bool IsAddressSweep(const FigureSpec& spec) { return spec.defense == eval::Defense::kNone; }
+
 size_t FigureConfigCount(const FigureSpec& spec) {
-  return spec.address ? eval::AddressSweepConfigs().size() : eval::DomainSweepConfigs().size();
+  return IsAddressSweep(spec) ? eval::AddressSweepConfigs().size()
+                              : eval::DomainSweepConfigs().size();
 }
 
 const char* FigureConfigName(const FigureSpec& spec, size_t c) {
-  return spec.address ? eval::AddressSweepConfigs()[c].name : eval::DomainSweepConfigs()[c].name;
+  return IsAddressSweep(spec) ? eval::AddressSweepConfigs()[c].name
+                              : eval::DomainSweepConfigs()[c].name;
 }
 
 Workload MakeFigureWorkload(const FigureSpec& spec) {
@@ -72,17 +70,17 @@ Workload MakeFigureWorkload(const FigureSpec& spec) {
         WorkloadCell cell;
         cell.name = std::string(FigureConfigName(spec, c)) + "/" + profiles[p].name;
         cell.run = [&spec, c, p](const WorkloadOptions& options) {
-          const auto cell_profiles = workloads::SpecCpu2006();
-          eval::ExperimentResult result;
-          if (spec.address) {
+          eval::ExperimentOptions experiment = options.experiment;
+          core::TechniqueKind kind;
+          if (IsAddressSweep(spec)) {
             const eval::AddressSweepConfig& config = eval::AddressSweepConfigs()[c];
-            result = eval::RunAddressBasedExperimentFull(cell_profiles[p], config.kind,
-                                                         config.mode, options.experiment);
+            kind = config.kind;
+            experiment.instrument.mode = config.mode;
           } else {
-            const eval::DomainSweepConfig& config = eval::DomainSweepConfigs()[c];
-            result = eval::RunDomainBasedExperimentFull(cell_profiles[p], config.kind,
-                                                        spec.scenario, options.experiment);
+            kind = eval::DomainSweepConfigs()[c].kind;
           }
+          const eval::ExperimentResult result = eval::RunExperiment(eval::ExperimentRecipe(
+              workloads::SpecCpu2006()[p], kind, spec.defense, experiment));
           return ExperimentToJson(result);
         };
         cells.push_back(std::move(cell));
@@ -126,10 +124,9 @@ Workload MakeMprotectBaseline() {
       WorkloadCell cell;
       cell.name = profiles[p].name;
       cell.run = [p](const WorkloadOptions& options) {
-        const auto r = eval::RunDomainBasedExperimentFull(
-            workloads::SpecCpu2006()[p], core::TechniqueKind::kMprotect,
-            eval::DomainScenario::kCallRet, options.experiment);
-        return ExperimentToJson(r);
+        return ExperimentToJson(eval::RunExperiment(
+            eval::ExperimentRecipe(workloads::SpecCpu2006()[p], core::TechniqueKind::kMprotect,
+                                   eval::Defense::kShadowStack, options.experiment)));
       };
       cells.push_back(std::move(cell));
     }
@@ -241,66 +238,6 @@ Workload MakeCryptSizeSweep() {
 
 // --- safestack_casestudy ---------------------------------------------------
 
-double RunSafeStack(const workloads::SpecProfile& profile, core::TechniqueKind kind,
-                    const eval::ExperimentOptions& options) {
-  // Baseline: plain program, ordinary stack. Nothing below reads the
-  // technique — the MPX and SFI columns run the same baseline — so under the
-  // engine's run memo it executes once per (profile, budget) and replays
-  // thereafter. The recipe key hashes exactly the inputs this block reads: a
-  // domain tag, every profile field, and the synthesis/run budgets.
-  double base_cycles = 0;
-  {
-    eval::RunKeyHasher h;
-    h.Str("safestack/base");
-    eval::HashSpecProfile(h, profile);
-    h.U64(options.target_instructions);
-    h.U64(sim::RunConfig{}.max_instructions);
-    const eval::RunMemo::Key key = h.Finish();
-    std::optional<eval::RunMemo::Result> hit;
-    if (eval::RunMemo::Enabled()) {
-      hit = eval::RunMemo::Global().Lookup(key);
-    }
-    if (hit) {
-      if (!hit->ok) return -1;
-      base_cycles = hit->cycles;
-    } else {
-      sim::Machine machine;
-      sim::Process process(&machine);
-      (void)workloads::PrepareWorkloadProcess(process, profile);
-      workloads::SynthOptions synth;
-      synth.target_instructions = options.target_instructions;
-      const std::shared_ptr<const ir::Module> module = eval::SharedSpecProgram(profile, synth);
-      sim::Executor executor(&process, module.get());
-      auto result = executor.Run();
-      if (eval::RunMemo::Enabled()) {
-        eval::RunMemo::Global().Insert(
-            key, eval::RunMemo::Result{result.halted, result.cycles, result.instructions});
-      }
-      if (!result.halted) return -1;
-      base_cycles = result.cycles;
-    }
-  }
-  // SafeStack + MemSentry: stack relocated above the split, all explicit
-  // stores instrumented; implicit call/ret pushes stay exempt.
-  sim::Machine machine;
-  sim::Process process(&machine);
-  (void)workloads::PrepareWorkloadProcess(process, profile);
-  core::MemSentryConfig config;
-  config.technique = kind;
-  config.options.mode = core::ProtectMode::kWriteOnly;
-  core::MemSentry ms(&process, config);
-  auto base = defenses::SafeStackDefense::Install(process, ms.allocator());
-  if (!base.ok()) return -1;
-  workloads::SynthOptions synth;
-  synth.target_instructions = options.target_instructions;
-  ir::Module module = eval::SynthesizeSpecProgramCached(profile, synth);
-  if (!ms.Protect(module).ok()) return -1;
-  sim::Executor executor(&process, &module);
-  auto result = executor.Run();
-  if (!result.halted) return -1;
-  return result.cycles / base_cycles;
-}
-
 Workload MakeSafeStackCaseStudy() {
   Workload workload;
   workload.name = "safestack_casestudy";
@@ -313,10 +250,13 @@ Workload MakeSafeStackCaseStudy() {
       cell.run = [p](const WorkloadOptions& options) {
         const auto& profile = workloads::SpecCpu2006()[p];
         json::Value payload = json::Value::Object();
-        payload.Set("mpx",
-                    RunSafeStack(profile, core::TechniqueKind::kMpx, options.experiment));
-        payload.Set("sfi",
-                    RunSafeStack(profile, core::TechniqueKind::kSfi, options.experiment));
+        const eval::ExperimentOptions& experiment = options.experiment;
+        payload.Set("mpx", eval::RunExperiment(
+                               SafeStackRecipe(profile, core::TechniqueKind::kMpx, experiment))
+                               .normalized);
+        payload.Set("sfi", eval::RunExperiment(
+                               SafeStackRecipe(profile, core::TechniqueKind::kSfi, experiment))
+                               .normalized);
         return payload;
       };
       cells.push_back(std::move(cell));
@@ -358,6 +298,20 @@ Workload MakeSafeStackCaseStudy() {
 }
 
 }  // namespace
+
+// SafeStack + MemSentry: the stack relocated above the split, all explicit
+// stores instrumented; implicit call/ret pushes stay exempt. SafeStack
+// allocates its own region, so the recipe has no metadata region and the
+// baseline is the plain program on its ordinary stack.
+eval::CellRecipe SafeStackRecipe(const workloads::SpecProfile& profile,
+                                 core::TechniqueKind kind,
+                                 const eval::ExperimentOptions& options) {
+  eval::CellRecipe recipe =
+      eval::ExperimentRecipe(profile, kind, eval::Defense::kSafeStack, options);
+  recipe.instrument.mode = core::ProtectMode::kWriteOnly;
+  recipe.region_bytes = 0;
+  return recipe;
+}
 
 void RegisterFigureWorkloads(eval::WorkloadRegistry& registry) {
   for (const FigureSpec& spec : FigureSpecs()) {

@@ -463,22 +463,20 @@ int AssembleTable4(const WorkloadOptions& options, const std::vector<json::Value
 
 // --- microarch_stats ---
 
-json::Value RunMicroarchCell(size_t profile_index) {
-  const auto& profile = workloads::SpecCpu2006()[profile_index];
-  sim::Machine machine;
-  sim::Process process(&machine);
-  (void)workloads::PrepareWorkloadProcess(process, profile);
-  core::MemSentryConfig config;
-  config.technique = core::TechniqueKind::kMpx;
-  core::MemSentry ms(&process, config);
-  (void)ms.allocator().Alloc("region", 4096);
-  workloads::SynthOptions synth;
-  synth.target_instructions = 300'000;
-  ir::Module module = workloads::SynthesizeSpecProgram(profile, synth);
-  (void)ms.Protect(module);
-  process.mmu().ResetStats();
-  sim::Executor executor(&process, &module);
-  auto result = executor.Run();
+json::Value RunMicroarchCell(size_t profile_index, const eval::ExperimentOptions& options) {
+  // A fixed 300k-instruction MPX-rw build, whatever the suite's budget.
+  eval::CellRecipe recipe =
+      eval::ExperimentRecipe(workloads::SpecCpu2006()[profile_index], core::TechniqueKind::kMpx,
+                             eval::Defense::kNone, options);
+  recipe.instrument.mode = core::ProtectMode::kReadWrite;
+  recipe.target_instructions = 300'000;
+  eval::PreparedCell cell = eval::PrepareCell(recipe);
+  sim::Process& process = *cell.process;
+  sim::RunResult result;
+  if (cell.status.ok()) {
+    process.mmu().ResetStats();
+    result = sim::Executor(&process, &cell.module).Run();
+  }
   json::Value payload = json::Value::Object();
   payload.Set("halted", result.halted);
   if (!result.halted) {
@@ -615,7 +613,9 @@ void RegisterTableWorkloads(eval::WorkloadRegistry& registry) {
       const auto profiles = workloads::SpecCpu2006();
       for (size_t p = 0; p < profiles.size(); ++p) {
         cells.push_back({profiles[p].name,
-                         [p](const WorkloadOptions&) { return RunMicroarchCell(p); }});
+                         [p](const WorkloadOptions& options) {
+                           return RunMicroarchCell(p, options.experiment);
+                         }});
       }
       return cells;
     };

@@ -194,7 +194,10 @@ TEST(BaselineTest, MprotectIs20To50x) {
   double sum = 0;
   int n = 0;
   for (const char* name : {"400.perlbench", "458.sjeng", "445.gobmk"}) {
-    const double x = RunMprotectBaseline(*workloads::FindProfile(name), FastOptions());
+    const double x = RunExperiment(ExperimentRecipe(*workloads::FindProfile(name),
+                                                    core::TechniqueKind::kMprotect,
+                                                    Defense::kShadowStack, FastOptions()))
+                         .normalized;
     ASSERT_GT(x, 0);
     worst = std::max(worst, x);
     sum += x;
@@ -229,8 +232,10 @@ TEST(SafeStackCaseStudyTest, NoAdditionalOverheadOverFigure3) {
   // with the stack relocated, so equality is structural; spot-check one
   // benchmark produces Figure 3-like numbers.
   const auto& profile = *workloads::FindProfile("403.gcc");
-  const double mpx_w = RunAddressBasedExperiment(profile, core::TechniqueKind::kMpx,
-                                                 core::ProtectMode::kWriteOnly, FastOptions());
+  CellRecipe recipe =
+      ExperimentRecipe(profile, core::TechniqueKind::kMpx, Defense::kNone, FastOptions());
+  recipe.instrument.mode = core::ProtectMode::kWriteOnly;
+  const double mpx_w = RunExperiment(recipe).normalized;
   EXPECT_GT(mpx_w, 1.0);
   EXPECT_LT(mpx_w, 1.12);
 }

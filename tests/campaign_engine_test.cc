@@ -20,7 +20,9 @@
 #include "src/eval/campaign_engine.h"
 #include "src/eval/run_memo.h"
 #include "src/eval/serve.h"
+#include "src/suite/suite_internal.h"
 #include "src/suite/workloads.h"
+#include "src/workloads/spec_profiles.h"
 
 #if !defined(_WIN32)
 
@@ -133,6 +135,56 @@ TEST(CampaignEngine, RunMemoIsValuePreserving) {
   std::map<std::string, std::string> fresh;
   ASSERT_NO_FATAL_FAILURE(RunEngine(2, std::move(without_memo), &fresh));
   EXPECT_EQ(memoized, fresh);
+}
+
+// Every cell builds its program from the experiment seed. These once built
+// their own synthesis options and ran the default seed whatever the request
+// said.
+TEST(CampaignEngine, CellsHonourTheExperimentSeed) {
+  const std::pair<const char*, const char*> cells[] = {
+      {"safestack_casestudy", "403.gcc"}, {"microarch_stats", "403.gcc"},
+      {"ablations", "bndpreserve"}, {"ablations", "pointsto"}};
+  for (const auto& [workload_name, cell_name] : cells) {
+    const eval::Workload* workload = suite::SuiteRegistry().Find(workload_name);
+    ASSERT_NE(workload, nullptr) << workload_name;
+    auto payload = [&](uint64_t seed) {
+      eval::WorkloadOptions options = QuickOptions();
+      options.experiment.seed = seed;
+      for (const eval::WorkloadCell& cell : workload->cells(options)) {
+        if (cell.name == cell_name) {
+          return cell.run(options).Dump(0);
+        }
+      }
+      return std::string();
+    };
+    const std::string at_default = payload(eval::ExperimentOptions{}.seed);
+    ASSERT_FALSE(at_default.empty()) << workload_name << "/" << cell_name;
+    EXPECT_NE(at_default, payload(7)) << workload_name << "/" << cell_name;
+  }
+}
+
+// Cells whose baselines read the same values share one memo key: the MPK
+// and VMFUNC columns of every domain figure, the SafeStack case study's two
+// techniques, and the BNDPRESERVE ablation with SafeStack's 403.gcc (both
+// run the plain program with no region).
+TEST(CampaignEngine, BaselineKeysAreSharedWhereBaselinesAgree) {
+  const eval::ExperimentOptions options;
+  auto key = [](const eval::CellRecipe& recipe) { return eval::BaselineOf(recipe).Key(); };
+  for (const workloads::SpecProfile& profile : workloads::SpecCpu2006()) {
+    for (const eval::Defense defense : {eval::Defense::kShadowStack,
+                                        eval::Defense::kIndirectBranch, eval::Defense::kSyscall}) {
+      EXPECT_EQ(key(eval::ExperimentRecipe(profile, core::TechniqueKind::kMpk, defense, options)),
+                key(eval::ExperimentRecipe(profile, core::TechniqueKind::kVmfunc, defense,
+                                           options)))
+          << profile.name << " " << static_cast<int>(defense);
+    }
+    EXPECT_EQ(key(suite::SafeStackRecipe(profile, core::TechniqueKind::kMpx, options)),
+              key(suite::SafeStackRecipe(profile, core::TechniqueKind::kSfi, options)))
+        << profile.name;
+  }
+  const workloads::SpecProfile& gcc = *workloads::FindProfile("403.gcc");
+  EXPECT_EQ(key(suite::BndPreserveRecipe(options)),
+            key(suite::SafeStackRecipe(gcc, core::TechniqueKind::kMpx, options)));
 }
 
 // Durability hooks: payloads recorded via on_cell_done and fed back through

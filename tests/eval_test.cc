@@ -2,7 +2,10 @@
 // properties; the quantitative bands live in calibration_test.cc.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/eval/figures.h"
+#include "src/sim/executor.h"
 #include "src/workloads/spec_profiles.h"
 
 namespace memsentry::eval {
@@ -14,42 +17,36 @@ ExperimentOptions Tiny() {
   return options;
 }
 
-TEST(EvalTest, ScenarioNames) {
-  EXPECT_STREQ(DomainScenarioName(DomainScenario::kCallRet), "call/ret");
-  EXPECT_STREQ(DomainScenarioName(DomainScenario::kIndirectBranch), "indirect-branch");
-  EXPECT_STREQ(DomainScenarioName(DomainScenario::kSyscall), "syscall");
+double RunDomain(const char* profile, core::TechniqueKind kind, Defense defense) {
+  return RunExperiment(ExperimentRecipe(*workloads::FindProfile(profile), kind, defense, Tiny()))
+      .normalized;
 }
 
 TEST(EvalTest, AddressBasedExperimentReturnsOverheadAboveOne) {
-  const auto& profile = *workloads::FindProfile("456.hmmer");
-  const double x = RunAddressBasedExperiment(profile, core::TechniqueKind::kMpx,
-                                             core::ProtectMode::kReadWrite, Tiny());
+  CellRecipe recipe = ExperimentRecipe(*workloads::FindProfile("456.hmmer"),
+                                       core::TechniqueKind::kMpx, Defense::kNone, Tiny());
+  recipe.instrument.mode = core::ProtectMode::kReadWrite;
+  const double x = RunExperiment(recipe).normalized;
   EXPECT_GT(x, 1.0);
   EXPECT_LT(x, 2.0);
 }
 
 TEST(EvalTest, DomainBasedExperimentRunsEveryScenario) {
-  const auto& profile = *workloads::FindProfile("445.gobmk");
-  for (auto scenario : {DomainScenario::kCallRet, DomainScenario::kIndirectBranch,
-                        DomainScenario::kSyscall}) {
-    const double x =
-        RunDomainBasedExperiment(profile, core::TechniqueKind::kMpk, scenario, Tiny());
-    EXPECT_GT(x, 0.99) << DomainScenarioName(scenario);
+  for (auto defense : {Defense::kShadowStack, Defense::kIndirectBranch, Defense::kSyscall}) {
+    const double x = RunDomain("445.gobmk", core::TechniqueKind::kMpk, defense);
+    EXPECT_GT(x, 0.99) << static_cast<int>(defense);
   }
 }
 
 TEST(EvalTest, ScenariosOrderByEventDensity) {
   // call/ret events are denser than indirect branches, which are denser than
   // syscalls: overheads must order the same way for any one technique.
-  const auto& profile = *workloads::FindProfile("400.perlbench");
   const double callret =
-      RunDomainBasedExperiment(profile, core::TechniqueKind::kMpk, DomainScenario::kCallRet,
-                               Tiny());
-  const double indirect = RunDomainBasedExperiment(profile, core::TechniqueKind::kMpk,
-                                                   DomainScenario::kIndirectBranch, Tiny());
+      RunDomain("400.perlbench", core::TechniqueKind::kMpk, Defense::kShadowStack);
+  const double indirect =
+      RunDomain("400.perlbench", core::TechniqueKind::kMpk, Defense::kIndirectBranch);
   const double syscall =
-      RunDomainBasedExperiment(profile, core::TechniqueKind::kMpk, DomainScenario::kSyscall,
-                               Tiny());
+      RunDomain("400.perlbench", core::TechniqueKind::kMpk, Defense::kSyscall);
   EXPECT_GT(callret, indirect);
   EXPECT_GT(indirect, syscall);
 }
@@ -75,12 +72,52 @@ TEST(EvalTest, CryptSweepReturnsRequestedSizes) {
 TEST(EvalTest, SgxWorksAsDomainTechniqueButCostsDearly) {
   // Our harness supports SGX as a fourth domain technique (an extension
   // beyond the paper's three-way figures).
-  const auto& profile = *workloads::FindProfile("462.libquantum");
-  const double sgx = RunDomainBasedExperiment(profile, core::TechniqueKind::kSgx,
-                                              DomainScenario::kSyscall, Tiny());
-  const double mpk = RunDomainBasedExperiment(profile, core::TechniqueKind::kMpk,
-                                              DomainScenario::kSyscall, Tiny());
+  const double sgx =
+      RunDomain("462.libquantum", core::TechniqueKind::kSgx, Defense::kSyscall);
+  const double mpk =
+      RunDomain("462.libquantum", core::TechniqueKind::kMpk, Defense::kSyscall);
   EXPECT_GT(sgx, mpk);
+}
+
+// Changing any one field of a BaselineRecipe changes its memo key.
+TEST(EvalTest, EveryBaselineRecipeFieldReachesTheKey) {
+  const BaselineRecipe base = BaselineOf(ExperimentRecipe(
+      *workloads::FindProfile("403.gcc"), core::TechniqueKind::kMpk, Defense::kShadowStack));
+  std::vector<BaselineRecipe> variants(9, base);
+  variants[0].profile = *workloads::FindProfile("401.bzip2");
+  variants[1].profile.calls_per_ki += 1;
+  variants[2].defense = Defense::kSyscall;
+  variants[3].target_instructions += 1;
+  variants[4].seed += 1;
+  variants[5].region_bytes += 16;
+  variants[6].info_hide_placement = !base.info_hide_placement;
+  variants[7].region_size = 64;
+  variants[8].max_instructions += 1;
+  for (size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_FALSE(variants[i].Key() == base.Key()) << "variant " << i;
+  }
+}
+
+// The Figure 3-6, mprotect and crypt-sweep baseline keys keep the byte
+// layout the benchmark tool's replay (perfbench/tool/replay.cc) copies to
+// count its memo hits: the profile, the defense as scenario + 1 (0 for
+// address-based), budget, seed, rounded region bytes, InfoHide placement,
+// size override, run budget.
+TEST(EvalTest, BaselineKeyKeepsTheReplayLayout) {
+  const SpecProfile& profile = *workloads::FindProfile("401.bzip2");
+  CellRecipe recipe =
+      ExperimentRecipe(profile, core::TechniqueKind::kCrypt, Defense::kShadowStack, Tiny());
+  recipe.region_size = 1024;
+  RunKeyHasher h;
+  HashSpecProfile(h, profile);
+  h.U64(static_cast<uint64_t>(DomainScenario::kCallRet) + 1);
+  h.U64(40'000);
+  h.U64(ExperimentOptions{}.seed);
+  h.U64(16);
+  h.U64(0);
+  h.U64(1024);
+  h.U64(sim::RunConfig{}.max_instructions);
+  EXPECT_TRUE(BaselineOf(recipe).Key() == h.Finish());
 }
 
 }  // namespace

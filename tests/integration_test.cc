@@ -143,14 +143,19 @@ TEST_P(AddressIntegrationTest, InstrumentedWorkloadCompletesAndConfines) {
   const auto& profile = *workloads::FindProfile("458.sjeng");
   eval::ExperimentOptions options;
   options.target_instructions = 50'000;
-  const double normalized = eval::RunAddressBasedExperiment(profile, kind, mode, options);
+  auto run = [&](core::ProtectMode protect_mode) {
+    eval::CellRecipe recipe =
+        eval::ExperimentRecipe(profile, kind, eval::Defense::kNone, options);
+    recipe.instrument.mode = protect_mode;
+    return eval::RunExperiment(recipe).normalized;
+  };
+  const double normalized = run(mode);
   ASSERT_GT(normalized, 0.0) << "pipeline failed";
   EXPECT_GE(normalized, 1.0);
   EXPECT_LT(normalized, 1.6);
   // -w must cost less than -rw for the same technique.
   if (mode == core::ProtectMode::kReadWrite) {
-    const double write_only = eval::RunAddressBasedExperiment(
-        profile, kind, core::ProtectMode::kWriteOnly, options);
+    const double write_only = run(core::ProtectMode::kWriteOnly);
     EXPECT_LT(write_only, normalized);
   }
 }

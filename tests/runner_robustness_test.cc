@@ -112,7 +112,8 @@ TEST(BenchRunnerRobustness, RemovedFlagsAreUsageErrors) {
 #if defined(MEMSENTRY_CLI)
 // `serve` accepts exactly --socket PATH, --jobs N and --quiet. Anything else
 // exits 2 and names the argument instead of serving with defaults, so a typo
-// or a removed flag cannot go unnoticed. `timeout` turns a regression that
+// or a removed flag cannot go unnoticed. The other space-separated commands
+// are as strict. `timeout` turns a regression that
 // starts serving into a failure, not a hang; the socket must never be bound.
 TEST(MemsentryCliServe, RejectsUnknownAndMalformedArguments) {
   const std::string dir = FreshDir("serve_flags");
@@ -137,6 +138,26 @@ TEST(MemsentryCliServe, RejectsUnknownAndMalformedArguments) {
     const std::string log = ReadFile(dir + "/serve.log");
     EXPECT_NE(log.find("argument: " + c.named), std::string::npos) << c.args << "\n" << log;
     EXPECT_NE(::access(socket.c_str(), F_OK), 0) << c.args << ": the socket was bound";
+  }
+  // attack, advise, dump and request parse the same way.
+  const std::string cli = std::string("timeout 60 \"") + MEMSENTRY_CLI + "\" ";
+  const struct {
+    std::string args;
+    std::string named;
+  } commands[] = {
+      {"dump --techniqe sfi", "argument: --techniqe\n"},
+      {"dump --technique bogus", "argument: --technique bogus\n"},
+      {"dump --defense shadow", "argument: --defense shadow\n"},
+      {"advise --byts 8192", "argument: --byts\n"},
+      {"advise --events 1x", "argument: --events 1x\n"},
+      {"attack --region-bytes abc", "argument: --region-bytes abc\n"},
+      {"attack extra", "argument: extra\n"},
+      {"request " + with_socket + "--bogus '{}'", "argument: --bogus\n"},
+  };
+  for (const auto& c : commands) {
+    EXPECT_EQ(RunLogged(cli + c.args, dir + "/cli.log"), 2) << c.args;
+    const std::string log = ReadFile(dir + "/cli.log");
+    EXPECT_NE(log.find(c.named), std::string::npos) << c.args << "\n" << log;
   }
 }
 #endif  // MEMSENTRY_CLI

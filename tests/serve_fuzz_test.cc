@@ -199,6 +199,34 @@ TEST_F(ServeFixture, OversizedLineGetsTypedReplyThenDrop) {
   EXPECT_TRUE(WaitForPing());
 }
 
+// Two requests in one send: the reader keeps the bytes after the first
+// newline for the next round, and both are answered, in order.
+TEST_F(ServeFixture, PipelinedRequestsAreAnsweredInOrder) {
+  const int fd = Connect();
+  ASSERT_GE(fd, 0);
+  const std::string both = "{\"cmd\":\"workloads\"}\n{\"cmd\":\"ping\"}\n";
+  ASSERT_EQ(::send(fd, both.data(), both.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(both.size()));
+  std::vector<std::string> replies(1);
+  char c = 0;
+  while (replies.size() < 3 && ::recv(fd, &c, 1, 0) == 1) {
+    if (c == '\n') {
+      replies.emplace_back();
+    } else {
+      replies.back().push_back(c);
+    }
+  }
+  ::close(fd);
+  ASSERT_EQ(replies.size(), 3u) << "expected two reply lines";
+  auto first = json::Parse(replies[0]);
+  auto second = json::Parse(replies[1]);
+  ASSERT_TRUE(first.ok() && second.ok()) << replies[0] << "\n" << replies[1];
+  EXPECT_TRUE(first->BoolOr("ok", false));
+  EXPECT_NE(first->Find("workloads"), nullptr) << "first reply answers the first request";
+  EXPECT_TRUE(second->BoolOr("ok", false));
+  EXPECT_EQ(second->Find("workloads"), nullptr) << "second reply answers the ping";
+}
+
 TEST_F(ServeFixture, MidWriteDisconnectsDoNotWedgeTheLoop) {
   for (int i = 0; i < 8; ++i) {
     const int fd = Connect();

@@ -21,10 +21,12 @@
 //   memsentry request --socket PATH 'JSON'  client half of serve: one
 //                                        request line in, the response out
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -34,13 +36,12 @@
 #include "src/base/fastpath.h"
 #include "src/base/json.h"
 #include "src/core/advisor.h"
-#include "src/core/memsentry.h"
-#include "src/defenses/shadow_stack.h"
 #include "src/eval/fault_campaign.h"
+#include "src/eval/figures.h"
 #include "src/eval/serve.h"
 #include "src/ir/printer.h"
 #include "src/suite/workloads.h"
-#include "src/workloads/synth.h"
+#include "src/workloads/spec_profiles.h"
 
 namespace memsentry {
 namespace {
@@ -56,8 +57,8 @@ int Usage() {
                "                      report to --json\n"
                "  attack [--region-bytes N]\n"
                "  advise [--events F] [--bytes N] [--year Y] [--mpk] [--no-hypervisor]\n"
-               "  dump [--benchmark NAME] [--technique sfi|mpx|mpk|vmfunc|crypt|sgx|mprotect]\n"
-               "       [--defense shadowstack|none] [--lines N]\n"
+               "  dump [--benchmark NAME] [--technique sfi|mpx|mpk|vmfunc|crypt|sgx|mprotect|\n"
+               "       info-hiding] [--defense shadowstack|none] [--lines N]\n"
                "  replay BUNDLE_DIR   re-execute the cell a crash bundle recorded\n"
                "  replay-campaign BUNDLE_DIR   re-execute a generated attack campaign\n"
                "                      from its bundle (or a bare campaign-spec JSON file)\n"
@@ -68,24 +69,6 @@ int Usage() {
                "  request --socket PATH 'JSON'   send one request to a running serve\n"
                "                      instance and print the response (exit 0 iff ok)\n");
   return 2;
-}
-
-const char* Arg(int argc, char** argv, const char* flag, const char* fallback) {
-  for (int i = 0; i < argc - 1; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return argv[i + 1];
-    }
-  }
-  return fallback;
-}
-
-bool HasFlag(int argc, char** argv, const char* flag) {
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 // Parses a decimal count with nothing after it into *out; `min` rejects 0
@@ -102,6 +85,53 @@ bool ParseCount(const char* text, uint64_t min, uint64_t* out) {
 
 // The largest --jobs `run` and `serve` accept (0 = hardware_concurrency).
 constexpr uint64_t kMaxJobs = 1024;
+
+// Parses one flag's value (the argument after it); false when malformed.
+using Setter = std::function<bool(const char* value)>;
+
+Setter Count(uint64_t* out, uint64_t min = 0, uint64_t max = UINT64_MAX) {
+  return [=](const char* v) { return ParseCount(v, min, out) && *out <= max; };
+}
+
+Setter Text(std::string* out) {
+  return [=](const char* v) {
+    *out = v;
+    return true;
+  };
+}
+
+// The space-separated parsing of every command but `run`: `values` are the
+// flags that take the next argument, `switches` the flags that set a bool.
+// An unknown flag, a flag without its value, a malformed value, or a
+// positional argument where `positional` is null prints the argument and
+// returns false (the caller exits 2) rather than running with defaults.
+bool ParseFlags(const char* command, int argc, char** argv,
+                const std::map<std::string, Setter>& values,
+                const std::map<std::string, bool*>& switches = {},
+                std::vector<std::string>* positional = nullptr) {
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    const auto flag = values.find(arg);
+    const char* value = flag != values.end() && i + 1 < argc ? argv[i + 1] : nullptr;
+    bool ok = false;
+    if (const auto on = switches.find(arg); on != switches.end()) {
+      *on->second = true;
+      ok = true;
+    } else if (flag != values.end()) {
+      ok = value != nullptr && *value != '\0' && flag->second(value);
+      i += ok ? 1 : 0;
+    } else if (positional != nullptr && arg.rfind('-', 0) != 0) {
+      positional->push_back(arg);
+      ok = true;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "%s: unknown or malformed argument: %s%s%s\n", command, arg.c_str(),
+                   value != nullptr ? " " : "", value != nullptr ? value : "");
+      return false;
+    }
+  }
+  return true;
+}
 
 // `run <workload>`: one registered suite workload through a CampaignEngine
 // of --jobs workers. Assembly prints the workload's tables; --json writes
@@ -200,7 +230,10 @@ int RunWorkload(int argc, char** argv) {
 }
 
 int RunAttack(int argc, char** argv) {
-  const uint64_t bytes = std::strtoull(Arg(argc, argv, "--region-bytes", "4096"), nullptr, 10);
+  uint64_t bytes = 4096;
+  if (!ParseFlags("attack", argc, argv, {{"--region-bytes", Count(&bytes, 1)}})) {
+    return Usage();
+  }
   for (const auto& r : attacks::RunAttackMatrix(bytes)) {
     std::printf("%-12s located=%-3s probes=%-4llu read=%-10s write=%-10s %s\n",
                 core::TechniqueKindName(r.technique), r.region_located ? "yes" : "no",
@@ -213,11 +246,24 @@ int RunAttack(int argc, char** argv) {
 
 int RunAdvise(int argc, char** argv) {
   core::ScenarioSpec spec;
-  spec.events_per_kinstr = std::atof(Arg(argc, argv, "--events", "1.0"));
-  spec.region_bytes = std::strtoull(Arg(argc, argv, "--bytes", "4096"), nullptr, 10);
-  spec.cpu_year = std::atoi(Arg(argc, argv, "--year", "2017"));
-  spec.mpk_available = HasFlag(argc, argv, "--mpk");
-  spec.hypervisor_ok = !HasFlag(argc, argv, "--no-hypervisor");
+  spec.events_per_kinstr = 1.0;
+  uint64_t year = static_cast<uint64_t>(spec.cpu_year);
+  bool no_hypervisor = false;
+  if (!ParseFlags("advise", argc, argv,
+                  {{"--events",
+                    [&](const char* v) {
+                      char* end = nullptr;
+                      spec.events_per_kinstr = std::strtod(v, &end);
+                      return *end == '\0' && std::isfinite(spec.events_per_kinstr) &&
+                             spec.events_per_kinstr >= 0;
+                    }},
+                   {"--bytes", Count(&spec.region_bytes, 1)},
+                   {"--year", Count(&year, 1, 9999)}},
+                  {{"--mpk", &spec.mpk_available}, {"--no-hypervisor", &no_hypervisor}})) {
+    return Usage();
+  }
+  spec.cpu_year = static_cast<int>(year);
+  spec.hypervisor_ok = !no_hypervisor;
   const core::Recommendation rec = core::Advise(spec);
   std::printf("recommendation: %s\n", core::TechniqueKindName(rec.primary));
   for (auto alt : rec.alternatives) {
@@ -227,7 +273,9 @@ int RunAdvise(int argc, char** argv) {
   return 0;
 }
 
-core::TechniqueKind ParseTechnique(const std::string& name) {
+// A technique by its lower-cased name (sfi, mpx, mpk, vmfunc, crypt, sgx,
+// mprotect, info-hiding).
+bool ParseTechnique(const std::string& name, core::TechniqueKind* out) {
   for (int k = 0; k < core::kNumTechniques; ++k) {
     const auto kind = static_cast<core::TechniqueKind>(k);
     std::string lower = core::TechniqueKindName(kind);
@@ -235,46 +283,44 @@ core::TechniqueKind ParseTechnique(const std::string& name) {
       c = static_cast<char>(std::tolower(c));
     }
     if (lower == name) {
-      return kind;
+      *out = kind;
+      return true;
     }
   }
-  return core::TechniqueKind::kMpx;
+  return false;
 }
 
 int RunDump(int argc, char** argv) {
-  const workloads::SpecProfile* profile =
-      workloads::FindProfile(Arg(argc, argv, "--benchmark", "403.gcc"));
-  if (profile == nullptr) {
-    std::fprintf(stderr, "unknown benchmark\n");
+  const workloads::SpecProfile* profile = workloads::FindProfile("403.gcc");
+  core::TechniqueKind kind = core::TechniqueKind::kMpx;
+  eval::Defense defense = eval::Defense::kShadowStack;
+  uint64_t lines = 60;
+  if (!ParseFlags("dump", argc, argv,
+                  {{"--benchmark",
+                    [&](const char* v) {
+                      profile = workloads::FindProfile(v);
+                      return profile != nullptr;
+                    }},
+                   {"--technique", [&](const char* v) { return ParseTechnique(v, &kind); }},
+                   {"--defense",
+                    [&](const char* v) {
+                      const std::string name = v;
+                      defense = name == "none" ? eval::Defense::kNone : eval::Defense::kShadowStack;
+                      return name == "none" || name == "shadowstack";
+                    }},
+                   {"--lines", Count(&lines)}})) {
+    return Usage();
+  }
+  eval::CellRecipe recipe = eval::ExperimentRecipe(*profile, kind, defense);
+  recipe.region_bytes = 4096;
+  recipe.target_instructions = 2'000;  // a small module for reading
+  const eval::PreparedCell cell = eval::PrepareCell(recipe);
+  if (!cell.status.ok()) {
+    std::fprintf(stderr, "protect failed: %s\n", cell.status.ToString().c_str());
     return 1;
   }
-  const core::TechniqueKind kind = ParseTechnique(Arg(argc, argv, "--technique", "mpx"));
-  const std::string defense = Arg(argc, argv, "--defense", "shadowstack");
-  const int lines = std::atoi(Arg(argc, argv, "--lines", "60"));
-
-  sim::Machine machine;
-  sim::Process process(&machine);
-  if (kind == core::TechniqueKind::kVmfunc) {
-    (void)process.EnableDune();
-  }
-  (void)workloads::PrepareWorkloadProcess(process, *profile);
-  core::MemSentryConfig config;
-  config.technique = kind;
-  core::MemSentry ms(&process, config);
-  auto region = ms.allocator().Alloc("metadata", 4096);
-  workloads::SynthOptions synth;
-  synth.target_instructions = 2'000;  // a small module for reading
-  ir::Module module = workloads::SynthesizeSpecProgram(*profile, synth);
-  if (defense == "shadowstack") {
-    defenses::ShadowStackPass pass(region.ok() ? region.value()->base : 0);
-    (void)pass.Run(module);
-  }
-  if (Status s = ms.Protect(module); !s.ok()) {
-    std::fprintf(stderr, "protect failed: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  const std::string text = ir::ToString(module);
-  int printed = 0;
+  const std::string text = ir::ToString(cell.module);
+  uint64_t printed = 0;
   size_t pos = 0;
   while (printed < lines && pos < text.size()) {
     const size_t end = text.find('\n', pos);
@@ -345,26 +391,13 @@ int ReplayCampaignSpec(const json::Value& replay) {
 int RunServe(int argc, char** argv) {
   eval::ServeOptions options;
   options.registry = &suite::SuiteRegistry();
-  for (int i = 0; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
-    uint64_t n = 0;
-    if (flag == "--quiet") {
-      options.quiet = true;
-    } else if (flag == "--socket" && value != nullptr && *value != '\0') {
-      options.socket_path = value;
-      ++i;
-    } else if (flag == "--jobs" && ParseCount(value, 0, &n) && n <= kMaxJobs) {
-      options.jobs = static_cast<int>(n);
-      ++i;
-    } else {
-      const bool known = flag == "--socket" || flag == "--jobs";
-      std::fprintf(stderr, "serve: unknown or malformed argument: %s%s%s\n", flag.c_str(),
-                   known && value != nullptr ? " " : "",
-                   known && value != nullptr ? value : "");
-      return Usage();
-    }
+  uint64_t jobs = 0;
+  if (!ParseFlags("serve", argc, argv,
+                  {{"--socket", Text(&options.socket_path)}, {"--jobs", Count(&jobs, 0, kMaxJobs)}},
+                  {{"--quiet", &options.quiet}})) {
+    return Usage();
   }
+  options.jobs = static_cast<int>(jobs);
   if (options.socket_path.empty()) {
     std::fprintf(stderr, "serve: --socket PATH is required\n");
     return Usage();
@@ -376,20 +409,16 @@ int RunServe(int argc, char** argv) {
 // running server and print the response line. Exit 0 only when the server
 // answered {"ok":true}, so shell smoke tests can chain requests with `&&`.
 int RunRequest(int argc, char** argv) {
-  const std::string socket_path = Arg(argc, argv, "--socket", "");
-  std::string raw;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--socket") == 0) {
-      ++i;  // skip the path value
-      continue;
-    }
-    raw = argv[i];
+  std::string socket_path;
+  std::vector<std::string> raw;
+  if (!ParseFlags("request", argc, argv, {{"--socket", Text(&socket_path)}}, {}, &raw)) {
+    return Usage();
   }
-  if (socket_path.empty() || raw.empty()) {
+  if (socket_path.empty() || raw.size() != 1) {
     std::fprintf(stderr, "request: usage: request --socket PATH 'JSON'\n");
     return Usage();
   }
-  auto request = json::Parse(raw);
+  auto request = json::Parse(raw[0]);
   if (!request.ok()) {
     std::fprintf(stderr, "request: not valid JSON: %s\n", request.status().ToString().c_str());
     return 2;
