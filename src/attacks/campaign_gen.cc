@@ -4,28 +4,22 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <utility>
 
-#include "src/aes/aes128.h"
+#include "src/attacks/fault_campaign.h"
 #include "src/attacks/harness.h"
-#include "src/attacks/primitives.h"
 #include "src/attacks/strategies.h"
+#include "src/attacks/victim.h"
 #include "src/base/rng.h"
-#include "src/core/memsentry.h"
 #include "src/defenses/mmap_policy.h"
-#include "src/eval/fault_campaign.h"
 #include "src/mpk/mpk.h"
 #include "src/sim/fault_injector.h"
-#include "src/sim/kernel.h"
 #include "src/sim/scheduler.h"
 
 namespace memsentry::attacks {
 namespace {
 
-// Same secret as the harness and the fault campaign: recognizable in leaks.
-inline constexpr uint64_t kSecret = 0x5ec4e7c0de5ec4e7ULL;
 // Marker for controlled-write ground truth.
 inline constexpr uint64_t kWriteMarker = 0x600dca11600dca11ULL;
 
@@ -36,14 +30,6 @@ const char* const kStepNames[kNumStepKinds] = {
 };
 
 const char* const kOutcomeNames[4] = {"detected", "degraded", "ESCAPED", "timed-out"};
-
-uint64_t Fnv1a(uint64_t h, const char* s) {
-  for (; *s != '\0'; ++s) {
-    h ^= static_cast<uint8_t>(*s);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 std::string Hex64(uint64_t v) {
   char buf[19];
@@ -93,49 +79,25 @@ void Note(Signals& s, const std::string& msg) {
   s.note += msg;
 }
 
-// The victim environment one campaign runs against. Mirrors
-// eval::RunFaultCell's setup so outcomes compare like-for-like.
+// The victim one campaign runs against, plus the attacker's state.
 struct Env {
-  explicit Env(core::TechniqueKind kind) : process(&machine) {
-    if (kind == core::TechniqueKind::kVmfunc) {
-      (void)process.EnableDune();
-    }
-    (void)process.SetupStack();
-    (void)process.MapRange(sim::kWorkingSetBase, 16, machine::PageFlags::Data());
-    kernel = std::make_unique<sim::Kernel>(&process);
-    kernel->Install();
-  }
+  explicit Env(core::TechniqueKind kind) : victim(kind) {}
 
-  sim::Machine machine;
-  sim::Process process;
-  std::unique_ptr<sim::Kernel> kernel;
-  std::unique_ptr<core::MemSentry> memsentry;
+  Victim victim;
   std::unique_ptr<defenses::MmapPolicy> policy;
-  sim::SafeRegion* region = nullptr;
   VirtAddr target = 0;   // best-known target address
   bool located = false;  // target is the region's true address
 };
 
-// Runs the containment audit and tallies its findings.
-void RunAudit(Env& env, CampaignResult& result) {
-  for (const auto& issue : env.memsentry->technique().AuditProtection(env.process)) {
-    if (issue.repaired) {
-      ++result.repairs;
-    } else {
-      ++result.quarantines;
-    }
-  }
-}
-
 // One attacker read at `va`, with full outcome attribution.
 void AttackerReadAt(Env& env, Signals& s, CampaignResult& result, VirtAddr va) {
   ++result.probes;
-  auto read = env.memsentry->technique().AttackerRead(env.process, va);
+  auto read = env.victim.technique().AttackerRead(env.victim.process(), va);
   if (!read.ok()) {
     if (env.policy->IsGuardPage(va)) {
       s.policy_refused = true;
       Note(s, "guard page tripped at " + Hex64(va));
-    } else if (env.process.InSafeRegion(va)) {
+    } else if (env.victim.process().InSafeRegion(va)) {
       s.fault_observed = true;
       Note(s, "attacker read faulted: " + read.fault().ToString());
     }
@@ -145,7 +107,7 @@ void AttackerReadAt(Env& env, Signals& s, CampaignResult& result, VirtAddr va) {
     env.located = true;
     env.target = va;
     Note(s, "attacker read the secret plaintext at " + Hex64(va));
-  } else if (env.process.InSafeRegion(va)) {
+  } else if (env.victim.process().InSafeRegion(va)) {
     s.diverted = true;  // aliased/masked read or ciphertext: access diverted
   }
 }
@@ -153,43 +115,31 @@ void AttackerReadAt(Env& env, Signals& s, CampaignResult& result, VirtAddr va) {
 // One attacker write at the best-known target, with raw-memory ground truth.
 void AttackerWriteAt(Env& env, Signals& s, CampaignResult& result, VirtAddr va) {
   ++result.probes;
-  auto write = env.memsentry->technique().AttackerWrite(env.process, va, kWriteMarker);
+  auto write = env.victim.technique().AttackerWrite(env.victim.process(), va, kWriteMarker);
   if (!write.ok()) {
     if (env.policy->IsGuardPage(va)) {
       s.policy_refused = true;
       Note(s, "guard page tripped by write at " + Hex64(va));
-    } else if (env.process.InSafeRegion(va)) {
+    } else if (env.victim.process().InSafeRegion(va)) {
       s.fault_observed = true;
       Note(s, "attacker write faulted: " + write.fault().ToString());
     }
     return;
   }
-  if (!env.process.InSafeRegion(va)) {
-    return;  // landed in attacker-reachable memory; no victim damage
-  }
-  sim::SafeRegion* region = env.region;
-  if (env.memsentry->active_technique() == core::TechniqueKind::kCrypt &&
-      region != nullptr && region->Contains(va)) {
-    // A write onto ciphertext only counts as controlled corruption when the
-    // decrypted region carries the attacker's value.
-    std::vector<uint8_t> bytes(region->size);
-    if (env.process.PeekBytes(region->base, bytes.data(), region->size).ok()) {
-      aes::CryptRegion(bytes, region->enc_keys, region->nonce);
-      uint64_t decrypted = 0;
-      std::memcpy(&decrypted, bytes.data() + (va - region->base), sizeof(decrypted));
-      if (decrypted == kWriteMarker) {
-        s.corrupted = true;
-        Note(s, "attacker write decrypted to the attacker's value");
-      } else {
-        s.diverted = true;  // garbling write: confidentiality held
-      }
-    }
-    return;
-  }
-  auto now = env.process.Peek64(va);
-  if (now.ok() && now.value() == kWriteMarker) {
-    s.corrupted = true;
-    Note(s, "attacker write landed in the safe region at " + Hex64(va));
+  switch (env.victim.JudgeWrite(va, kWriteMarker)) {
+    case WriteVerdict::kDecrypted:
+      s.corrupted = true;
+      Note(s, "attacker write decrypted to the attacker's value");
+      break;
+    case WriteVerdict::kLanded:
+      s.corrupted = true;
+      Note(s, "attacker write landed in the safe region at " + Hex64(va));
+      break;
+    case WriteVerdict::kGarbled:
+      s.diverted = true;  // garbling write: confidentiality held
+      break;
+    case WriteVerdict::kMissed:
+      break;  // e.g. attacker-reachable memory: no victim damage
   }
 }
 
@@ -201,23 +151,23 @@ struct GateState {
 };
 
 bool OpenGate(Env& env, GateState& gate) {
-  sim::SafeRegion* region = env.region;
-  switch (env.memsentry->active_technique()) {
+  sim::SafeRegion* region = env.victim.region();
+  switch (env.victim.memsentry().active_technique()) {
     case core::TechniqueKind::kMpk:
-      gate.saved_pkru = env.process.regs().pkru.value;
-      env.process.regs().pkru.value = mpk::kOpenPkru;
+      gate.saved_pkru = env.victim.process().regs().pkru.value;
+      env.victim.process().regs().pkru.value = mpk::kOpenPkru;
       gate.open = true;
       return true;
     case core::TechniqueKind::kMprotect: {
       const uint64_t rv =
-          env.kernel->Dispatch(static_cast<uint64_t>(sim::Sysno::kMprotect),
+          env.victim.kernel().Dispatch(static_cast<uint64_t>(sim::Sysno::kMprotect),
                                region->base, sim::kProtRw);
       gate.open = !sim::IsSysError(rv);
       return gate.open;
     }
     case core::TechniqueKind::kCrypt: {
       if (!region->crypt || !region->encrypted_now ||
-          !env.process.CryptToggle(*region, region->size).ok()) {
+          !env.victim.process().CryptToggle(*region, region->size).ok()) {
         return false;
       }
       gate.open = true;
@@ -232,18 +182,18 @@ void CloseGate(Env& env, GateState& gate) {
   if (!gate.open) {
     return;
   }
-  sim::SafeRegion* region = env.region;
-  switch (env.memsentry->active_technique()) {
+  sim::SafeRegion* region = env.victim.region();
+  switch (env.victim.memsentry().active_technique()) {
     case core::TechniqueKind::kMpk:
-      env.process.regs().pkru.value = gate.saved_pkru;
+      env.victim.process().regs().pkru.value = gate.saved_pkru;
       break;
     case core::TechniqueKind::kMprotect:
-      (void)env.kernel->Dispatch(static_cast<uint64_t>(sim::Sysno::kMprotect),
+      (void)env.victim.kernel().Dispatch(static_cast<uint64_t>(sim::Sysno::kMprotect),
                                  region->base, sim::kProtNone);
       break;
     case core::TechniqueKind::kCrypt:
       if (!region->encrypted_now) {  // the audit may have re-encrypted already
-        (void)env.process.CryptToggle(*region, region->size);
+        (void)env.victim.process().CryptToggle(*region, region->size);
       }
       break;
     default:
@@ -257,7 +207,7 @@ void CloseGate(Env& env, GateState& gate) {
 // its own 16-region setup, so the generator excludes it.
 std::vector<sim::FaultSite> ApplicableSites(core::TechniqueKind kind) {
   std::vector<sim::FaultSite> sites;
-  for (const auto& [cell_kind, site] : eval::FaultMatrixCells()) {
+  for (const auto& [cell_kind, site] : FaultMatrixCells()) {
     if (cell_kind == kind && site != sim::FaultSite::kSyscallPkeyAllocExhausted) {
       sites.push_back(site);
     }
@@ -300,8 +250,8 @@ void StepProbeSweep(Env& env, const CampaignStep& step, Signals& s,
 
 void StepAllocOracle(Env& env, Signals& s, CampaignResult& result,
                      StepBudget& budget) {
-  const uint64_t pages = PageAlignUp(env.region->size) >> kPageShift;
-  LocateResult located = AllocationOracleAttack(env.process, pages);
+  const uint64_t pages = PageAlignUp(env.victim.region()->size) >> kPageShift;
+  LocateResult located = AllocationOracleAttack(env.victim.process(), pages);
   result.probes += located.probes;
   if (!budget.Consume(located.probes == 0 ? 1 : located.probes)) {
     return;
@@ -328,7 +278,7 @@ void StepGateRace(Env& env, const CampaignConfig& config, Signals& s,
   // The ERIM-style audit runs at what it believes is a closed-domain
   // checkpoint — catching (and closing) the racing window.
   if (config.runtime_audit) {
-    RunAudit(env, result);
+    env.victim.Audit(result.repairs, result.quarantines);
   }
   AttackerReadAt(env, s, result, env.target);
   CloseGate(env, gate);
@@ -349,19 +299,19 @@ void StepFaultThenProbe(Env& env, const CampaignSpec& spec,
   // The injector's seed comes from the step's own pre-drawn salt, never from
   // the step's position, so shrinking the list around it cannot change which
   // page/bit/key the injection picks.
-  sim::FaultInjector injector(&env.process, spec.seed ^ step.b);
-  injector.SetKernel(env.kernel.get());
+  sim::FaultInjector injector(&env.victim.process(), spec.seed ^ step.b);
+  injector.SetKernel(&env.victim.kernel());
   auto injected = injector.Inject(site);
   if (!injected.ok()) {
     Note(s, std::string("injection skipped: ") + sim::FaultSiteName(site));
     return;
   }
   if (config.runtime_audit) {
-    RunAudit(env, result);
+    env.victim.Audit(result.repairs, result.quarantines);
   }
   // Syscall sites: drive the armed call and require a clean refusal.
   if (site == sim::FaultSite::kSyscallMmapEnomem) {
-    const uint64_t rv = env.kernel->Dispatch(
+    const uint64_t rv = env.victim.kernel().Dispatch(
         static_cast<uint64_t>(sim::Sysno::kMmap), 0, 4 * kPageSize);
     if (sim::IsSysError(rv)) {
       s.fault_observed = true;
@@ -369,7 +319,7 @@ void StepFaultThenProbe(Env& env, const CampaignSpec& spec,
                   sim::ErrnoName(sim::SysErrnoOf(rv)));
     }
   } else if (site == sim::FaultSite::kSyscallMprotectEacces) {
-    const uint64_t rv = env.kernel->Dispatch(
+    const uint64_t rv = env.victim.kernel().Dispatch(
         static_cast<uint64_t>(sim::Sysno::kMprotect), sim::kWorkingSetBase,
         sim::kProtRw);
     if (sim::IsSysError(rv)) {
@@ -397,7 +347,7 @@ void StepPreemptRace(Env& env, const CampaignConfig& config,
     // The kernel's scheduler checkpoint: audit when handing the CPU to the
     // (attacker) tenant — the analogue of an audit on context switch.
     if (tenant == 1 && config.runtime_audit) {
-      RunAudit(env, result);
+      env.victim.Audit(result.repairs, result.quarantines);
     }
   });
   bool gated = false;
@@ -437,7 +387,7 @@ void StepMmapFixed(Env& env, const CampaignStep& step, Signals& s,
   const VirtAddr hint =
       PageAlignDown(env.target) - (1 + step.a % 4) * kPageSize;
   const uint64_t rv =
-      env.kernel->Dispatch(static_cast<uint64_t>(sim::Sysno::kMmap), hint,
+      env.victim.kernel().Dispatch(static_cast<uint64_t>(sim::Sysno::kMmap), hint,
                            pages * kPageSize);
   if (sim::IsSysError(rv) && sim::SysErrnoOf(rv) == sim::Errno::kEPERM) {
     s.policy_refused = true;
@@ -445,24 +395,18 @@ void StepMmapFixed(Env& env, const CampaignStep& step, Signals& s,
   }
 }
 
-void StepMmapSpray(Env& env, const CampaignStep& step, Signals& s,
-                   CampaignResult& result, StepBudget& budget) {
+void StepMmapSpray(Env& env, const CampaignStep& step, CampaignResult& result,
+                   StepBudget& budget) {
   const uint64_t count = 1 + step.a % 8;
   const uint64_t pages = 1 + step.b % 4;
-  uint64_t landed = 0;
   for (uint64_t i = 0; i < count; ++i) {
     if (!budget.Consume()) {
       return;
     }
     ++result.probes;
-    const uint64_t rv = env.kernel->Dispatch(
-        static_cast<uint64_t>(sim::Sysno::kMmap), 0, pages * kPageSize);
-    if (!sim::IsSysError(rv)) {
-      ++landed;
-    }
+    (void)env.victim.kernel().Dispatch(static_cast<uint64_t>(sim::Sysno::kMmap), 0,
+                                       pages * kPageSize);
   }
-  (void)landed;
-  (void)s;
 }
 
 void StepWxTransition(Env& env, const CampaignStep& step, Signals& s,
@@ -471,7 +415,7 @@ void StepWxTransition(Env& env, const CampaignStep& step, Signals& s,
     return;
   }
   ++result.probes;
-  const uint64_t mapped = env.kernel->Dispatch(
+  const uint64_t mapped = env.victim.kernel().Dispatch(
       static_cast<uint64_t>(sim::Sysno::kMmap), 0, kPageSize);
   if (sim::IsSysError(mapped)) {
     Note(s, "wx transition: staging mmap refused");
@@ -479,9 +423,9 @@ void StepWxTransition(Env& env, const CampaignStep& step, Signals& s,
   }
   // Write the payload through the attacker's own mapping, then try to make
   // it executable — RWX directly or the classic W-then-X flip.
-  (void)env.process.Poke64(mapped, 0x90909090c3c3c3c3ULL);
+  (void)env.victim.process().Poke64(mapped, 0x90909090c3c3c3c3ULL);
   const uint64_t prot = (step.a % 2 == 0) ? sim::kProtRx : sim::kProtRwx;
-  const uint64_t rv = env.kernel->Dispatch(
+  const uint64_t rv = env.victim.kernel().Dispatch(
       static_cast<uint64_t>(sim::Sysno::kMprotect), mapped, prot);
   if (sim::IsSysError(rv)) {
     s.policy_refused = true;
@@ -504,7 +448,7 @@ void StepAdjacentOverflow(Env& env, const CampaignStep& step, Signals& s,
   ++result.probes;
   const uint64_t pages = 1 + step.a % 4;
   const VirtAddr hint = PageAlignDown(env.target) - pages * kPageSize;
-  const uint64_t rv = env.kernel->Dispatch(
+  const uint64_t rv = env.victim.kernel().Dispatch(
       static_cast<uint64_t>(sim::Sysno::kMmap), hint, pages * kPageSize);
   if (sim::IsSysError(rv)) {
     if (sim::SysErrnoOf(rv) == sim::Errno::kEPERM) {
@@ -523,13 +467,10 @@ void StepGuardTouch(Env& env, const CampaignStep& step, Signals& s,
   if (!budget.Consume()) {
     return;
   }
-  const VirtAddr region_base =
-      env.located || env.region == nullptr ? PageAlignDown(env.target) : env.target;
-  const VirtAddr va =
-      (step.a % 2 == 0)
-          ? region_base - kPageSize
-          : PageAlignUp(region_base + (env.region != nullptr ? env.region->size
-                                                             : kPageSize));
+  const VirtAddr region_base = env.located ? PageAlignDown(env.target) : env.target;
+  const VirtAddr va = (step.a % 2 == 0)
+                          ? region_base - kPageSize
+                          : PageAlignUp(region_base + env.victim.region()->size);
   AttackerReadAt(env, s, result, va);
 }
 
@@ -540,14 +481,14 @@ void StepStaleRead(Env& env, const CampaignStep& step, Signals& s,
   }
   ++result.probes;
   const uint64_t pages = 1 + step.a % 4;
-  const uint64_t rv = env.kernel->Dispatch(
+  const uint64_t rv = env.victim.kernel().Dispatch(
       static_cast<uint64_t>(sim::Sysno::kMmap), 0, pages * kPageSize);
   if (sim::IsSysError(rv)) {
     return;
   }
   // Read before initializing: with poison-on-alloc the value is the policy's
   // poison pattern — recognizably dead, never stale program data.
-  auto value = env.process.Peek64(rv);
+  auto value = env.victim.process().Peek64(rv);
   if (value.ok() && value.value() == 0xdededededededeULL * 0x100 + 0xde) {
     s.diverted = true;
     Note(s, "poison visible on uninitialized read");
@@ -586,8 +527,8 @@ CampaignOutcome Classify(const Signals& s, const CampaignResult& result,
     return CampaignOutcome::kDetected;
   }
   // No leak — but no containment signal either. Conservatively an escape,
-  // exactly like eval::fault_campaign: every campaign must have an
-  // observable containment story.
+  // as in the fault matrix: every campaign must have an observable
+  // containment story.
   return CampaignOutcome::kEscaped;
 }
 
@@ -622,11 +563,7 @@ std::optional<CampaignOutcome> CampaignOutcomeFromName(const std::string& name) 
 }
 
 uint64_t CampaignSeed(uint64_t suite_seed, core::TechniqueKind kind, uint64_t index) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  h = Fnv1a(h, core::TechniqueKindName(kind));
-  h = Fnv1a(h, "/campaign-");
-  h = Fnv1a(h, std::to_string(index).c_str());
-  return suite_seed ^ h;
+  return VictimSeed(suite_seed, kind, "campaign-" + std::to_string(index));
 }
 
 CampaignSpec GenerateCampaign(core::TechniqueKind kind, uint64_t seed, uint64_t index) {
@@ -690,32 +627,25 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const CampaignConfig& confi
   CampaignResult result;
   Signals signals;
   Env env(spec.technique);
-
-  core::MemSentryConfig mconfig;
-  mconfig.technique = spec.technique;
-  env.memsentry = std::make_unique<core::MemSentry>(&env.process, mconfig);
-
-  auto region = env.memsentry->allocator().Alloc("secret", config.region_bytes);
-  if (!region.ok()) {
-    result.note = "setup failed (scored as escape): " + region.status().ToString();
+  Status allocated = env.victim.AllocSecrets(config.region_bytes);
+  if (!allocated.ok()) {
+    result.note = "setup failed (scored as escape): " + allocated.ToString();
     return result;  // outcome stays kEscaped: broken campaigns must be loud
   }
-  env.region = region.value();
-  (void)env.process.Poke64(env.region->base, kSecret);
 
   env.policy = std::make_unique<defenses::MmapPolicy>(
-      &env.process,
+      &env.victim.process(),
       config.mmap_policy ? defenses::MmapPolicyConfig::Strict()
                          : defenses::MmapPolicyConfig::Off(),
       spec.seed ^ 0x4d415047ULL);  // "MAPG"
-  env.policy->Attach(env.kernel.get());
+  env.policy->Attach(&env.victim.kernel());
 
-  Status prepared = env.memsentry->PrepareRuntime();
+  Status prepared = env.victim.Prepare();
   if (!prepared.ok()) {
     result.note = "prepare failed (scored as escape): " + prepared.ToString();
     return result;
   }
-  result.downgrades = static_cast<int>(env.memsentry->downgrades().size());
+  result.downgrades = static_cast<int>(env.victim.memsentry().downgrades().size());
   (void)env.policy->InstallGuards();
 
   // Deterministic techniques do not hide the region (the paper's titular
@@ -725,7 +655,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const CampaignConfig& confi
     env.target = sim::kStackTop + (spec.seed % (uint64_t{1} << 24)) * kPageSize;
   } else {
     env.located = true;
-    env.target = env.region->base;
+    env.target = env.victim.region()->base;
   }
 
   StepBudget budget(config.step_budget);
@@ -754,7 +684,7 @@ CampaignResult RunCampaign(const CampaignSpec& spec, const CampaignConfig& confi
         StepMmapFixed(env, step, signals, result, budget);
         break;
       case StepKind::kMmapSpray:
-        StepMmapSpray(env, step, signals, result, budget);
+        StepMmapSpray(env, step, result, budget);
         break;
       case StepKind::kWxTransition:
         StepWxTransition(env, step, signals, result, budget);

@@ -11,7 +11,7 @@
 // bit-for-bit from the serialized spec — alone, on any engine worker, and
 // after shrinking.
 //
-// Classification mirrors eval::fault_campaign:
+// Classification follows the fault matrix (fault_campaign.h):
 //   kDetected  — every probe was refused with a fault, a clean errno, a
 //                policy refusal, or a diverted/ciphertext read — or the
 //                attacker cashed out blind against a region it never located.
@@ -117,16 +117,15 @@ struct CampaignResult {
   std::string note;
 };
 
-// Per-campaign seed: suite seed mixed with an FNV-1a hash of
-// "<TechniqueKindName>/campaign-<index>" — order-independent, exactly like
-// eval::fault_campaign's CellSeed.
+// Per-campaign seed: VictimSeed(suite_seed, kind, "campaign-<index>").
 uint64_t CampaignSeed(uint64_t suite_seed, core::TechniqueKind kind, uint64_t index);
 
 // Samples one campaign from the grammar. Pure function of (kind, seed);
 // `index` is carried through for labeling.
 CampaignSpec GenerateCampaign(core::TechniqueKind kind, uint64_t seed, uint64_t index);
 
-// Runs one campaign against a fresh victim. Pure function of (spec, config).
+// Runs one campaign against a fresh Victim (victim.h). Pure function of
+// (spec, config).
 CampaignResult RunCampaign(const CampaignSpec& spec, const CampaignConfig& config);
 
 // Shrinks `spec` to a minimal step list that still reproduces its outcome

@@ -1,16 +1,13 @@
 #include "src/attacks/harness.h"
 
-#include <cstring>
 #include <vector>
 
 #include "src/attacks/primitives.h"
 #include "src/attacks/strategies.h"
-#include "src/core/memsentry.h"
+#include "src/attacks/victim.h"
 
 namespace memsentry::attacks {
 namespace {
-
-inline constexpr uint64_t kSecret = 0x5ec4e7c0de5ec4e7ULL;
 
 Outcome ClassifyReadFault(const machine::Fault& fault) {
   switch (fault.type) {
@@ -50,42 +47,22 @@ const char* OutcomeName(Outcome outcome) {
 }
 
 AttackReport RunAttackScenario(core::TechniqueKind kind, uint64_t region_bytes) {
-  ScenarioOptions options;
-  options.region_bytes = region_bytes;
-  return RunAttackScenario(kind, options);
-}
-
-AttackReport RunAttackScenario(core::TechniqueKind kind, const ScenarioOptions& options) {
-  const uint64_t region_bytes = options.region_bytes;
   AttackReport report;
   report.technique = kind;
 
-  sim::Machine machine;
-  sim::Process process(&machine);
-  if (kind == core::TechniqueKind::kVmfunc) {
-    Status dune = process.EnableDune();
-    (void)dune;
-  }
-  (void)process.SetupStack();
-  (void)process.MapRange(sim::kWorkingSetBase, 16, machine::PageFlags::Data());
-
-  core::MemSentryConfig config;
-  config.technique = kind;
-  core::MemSentry memsentry(&process, config);
-  auto region = memsentry.allocator().Alloc("secret", region_bytes);
-  if (!region.ok()) {
-    // Conservative default, mirroring eval::fault_campaign: a scenario that
-    // cannot produce a defense signal is scored as if the attack succeeded,
-    // never silently as "prevented".
+  Victim victim(kind);
+  Status allocated = victim.AllocSecrets(region_bytes);
+  if (!allocated.ok()) {
+    // Conservative default, as in the fault matrix and the campaigns: a
+    // scenario that cannot produce a defense signal is scored as if the
+    // attack succeeded, never silently as "prevented".
     report.read_outcome = Outcome::kLeaked;
     report.write_outcome = Outcome::kCorrupted;
-    report.detail = "setup failed (scored as escape): " + region.status().ToString();
+    report.detail = "setup failed (scored as escape): " + allocated.ToString();
     return report;
   }
-  const VirtAddr base = region.value()->base;
-  const uint64_t pages = PageAlignUp(region.value()->size) >> kPageShift;
-  (void)process.Poke64(base, kSecret);
-  Status prepared = memsentry.PrepareRuntime();
+  const sim::SafeRegion& region = *victim.region();
+  Status prepared = victim.Prepare();
   if (!prepared.ok()) {
     report.read_outcome = Outcome::kLeaked;
     report.write_outcome = Outcome::kCorrupted;
@@ -95,16 +72,11 @@ AttackReport RunAttackScenario(core::TechniqueKind kind, const ScenarioOptions& 
 
   // Phase 1 — locate. Deterministic isolation does not hide the region: the
   // attacker gets the address for free. Information hiding forces a search.
-  VirtAddr target = base;
+  VirtAddr target = region.base;
   if (kind == core::TechniqueKind::kInfoHide) {
-    LocateResult located = AllocationOracleAttack(process, pages);
+    LocateResult located =
+        AllocationOracleAttack(victim.process(), PageAlignUp(region.size) >> kPageShift);
     report.locate_probes = located.probes;
-    if (options.probe_budget != 0 && located.probes > options.probe_budget) {
-      report.read_outcome = Outcome::kTimedOut;
-      report.write_outcome = Outcome::kTimedOut;
-      report.detail = "locate phase exceeded probe budget";
-      return report;
-    }
     if (!located.found) {
       report.read_outcome = Outcome::kNotFound;
       report.write_outcome = Outcome::kNotFound;
@@ -116,7 +88,7 @@ AttackReport RunAttackScenario(core::TechniqueKind kind, const ScenarioOptions& 
   report.region_located = true;
 
   // Phase 2 — the arbitrary read primitive.
-  ArbitraryRw rw(&process, &memsentry.technique());
+  ArbitraryRw rw(&victim.process(), &victim.technique());
   auto read = rw.Read(target);
   if (!read.ok()) {
     report.read_outcome = ClassifyReadFault(read.fault());
@@ -127,27 +99,19 @@ AttackReport RunAttackScenario(core::TechniqueKind kind, const ScenarioOptions& 
     report.read_outcome = Outcome::kPrevented;  // aliased read or ciphertext
   }
 
-  // Phase 3 — the arbitrary write primitive. Ground truth via raw memory.
-  auto write = rw.Write(target, 0xdeadULL);
+  // Phase 3 — the arbitrary write primitive.
+  constexpr uint64_t kWritten = 0xdeadULL;
+  auto write = rw.Write(target, kWritten);
   if (!write.ok()) {
     report.write_outcome = ClassifyReadFault(write.fault());
-  } else if (kind == core::TechniqueKind::kCrypt) {
-    // The write lands on ciphertext. A *controlled* corruption requires the
-    // decrypted region to contain the attacker's value; without the
-    // keystream it only garbles (weak integrity, strong confidentiality).
-    sim::SafeRegion* r = process.FindSafeRegion(base);
-    std::vector<uint8_t> bytes(r->size);
-    (void)process.PeekBytes(base, bytes.data(), r->size);
-    aes::CryptRegion(bytes, r->enc_keys, r->nonce);
-    uint64_t decrypted = 0;
-    std::memcpy(&decrypted, bytes.data(), sizeof(decrypted));
-    report.write_outcome =
-        decrypted == 0xdeadULL ? Outcome::kCorrupted : Outcome::kPrevented;
+    return report;
+  }
+  const WriteVerdict verdict = victim.JudgeWrite(target, kWritten);
+  report.write_outcome = verdict == WriteVerdict::kLanded || verdict == WriteVerdict::kDecrypted
+                             ? Outcome::kCorrupted
+                             : Outcome::kPrevented;
+  if (kind == core::TechniqueKind::kCrypt) {
     report.detail += " (write garbles ciphertext; value not attacker-controlled)";
-  } else {
-    auto now = process.Peek64(base);
-    report.write_outcome =
-        (now.ok() && now.value() != kSecret) ? Outcome::kCorrupted : Outcome::kPrevented;
   }
   return report;
 }

@@ -22,7 +22,8 @@ enum class Outcome {
   kDetected,   // architectural fault: the attempt was caught
   kNotFound,   // attacker could not even locate the region
   // Appended (fidelity metrics persist these as ints; earlier values must
-  // not shift): the scenario's step/probe budget ran out before a verdict.
+  // not shift). No scenario produces it: the harness's locate phase has no
+  // budget.
   kTimedOut,
 };
 
@@ -59,17 +60,8 @@ struct AttackReport {
   std::string detail;
 };
 
-struct ScenarioOptions {
-  uint64_t region_bytes = 4096;
-  // Bounds the locate phase (information hiding's oracle search). 0 means
-  // unlimited; a positive budget that runs out yields Outcome::kTimedOut
-  // rather than an open-ended search.
-  uint64_t probe_budget = 0;
-};
-
 // Runs the full scenario for one technique.
 AttackReport RunAttackScenario(core::TechniqueKind kind, uint64_t region_bytes = 4096);
-AttackReport RunAttackScenario(core::TechniqueKind kind, const ScenarioOptions& options);
 
 // All eight techniques.
 std::vector<AttackReport> RunAttackMatrix(uint64_t region_bytes = 4096);

@@ -35,13 +35,9 @@ class ArbitraryRw {
     return ProbeResult{};
   }
 
-  uint64_t probes_used() const { return probes_; }
-  void CountProbe() { ++probes_; }
-
  private:
   sim::Process* process_;
   core::Technique* technique_;
-  uint64_t probes_ = 0;
 };
 
 }  // namespace memsentry::attacks

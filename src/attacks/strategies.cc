@@ -72,7 +72,6 @@ LocateResult CrashResistantScan(ArbitraryRw& rw, VirtAddr lo, VirtAddr hi, uint6
   LocateResult result;
   for (VirtAddr va = lo; va < hi && result.probes < probe_budget; va += stride) {
     ++result.probes;
-    rw.CountProbe();
     if (rw.Probe(va).mapped_and_accessible) {
       result.found = true;
       result.base = PageAlignDown(va);
@@ -99,7 +98,6 @@ LocateResult ThreadSprayingAttack(sim::Process& process, ArbitraryRw& rw,
   Rng rng(0xdeadbea7ULL);
   while (result.probes < probe_budget) {
     ++result.probes;
-    rw.CountProbe();
     const VirtAddr va =
         kSearchLo + PageAlignDown(rng.Below(kSearchHi - kSearchLo - kPageSize));
     if (rw.Probe(va).mapped_and_accessible && process.InSafeRegion(va)) {

@@ -10,13 +10,13 @@
 #include <vector>
 
 #include "src/attacks/campaign_gen.h"
+#include "src/attacks/fault_campaign.h"
 #include "src/attacks/harness.h"
 #include "src/attacks/primitives.h"
 #include "src/attacks/strategies.h"
 #include "src/base/crash_handler.h"
 #include "src/core/safe_region.h"
 #include "src/defenses/mmap_policy.h"
-#include "src/eval/fault_campaign.h"
 #include "src/suite/suite_internal.h"
 #include "src/suite/workloads.h"
 #include "src/workloads/server.h"
@@ -176,8 +176,8 @@ int AssembleAttackMatrix(const WorkloadOptions& options, const std::vector<json:
 
 // --- fault_matrix ---
 
-eval::FaultCampaignOptions FaultOptionsFromExtra(const WorkloadOptions& options) {
-  eval::FaultCampaignOptions fault;
+attacks::FaultCampaignOptions FaultOptionsFromExtra(const WorkloadOptions& options) {
+  attacks::FaultCampaignOptions fault;
   if (HasExtra(options, "seed")) {
     fault.seed = ExtraU64(options, "seed", fault.seed);
   }
@@ -188,7 +188,7 @@ eval::FaultCampaignOptions FaultOptionsFromExtra(const WorkloadOptions& options)
 // The machine-readable replay spec memsentry_cli consumes. `expected` is
 // empty for crashes (replay reproduces the abort) and the containment name
 // for escape bundles (replay compares outcomes).
-std::string ReplaySpec(const eval::FaultCampaignOptions& options, const char* technique,
+std::string ReplaySpec(const attacks::FaultCampaignOptions& options, const char* technique,
                        const char* site, const char* expected) {
   json::Value spec = json::Value::Object();
   spec.Set("kind", "fault_cell");
@@ -206,7 +206,7 @@ std::string ReplaySpec(const eval::FaultCampaignOptions& options, const char* te
 
 json::Value RunFaultMatrixCell(const WorkloadOptions& wo, core::TechniqueKind kind,
                                sim::FaultSite site) {
-  const eval::FaultCampaignOptions options = FaultOptionsFromExtra(wo);
+  const attacks::FaultCampaignOptions options = FaultOptionsFromExtra(wo);
   const char* technique_name = core::TechniqueKindName(kind);
   const char* site_name = sim::FaultSiteName(site);
 
@@ -220,9 +220,9 @@ json::Value RunFaultMatrixCell(const WorkloadOptions& wo, core::TechniqueKind ki
   context.replay_json = ReplaySpec(options, technique_name, site_name, "");
   base::SetCrashContext(context);
 
-  eval::FaultCellResult cell = eval::RunFaultCell(kind, site, options);
+  attacks::FaultCellResult cell = attacks::RunFaultCell(kind, site, options);
 
-  if (cell.outcome == eval::Containment::kEscaped) {
+  if (cell.outcome == attacks::Containment::kEscaped) {
     // The process survives an escape, so trap-style bundles never fire;
     // write one programmatically with the outcome pinned for replay.
     context.replay_json = ReplaySpec(options, technique_name, site_name, "ESCAPED");
@@ -238,7 +238,7 @@ json::Value RunFaultMatrixCell(const WorkloadOptions& wo, core::TechniqueKind ki
   payload.Set("technique", technique_name);
   payload.Set("site", site_name);
   payload.Set("outcome", static_cast<int>(cell.outcome));
-  payload.Set("outcome_name", eval::ContainmentName(cell.outcome));
+  payload.Set("outcome_name", attacks::ContainmentName(cell.outcome));
   payload.Set("repairs", cell.repairs);
   payload.Set("quarantines", cell.quarantines);
   payload.Set("downgrades", cell.downgrades);
@@ -248,7 +248,7 @@ json::Value RunFaultMatrixCell(const WorkloadOptions& wo, core::TechniqueKind ki
 
 int AssembleFaultMatrix(const WorkloadOptions& options, const std::vector<json::Value>& payloads,
                         ReportBuilder& report) {
-  const eval::FaultCampaignOptions fault = FaultOptionsFromExtra(options);
+  const attacks::FaultCampaignOptions fault = FaultOptionsFromExtra(options);
   if (options.print) {
     PrintHeader("Fault matrix — injected faults vs every technique");
     std::printf("campaign seed: 0x%llx\n", static_cast<unsigned long long>(fault.seed));
@@ -260,14 +260,14 @@ int AssembleFaultMatrix(const WorkloadOptions& options, const std::vector<json::
     const int outcome = static_cast<int>(cell.NumberOr("outcome", 2));
     const int cell_repairs = static_cast<int>(cell.NumberOr("repairs", 0));
     const int cell_downgrades = static_cast<int>(cell.NumberOr("downgrades", 0));
-    switch (static_cast<eval::Containment>(outcome)) {
-      case eval::Containment::kDetected:
+    switch (static_cast<attacks::Containment>(outcome)) {
+      case attacks::Containment::kDetected:
         ++detected;
         break;
-      case eval::Containment::kDegraded:
+      case attacks::Containment::kDegraded:
         ++degraded;
         break;
-      case eval::Containment::kEscaped:
+      case attacks::Containment::kEscaped:
         ++escaped;
         break;
     }
@@ -365,8 +365,11 @@ json::Value RunCampaignTechniqueCell(const WorkloadOptions& wo, int technique) {
     }
     tally.steps_run += result.steps_run;
     tally.probes += result.probes;
+    // Information hiding's timeouts are the expected end of a blind search,
+    // pinned by the gate: counted, but no anomaly and no bundle.
     if (result.outcome == attacks::CampaignOutcome::kEscaped ||
-        result.outcome == attacks::CampaignOutcome::kTimedOut) {
+        (result.outcome == attacks::CampaignOutcome::kTimedOut &&
+         kind != core::TechniqueKind::kInfoHide)) {
       const attacks::CampaignSpec shrunk =
           run.options.shrink_anomalies ? attacks::ShrinkCampaign(spec, run.options.config)
                                        : spec;
@@ -618,7 +621,7 @@ void RegisterAdversaryWorkloads(eval::WorkloadRegistry& registry) {
     w.name = "fault_matrix";
     w.cells = [](const WorkloadOptions&) {
       std::vector<WorkloadCell> cells;
-      for (const auto& [kind, site] : eval::FaultMatrixCells()) {
+      for (const auto& [kind, site] : attacks::FaultMatrixCells()) {
         const std::string name =
             std::string(core::TechniqueKindName(kind)) + "/" + sim::FaultSiteName(site);
         cells.push_back({name, [kind = kind, site = site](const WorkloadOptions& wo) {

@@ -3,6 +3,7 @@
 #include "src/attacks/harness.h"
 #include "src/attacks/primitives.h"
 #include "src/attacks/strategies.h"
+#include "src/attacks/victim.h"
 #include "src/core/memsentry.h"
 
 namespace memsentry::attacks {
@@ -140,6 +141,51 @@ TEST(PrimitivesTest, ProbeSurvivesFaults) {
   probe = rw.Probe(0x123456000ULL);
   EXPECT_TRUE(probe.mapped_and_accessible);
   EXPECT_EQ(probe.value, 7u);
+}
+
+TEST(VictimTest, EveryRegionHoldsTheSecret) {
+  Victim victim(TechniqueKind::kSfi);
+  EXPECT_EQ(victim.region(), nullptr);
+  ASSERT_TRUE(victim.AllocSecrets(4096, 3).ok());
+  ASSERT_NE(victim.region(), nullptr);
+  EXPECT_EQ(victim.region()->name, "secret");
+  for (const char* name : {"secret", "secret-1", "secret-2"}) {
+    const sim::SafeRegion* region = nullptr;
+    for (const sim::SafeRegion& r : victim.process().safe_regions()) {
+      if (r.name == name) {
+        region = &r;
+      }
+    }
+    ASSERT_NE(region, nullptr) << name;
+    EXPECT_EQ(victim.process().Peek64(region->base).value(), kSecret) << name;
+  }
+}
+
+// The write verdict is ground truth through raw memory: where the value
+// landed, not what the technique reported.
+TEST(VictimTest, JudgesWritesByRawMemory) {
+  Victim victim(TechniqueKind::kInfoHide);
+  ASSERT_TRUE(victim.AllocSecrets(4096).ok());
+  ASSERT_TRUE(victim.Prepare().ok());
+  const VirtAddr base = victim.region()->base;
+  EXPECT_EQ(victim.JudgeWrite(base, 0xdead), WriteVerdict::kMissed);  // still the secret
+  ASSERT_TRUE(victim.technique().AttackerWrite(victim.process(), base, 0xdead).ok());
+  EXPECT_EQ(victim.JudgeWrite(base, 0xdead), WriteVerdict::kLanded);
+  // Attacker-reachable memory is no victim damage, whatever it holds.
+  ASSERT_TRUE(victim.process().Poke64(sim::kWorkingSetBase, 0xdead).ok());
+  EXPECT_EQ(victim.JudgeWrite(sim::kWorkingSetBase, 0xdead), WriteVerdict::kMissed);
+}
+
+// A write onto a crypt region lands on ciphertext: it garbles the plaintext
+// at the written offset but does not control it.
+TEST(VictimTest, CryptWritesGarbleCiphertext) {
+  Victim victim(TechniqueKind::kCrypt);
+  ASSERT_TRUE(victim.AllocSecrets(4096).ok());
+  ASSERT_TRUE(victim.Prepare().ok());
+  const VirtAddr at = victim.region()->base + 64;
+  ASSERT_TRUE(victim.technique().AttackerWrite(victim.process(), at, 0xdead).ok());
+  EXPECT_EQ(victim.process().Peek64(at).value(), 0xdeadu);  // raw memory changed...
+  EXPECT_EQ(victim.JudgeWrite(at, 0xdead), WriteVerdict::kGarbled);  // ...plaintext did not
 }
 
 TEST(OutcomeTest, NamesAreStable) {

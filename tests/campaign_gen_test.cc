@@ -76,6 +76,55 @@ TEST(CampaignSuiteTest, DefaultConfigurationHasZeroEscapes) {
   EXPECT_EQ(escaped, 0);
 }
 
+// Runs one technique's cell of the registered attack_campaigns workload.
+json::Value RunTechniqueCell(const eval::WorkloadOptions& options, core::TechniqueKind kind) {
+  const eval::Workload* workload = suite::FindSuiteWorkload("attack_campaigns");
+  EXPECT_NE(workload, nullptr);
+  for (const eval::WorkloadCell& cell : workload->cells(options)) {
+    if (cell.name == core::TechniqueKindName(kind)) {
+      return cell.run(options);
+    }
+  }
+  ADD_FAILURE() << "no cell for " << core::TechniqueKindName(kind);
+  return json::Value::Object();
+}
+
+// Information hiding's step-budget timeouts are the expected result of a
+// blind search: the default-size suite counts all 25, but lists none as an
+// anomaly, so none is shrunk or written as a crash bundle.
+TEST(CampaignSuiteTest, InfoHidingTimeoutsAreCountedNotAnomalies) {
+  const json::Value payload = RunTechniqueCell({}, core::TechniqueKind::kInfoHide);
+  EXPECT_EQ(payload.NumberOr("timed_out", -1), 25);
+  EXPECT_EQ(payload.NumberOr("escaped", -1), 0);
+  const json::Value* anomalies = payload.Find("anomalies");
+  ASSERT_NE(anomalies, nullptr);
+  EXPECT_TRUE(anomalies->items().empty());
+}
+
+// With the mmap policy and the audit off, escapes are still listed as
+// anomalies, each with its shrunk replay spec.
+TEST(CampaignSuiteTest, WeakenedEscapesAreStillAnomalies) {
+  eval::WorkloadOptions options;
+  options.extra["campaigns"] = std::to_string(10 * core::kNumTechniques);
+  options.extra["policy"] = "off";
+  options.extra["skip_audit"] = "1";
+  double escaped = 0;
+  size_t listed = 0;
+  for (int k = 0; k < core::kNumTechniques; ++k) {
+    const json::Value payload = RunTechniqueCell(options, static_cast<core::TechniqueKind>(k));
+    escaped += payload.NumberOr("escaped", 0);
+    const json::Value* anomalies = payload.Find("anomalies");
+    ASSERT_NE(anomalies, nullptr);
+    for (const json::Value& anomaly : anomalies->items()) {
+      EXPECT_EQ(anomaly.StringOr("outcome_name", ""), "ESCAPED");
+      EXPECT_NE(anomaly.Find("replay"), nullptr);
+      ++listed;
+    }
+  }
+  EXPECT_GT(escaped, 0);
+  EXPECT_EQ(static_cast<double>(listed), escaped);
+}
+
 // Finds one escaping generated campaign under a weakened config. The
 // audit-off configuration reliably leaks through gate races within the first
 // few MPK campaigns.

@@ -8,10 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/attacks/fault_campaign.h"
+#include "src/attacks/victim.h"
 #include "src/base/json.h"
 #include "src/core/advisor.h"
 #include "src/core/memsentry.h"
-#include "src/eval/fault_campaign.h"
 #include "src/eval/regression_gate.h"
 #include "src/sim/fault_injector.h"
 #include "src/sim/kernel.h"
@@ -19,39 +20,19 @@
 namespace memsentry {
 namespace {
 
-using eval::Containment;
-using eval::FaultCampaignOptions;
-using eval::FaultCampaignResult;
-using eval::FaultCellResult;
+using attacks::Containment;
+using attacks::FaultCampaignOptions;
+using attacks::FaultCampaignResult;
+using attacks::FaultCellResult;
 using sim::FaultSite;
 
-constexpr uint64_t kSecret = 0x5ec4e7c0de5ec4e7ULL;
-
-// A minimal victim: one technique, one secret-bearing safe region, prepared.
-struct Victim {
-  sim::Machine machine;
-  sim::Process process{&machine};
-  std::unique_ptr<core::MemSentry> memsentry;
-  VirtAddr base = 0;
-
-  explicit Victim(core::TechniqueKind kind) { Init(kind); }
-
- private:
-  // ASSERT_* must live in a void function, not a constructor.
-  void Init(core::TechniqueKind kind) {
-    if (kind == core::TechniqueKind::kVmfunc) {
-      ASSERT_TRUE(process.EnableDune().ok());
-    }
-    ASSERT_TRUE(process.SetupStack().ok());
-    core::MemSentryConfig config;
-    config.technique = kind;
-    memsentry = std::make_unique<core::MemSentry>(&process, config);
-    auto region = memsentry->allocator().Alloc("secret", 4096);
-    ASSERT_TRUE(region.ok());
-    base = region.value()->base;
-    ASSERT_TRUE(process.Poke64(base, kSecret).ok());
-    ASSERT_TRUE(memsentry->PrepareRuntime().ok());
+// The attack harnesses' victim, with one secret region, prepared.
+struct Victim : attacks::Victim {
+  explicit Victim(core::TechniqueKind kind) : attacks::Victim(kind) {
+    EXPECT_TRUE(AllocSecrets(4096).ok());
+    EXPECT_TRUE(Prepare().ok());
   }
+  VirtAddr base() const { return region()->base; }
 };
 
 // ---------------------------------------------------------------- injector --
@@ -59,7 +40,7 @@ struct Victim {
 TEST(FaultInjector, InjectionsAreSeedDeterministic) {
   auto run = [](uint64_t seed) {
     Victim victim(core::TechniqueKind::kMpk);
-    sim::FaultInjector injector(&victim.process, seed);
+    sim::FaultInjector injector(&victim.process(), seed);
     auto injected = injector.Inject(FaultSite::kPtePkeyFlip);
     EXPECT_TRUE(injected.ok());
     return injected.ok() ? injected.value() : sim::Injection{};
@@ -77,7 +58,7 @@ TEST(FaultInjector, InjectionsAreSeedDeterministic) {
 
 TEST(FaultInjector, RejectsInapplicableSites) {
   Victim victim(core::TechniqueKind::kMpk);
-  sim::FaultInjector injector(&victim.process, 1);
+  sim::FaultInjector injector(&victim.process(), 1);
   // No Dune, no encrypted region, no kernel hooked up.
   EXPECT_EQ(injector.Inject(FaultSite::kEptMappingDrop).status().code(),
             StatusCode::kFailedPrecondition);
@@ -93,7 +74,7 @@ TEST(FaultInjector, PkeyFlipNeverPicksTheOriginalKey) {
   // every audit); exercised across many seeds.
   for (uint64_t seed = 0; seed < 32; ++seed) {
     Victim victim(core::TechniqueKind::kMpk);
-    sim::FaultInjector injector(&victim.process, seed);
+    sim::FaultInjector injector(&victim.process(), seed);
     auto injected = injector.Inject(FaultSite::kPtePkeyFlip);
     ASSERT_TRUE(injected.ok());
     EXPECT_NE(injected.value().before, injected.value().after) << "seed " << seed;
@@ -104,41 +85,41 @@ TEST(FaultInjector, PkeyFlipNeverPicksTheOriginalKey) {
 
 TEST(ContainmentAudit, RepairsPkruDesync) {
   Victim victim(core::TechniqueKind::kMpk);
-  sim::FaultInjector injector(&victim.process, 7);
+  sim::FaultInjector injector(&victim.process(), 7);
   ASSERT_TRUE(injector.Inject(FaultSite::kPkruDesync).ok());
   // Desynced: the attacker's ordinary read would now succeed.
-  auto leaked = victim.memsentry->technique().AttackerRead(victim.process, victim.base);
+  auto leaked = victim.technique().AttackerRead(victim.process(), victim.base());
   ASSERT_TRUE(leaked.ok());
-  EXPECT_EQ(leaked.value(), kSecret);
+  EXPECT_EQ(leaked.value(), attacks::kSecret);
 
-  const auto issues = victim.memsentry->technique().AuditProtection(victim.process);
+  const auto issues = victim.technique().AuditProtection(victim.process());
   ASSERT_FALSE(issues.empty());
   EXPECT_TRUE(issues[0].repaired);
-  auto after = victim.memsentry->technique().AttackerRead(victim.process, victim.base);
+  auto after = victim.technique().AttackerRead(victim.process(), victim.base());
   EXPECT_FALSE(after.ok());
 }
 
 TEST(ContainmentAudit, InvalidatesStaleTlbEntries) {
   Victim victim(core::TechniqueKind::kMprotect);
-  sim::FaultInjector injector(&victim.process, 7);
+  sim::FaultInjector injector(&victim.process(), 7);
   ASSERT_TRUE(injector.Inject(FaultSite::kTlbStaleEntry).ok());
-  auto leaked = victim.memsentry->technique().AttackerRead(victim.process, victim.base);
+  auto leaked = victim.technique().AttackerRead(victim.process(), victim.base());
   ASSERT_TRUE(leaked.ok());
-  EXPECT_EQ(leaked.value(), kSecret);
+  EXPECT_EQ(leaked.value(), attacks::kSecret);
 
-  const auto issues = victim.memsentry->technique().AuditProtection(victim.process);
+  const auto issues = victim.technique().AuditProtection(victim.process());
   ASSERT_FALSE(issues.empty());
   EXPECT_TRUE(issues[0].repaired);
-  auto after = victim.memsentry->technique().AttackerRead(victim.process, victim.base);
+  auto after = victim.technique().AttackerRead(victim.process(), victim.base());
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.fault().type, machine::FaultType::kUserSupervisor);
 }
 
 TEST(ContainmentAudit, QuarantinesClobberedRoundKeys) {
   Victim victim(core::TechniqueKind::kCrypt);
-  sim::FaultInjector injector(&victim.process, 7);
+  sim::FaultInjector injector(&victim.process(), 7);
   ASSERT_TRUE(injector.Inject(FaultSite::kAesRoundKeyClobber).ok());
-  const auto issues = victim.memsentry->technique().AuditProtection(victim.process);
+  const auto issues = victim.technique().AuditProtection(victim.process());
   ASSERT_FALSE(issues.empty());
   // Clobbered key material cannot be repaired — only contained.
   EXPECT_FALSE(issues[0].repaired);
@@ -148,7 +129,7 @@ TEST(ContainmentAudit, CleanProcessAuditsClean) {
   for (const auto kind : {core::TechniqueKind::kMpk, core::TechniqueKind::kMpx,
                           core::TechniqueKind::kCrypt, core::TechniqueKind::kMprotect}) {
     Victim victim(kind);
-    EXPECT_TRUE(victim.memsentry->technique().AuditProtection(victim.process).empty())
+    EXPECT_TRUE(victim.technique().AuditProtection(victim.process()).empty())
         << core::TechniqueKindName(kind);
   }
 }
@@ -202,8 +183,8 @@ TEST(FallbackChain, MissingDuneDegradesVmfuncToMpk) {
 // ---------------------------------------------------------------- campaign --
 
 TEST(FaultCampaign, StandardMatrixHasZeroEscapes) {
-  const FaultCampaignResult campaign = eval::RunFaultCampaign({});
-  EXPECT_EQ(campaign.cells.size(), eval::FaultMatrixCells().size());
+  const FaultCampaignResult campaign = attacks::RunFaultCampaign({});
+  EXPECT_EQ(campaign.cells.size(), attacks::FaultMatrixCells().size());
   EXPECT_EQ(campaign.escaped, 0);
   for (const auto& cell : campaign.cells) {
     EXPECT_NE(cell.outcome, Containment::kEscaped)
@@ -218,8 +199,8 @@ TEST(FaultCampaign, StandardMatrixHasZeroEscapes) {
 }
 
 TEST(FaultCampaign, ReplaysBitForBit) {
-  const FaultCampaignResult a = eval::RunFaultCampaign({});
-  const FaultCampaignResult b = eval::RunFaultCampaign({});
+  const FaultCampaignResult a = attacks::RunFaultCampaign({});
+  const FaultCampaignResult b = attacks::RunFaultCampaign({});
   ASSERT_EQ(a.cells.size(), b.cells.size());
   for (size_t i = 0; i < a.cells.size(); ++i) {
     EXPECT_EQ(a.cells[i].outcome, b.cells[i].outcome);
@@ -235,11 +216,11 @@ TEST(FaultCampaign, CellsAreOrderIndependent) {
   // A cell run standalone replays exactly its in-matrix result: per-cell
   // seeds derive from names, not from execution order.
   const FaultCampaignOptions options;
-  const FaultCampaignResult campaign = eval::RunFaultCampaign(options);
+  const FaultCampaignResult campaign = attacks::RunFaultCampaign(options);
   for (const size_t i : {size_t{0}, campaign.cells.size() / 2, campaign.cells.size() - 1}) {
     const FaultCellResult& in_matrix = campaign.cells[i];
     const FaultCellResult alone =
-        eval::RunFaultCell(in_matrix.technique, in_matrix.site, options);
+        attacks::RunFaultCell(in_matrix.technique, in_matrix.site, options);
     EXPECT_EQ(alone.outcome, in_matrix.outcome);
     EXPECT_EQ(alone.cell_seed, in_matrix.cell_seed);
     EXPECT_EQ(alone.detail, in_matrix.detail);
@@ -251,7 +232,7 @@ TEST(FaultCampaign, SkippedAuditLetsDesyncFaultsEscape) {
   // sites (stale TLB, PKRU, widened bounds, clobbered keys) leak or corrupt.
   FaultCampaignOptions options;
   options.skip_containment_audit = true;
-  const FaultCampaignResult campaign = eval::RunFaultCampaign(options);
+  const FaultCampaignResult campaign = attacks::RunFaultCampaign(options);
   EXPECT_GT(campaign.escaped, 0);
   bool pkru_escaped = false;
   for (const auto& cell : campaign.cells) {
@@ -286,13 +267,13 @@ json::Value CampaignMetricsDoc(const FaultCampaignResult& campaign) {
 }
 
 TEST(FaultCampaign, InjectedEscapeFailsTheRegressionGate) {
-  const json::Value baseline = CampaignMetricsDoc(eval::RunFaultCampaign({}));
+  const json::Value baseline = CampaignMetricsDoc(attacks::RunFaultCampaign({}));
   // Clean run vs clean baseline: the gate passes.
   EXPECT_TRUE(eval::CompareAgainstBaseline(baseline, baseline).ok());
 
   FaultCampaignOptions options;
   options.skip_containment_audit = true;
-  const json::Value escaped = CampaignMetricsDoc(eval::RunFaultCampaign(options));
+  const json::Value escaped = CampaignMetricsDoc(attacks::RunFaultCampaign(options));
   const eval::GateReport report = eval::CompareAgainstBaseline(escaped, baseline);
   EXPECT_FALSE(report.ok());
   bool total_flagged = false;

@@ -31,12 +31,12 @@
 #include <vector>
 
 #include "src/attacks/campaign_gen.h"
+#include "src/attacks/fault_campaign.h"
 #include "src/attacks/harness.h"
 #include "src/base/crash_handler.h"
 #include "src/base/fastpath.h"
 #include "src/base/json.h"
 #include "src/core/advisor.h"
-#include "src/eval/fault_campaign.h"
 #include "src/eval/figures.h"
 #include "src/eval/serve.h"
 #include "src/ir/printer.h"
@@ -493,7 +493,7 @@ int RunReplay(int argc, char** argv) {
 
   const std::string technique = replay->StringOr("technique", "");
   const std::string site = replay->StringOr("site", "");
-  eval::FaultCampaignOptions options;
+  attacks::FaultCampaignOptions options;
   options.seed = static_cast<uint64_t>(replay->NumberOr("seed", 0));
   options.force_crash = replay->StringOr("force_crash", "");
   const std::string expected = replay->StringOr("expected", "");
@@ -501,7 +501,7 @@ int RunReplay(int argc, char** argv) {
   // Resolve the cell by its names against the matrix — the names in the
   // manifest are exactly the names the matrix prints, so an unknown pair
   // means a stale or hand-edited bundle.
-  for (const auto& [cell_kind, cell_site] : eval::FaultMatrixCells()) {
+  for (const auto& [cell_kind, cell_site] : attacks::FaultMatrixCells()) {
     if (technique != core::TechniqueKindName(cell_kind) ||
         site != sim::FaultSiteName(cell_site)) {
       continue;
@@ -511,20 +511,20 @@ int RunReplay(int argc, char** argv) {
                 options.force_crash.empty() ? "" : " (forced crash armed)");
     // A forced-crash replay aborts inside RunFaultCell, reproducing the
     // original death; control only returns here for surviving cells.
-    const eval::FaultCellResult cell = eval::RunFaultCell(cell_kind, cell_site, options);
+    const attacks::FaultCellResult cell = attacks::RunFaultCell(cell_kind, cell_site, options);
     std::printf("replay: outcome %s (repairs %d, quarantines %d, downgrades %d)\n",
-                eval::ContainmentName(cell.outcome), cell.repairs, cell.quarantines,
+                attacks::ContainmentName(cell.outcome), cell.repairs, cell.quarantines,
                 cell.downgrades);
     if (!cell.detail.empty()) {
       std::printf("replay: detail: %s\n", cell.detail.c_str());
     }
     if (!expected.empty()) {
-      if (expected == eval::ContainmentName(cell.outcome)) {
+      if (expected == attacks::ContainmentName(cell.outcome)) {
         std::printf("replay: reproduced the recorded outcome (%s)\n", expected.c_str());
         return 0;
       }
       std::fprintf(stderr, "replay: outcome diverged: bundle recorded %s, replay got %s\n",
-                   expected.c_str(), eval::ContainmentName(cell.outcome));
+                   expected.c_str(), attacks::ContainmentName(cell.outcome));
       return 1;
     }
     return 0;
